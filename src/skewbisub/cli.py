@@ -3,13 +3,15 @@
 Exit codes are strict: 0 when the requested property holds or the command
 succeeds, 1 when a checked property is violated, 2 for malformed input or
 usage errors.  All structured output is JSON on stdout; diagnostics go to
-stderr.
+stderr.  When the reader of stdout closes it early, the console script
+exits 141, as a shell reports a process killed by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -35,6 +37,10 @@ from .oracles import (
     random_box_point,
 )
 from .rationals import format_rational
+
+
+#: Exit code of `main` when stdout is closed before the output is written.
+EXIT_BROKEN_PIPE = 128 + 13
 
 
 def _emit(payload: object) -> None:
@@ -114,7 +120,14 @@ def _cmd_minimize(args) -> int:
     return 0
 
 
+def _check_trials(trials: int) -> None:
+    # Zero or negative trials would report an empty pass.
+    if trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {trials}")
+
+
 def _cmd_verify_closure(args) -> int:
+    _check_trials(args.trials)
     f = _load_instance(args.instance)
     rng = random.Random(args.seed)
     for trial in range(args.trials):
@@ -167,12 +180,9 @@ def _verify_all_checks(f: ValueOracle, trials: int, seed: int) -> dict:
 
     # Meet/join recombination identity.  It is componentwise, so beyond
     # n = 4 the 9 single-label pairs prove the general case.
-    if f.arity <= 4:
-        pairs = [(a, b) for a in all_labelings(f.arity) for b in all_labelings(f.arity)]
-        exhaustive = True
-    else:
-        pairs = [((a,), (b,)) for a in all_labelings(1) for b in all_labelings(1)]
-        exhaustive = False
+    exhaustive = f.arity <= 4
+    m = f.arity if exhaustive else 1
+    pairs = [(a, b) for a in all_labelings(m) for b in all_labelings(m)]
     identity_ok = True
     for a, b in pairs:
         av = numeric(a, f.alpha)
@@ -254,6 +264,7 @@ def _random_chain_distribution(n: int, rng: random.Random):
 
 
 def _cmd_verify_all(args) -> int:
+    _check_trials(args.trials)
     f = _load_instance(args.instance)
     checks = _verify_all_checks(f, trials=args.trials, seed=args.seed)
     ok = all(entry["pass"] for entry in checks.values())
@@ -341,7 +352,16 @@ def run(argv: Optional[List[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull so the
+        # interpreter's final flush cannot raise again, and exit as a shell
+        # reports a process killed by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

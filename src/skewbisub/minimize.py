@@ -2,14 +2,21 @@
 
 The continuous problem (minimize the extension over the box) and the
 discrete one share their optimum when the function is skew bisubmodular, so
-the loop is plain projected subgradient descent in floating point, while
-every iterate's chain support is evaluated exactly and the best discrete
-point seen so far is carried as the answer.  The support of any iterate is
-a certificate source: the extension value there is a convex combination of
-the support values, so the support minimum can only undercut it.
+the loop is plain projected subgradient descent, while every iterate's chain
+support is evaluated exactly and the best discrete point seen so far is
+carried as the answer.  The support of any iterate is a certificate source:
+the extension value there is a convex combination of the support values, so
+the support minimum can only undercut it.
 
-Floats drive the trajectory; every reported value is an exact rational
-re-evaluation.  Runs are deterministic given the configuration.
+The iterate is kept exactly, as integer numerators over one common
+denominator D, a multiple of both the snapping grid 2^-20 and the
+denominator q of alpha = p/q (and of the start point's denominators).  Each
+float step is snapped back to that grid with integer operations, so the
+chain walk is ordered by exact integer keys and never touches a Fraction;
+the step itself is taken in floats.  Labelings are coded in base 3, so each
+chain step updates the memo key with one addition.  Every reported value is
+an exact rational oracle value.  Runs are deterministic given the
+configuration.
 """
 
 from __future__ import annotations
@@ -21,26 +28,18 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .functions import ValueOracle
-from .lattice import (
-    Alpha,
-    ArityMismatchError,
-    Label,
-    Labeling,
-    NEG,
-    POS,
-    ZERO,
-    format_labeling,
-)
-from .lovasz import (
-    FractionalPoint,
-    _refinement_order,
-    extension_value,
-    subgradient,
-)
+from .lattice import Alpha, ArityMismatchError, Labeling, NEG, POS, ZERO, format_labeling
+from .lovasz import FractionalPoint, extension_value, subgradient
+from .oracles import random_box_point
 from .rationals import format_rational
 
 #: Default denominator bound when snapping float iterates back to rationals.
 DEFAULT_DENOMINATOR_LIMIT = 1 << 20
+
+
+def _check_step_size(name: str, size: float) -> None:
+    if not (math.isfinite(size) and size > 0):
+        raise ValueError(f"{name} must be positive and finite, got {size}")
 
 
 @dataclass(frozen=True)
@@ -50,8 +49,7 @@ class FixedStep:
     gamma: float
 
     def __post_init__(self) -> None:
-        if not self.gamma > 0:
-            raise ValueError(f"step size must be positive, got {self.gamma}")
+        _check_step_size("step size", self.gamma)
 
 
 @dataclass(frozen=True)
@@ -71,8 +69,8 @@ class DiminishingStep:
     gamma0: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.gamma0 is not None and not self.gamma0 > 0:
-            raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
+        if self.gamma0 is not None:
+            _check_step_size("gamma0", self.gamma0)
 
 
 StepRule = Union[FixedStep, DiminishingStep]
@@ -123,6 +121,23 @@ class MinimizeReport:
         }
 
 
+def _snap(vec: Sequence[float], grid: int, unit: int, lo: int) -> List[int]:
+    """Numerators over D = grid * unit of vec clamped to [-1, 1], rounded to
+    the 1/grid grid and floored at lo / D.
+
+    Infinities clamp to the box bound like any other overshoot; NaN has no
+    position and raises.
+    """
+    try:
+        # max/min keep a NaN first argument, so round() sees it and raises.
+        return [max(round(min(max(v, -1.0), 1.0) * grid) * unit, lo) for v in vec]
+    except ValueError:
+        j = next(j for j, v in enumerate(vec) if v != v)
+        raise RuntimeError(
+            f"non-finite coordinate {j} = {vec[j]!r}: minimizer bug"
+        ) from None
+
+
 def project_box(
     vec: Sequence[float],
     alpha: Alpha,
@@ -131,46 +146,67 @@ def project_box(
     """Clamp componentwise to [-alpha, 1] and snap to bounded-denominator rationals.
 
     The snap rounds to the fixed max_denominator grid; a final exact clamp
-    re-imposes the box, since -alpha need not be a grid point.
+    re-imposes the box, since -alpha need not be a grid point.  Infinite
+    coordinates clamp like any overshoot; NaN raises RuntimeError.  This is
+    the snapping rule the minimizer applies to its integer iterate.
     """
-    lo = -alpha.value
-    coords = []
-    for j, v in enumerate(vec):
-        if not math.isfinite(v):
-            raise RuntimeError(f"non-finite coordinate {j} = {v!r}: minimizer bug")
-        clamped = min(1.0, max(-1.0, v))
-        q = Fraction(round(clamped * max_denominator), max_denominator)
-        if q < lo:
-            q = lo
-        elif q > 1:
-            q = Fraction(1)
-        coords.append(q)
-    return FractionalPoint(tuple(coords), alpha)
+    p, q = alpha.value.numerator, alpha.value.denominator
+    denominator = q * max_denominator
+    nums = _snap(vec, max_denominator, q, -p * max_denominator)
+    return FractionalPoint(tuple(Fraction(num, denominator) for num in nums), alpha)
 
 
-def _random_start(n: int, alpha: Alpha, seed: int) -> FractionalPoint:
-    rng = random.Random(seed)
-    denominator = 1024
-    lo = -(alpha.value.numerator * denominator // alpha.value.denominator)
-    coords = tuple(
-        Fraction(rng.randint(lo, denominator), denominator) for _ in range(n)
-    )
-    return FractionalPoint(coords, alpha)
+def _chain_order(
+    nums: Sequence[int], p: int, q: int, full: int
+) -> Tuple[List[int], List[bool]]:
+    """The maximal-chain walk at the point nums / D, in integers.
+
+    The key num * p (num >= 0) or -num * q (num < 0) is the normalized
+    magnitude scaled by D * p, so `full` = D * p stands for magnitude 1.
+    The order is lovasz._refinement_order's: innermost (largest key) first,
+    the larger index first among ties, Pos side for zero coordinates.
+    atom[k] tells whether the prefix of the first k coordinates of the order
+    is in the chain decomposition's support: for k >= 1 when its last key is
+    nonzero and differs from the next one, for k = 0 (all-Zero) when some
+    mass is left below magnitude 1.
+    """
+    n = len(nums)
+    keys = [num * p if num >= 0 else -num * q for num in nums]
+    order = sorted(range(n - 1, -1, -1), key=keys.__getitem__, reverse=True)
+    atom = [keys[order[0]] < full]
+    for k in range(1, n):
+        key = keys[order[k - 1]]
+        atom.append(key != 0 and keys[order[k]] != key)
+    atom.append(keys[order[-1]] != 0)
+    return order, atom
+
+
+_DIGIT_LABELS = (ZERO, NEG, POS)
+
+
+def _decode(code: int, n: int) -> Labeling:
+    """The labeling with base-3 code sum_j digit_j 3^j (Zero 0, Neg 1, Pos 2)."""
+    labels = []
+    for _ in range(n):
+        code, digit = divmod(code, 3)
+        labels.append(_DIGIT_LABELS[digit])
+    return tuple(labels)
 
 
 class _MemoOracle:
-    """Per-run cache of oracle values, exact and float-rendered."""
+    """Per-run cache of oracle values, exact and float-rendered, by labeling code."""
 
     def __init__(self, f: ValueOracle):
         self._f = f
-        self._cache: Dict[Labeling, Tuple[Fraction, float]] = {}
+        self._n = f.arity
+        self.cache: Dict[int, Tuple[Fraction, float]] = {}
 
-    def value(self, u: Labeling) -> Tuple[Fraction, float]:
-        hit = self._cache.get(u)
+    def value(self, code: int) -> Tuple[Fraction, float]:
+        hit = self.cache.get(code)
         if hit is None:
-            exact = self._f.evaluate(u)
+            exact = self._f.evaluate(_decode(code, self._n))
             hit = (exact, float(exact))
-            self._cache[u] = hit
+            self.cache[code] = hit
         return hit
 
 
@@ -178,15 +214,12 @@ def _heuristic_gamma0(memo: _MemoOracle, n: int, alpha: Alpha) -> float:
     # Box diagonal over an estimate of the subgradient norm, sampled from
     # the unit Pos/Neg value differences (Neg differences carry the 1/alpha
     # rescaling that the subgradient itself applies).
-    base = memo.value((ZERO,) * n)[1]
+    base = memo.value(0)[1]
     inv_alpha = 1.0 / float(alpha.value)
     norm_sq = 0.0
     for j in range(n):
-        unit = [ZERO] * n
-        unit[j] = POS
-        d_pos = abs(memo.value(tuple(unit))[1] - base)
-        unit[j] = NEG
-        d_neg = abs(memo.value(tuple(unit))[1] - base) * inv_alpha
+        d_pos = abs(memo.value(2 * 3**j)[1] - base)
+        d_neg = abs(memo.value(3**j)[1] - base) * inv_alpha
         norm_sq += max(d_pos, d_neg) ** 2
     if norm_sq <= 0.0:
         return 1.0
@@ -209,15 +242,25 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
             )
         if cfg.start.alpha != alpha:
             raise ValueError("start point alpha differs from the oracle's")
-        start = cfg.start
+        start = cfg.start.coords
     elif cfg.seed is not None:
-        start = _random_start(n, alpha, cfg.seed)
+        start = random_box_point(n, alpha, random.Random(cfg.seed)).coords
     else:
-        start = FractionalPoint.zero(n, alpha)
+        start = (Fraction(0),) * n
+
+    p, q = alpha.value.numerator, alpha.value.denominator
+    grid = DEFAULT_DENOMINATOR_LIMIT
+    denominator = math.lcm(q * grid, *(c.denominator for c in start))
+    unit = denominator // grid
+    lo = -p * denominator // q
+    full = denominator * p
+    nums = [c.numerator * (denominator // c.denominator) for c in start]
 
     max_iters = cfg.max_iters if cfg.max_iters is not None else 200 * n * n
     calls_before = f.call_count
     memo = _MemoOracle(f)
+    cache = memo.cache
+    zero = memo.value(0)
 
     if isinstance(cfg.step, FixedStep):
         gamma0 = cfg.step.gamma
@@ -231,57 +274,61 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
         diminishing = True
 
     inv_alpha = 1.0 / float(alpha.value)
-    alpha_lo = -alpha.value
-    zero_labeling = (ZERO,) * n
+    pos_codes = [2 * 3**j for j in range(n)]
+    neg_codes = [3**j for j in range(n)]
 
     best_value: Optional[Fraction] = None
-    best_labeling: Optional[Labeling] = None
+    best_float = math.inf
+    best_code = 0
     trajectory: List[Tuple[int, Fraction]] = []
 
-    def consider(u: Labeling, t: int) -> None:
-        nonlocal best_value, best_labeling
-        exact = memo.value(u)[0]
+    def consider(code: int, hit: Tuple[Fraction, float], t: int) -> None:
+        # Rounding to float is monotone, so a candidate whose float exceeds
+        # the best one's cannot improve on it exactly; walk skips those.
+        nonlocal best_value, best_float, best_code
+        exact = hit[0]
         if best_value is None or exact < best_value:
-            best_value = exact
-            best_labeling = u
+            best_value, best_float = hit
+            best_code = code
             trajectory.append((t, exact))
 
-    def walk(x: FractionalPoint, t: int) -> List[float]:
-        # One pass along the maximal chain at x: feeds the best-so-far
-        # candidates (the support atoms are the sign-pattern prefixes at
-        # each distinct positive magnitude, plus all-Zero while mass
-        # remains) and returns the float subgradient used by the next step.
-        order, magnitudes, sides = _refinement_order(x)
-        current: List[Label] = [ZERO] * n
-        previous = memo.value(zero_labeling)[1]
+    def walk(t: int) -> List[float]:
+        # One pass along the maximal chain at the iterate: feeds the
+        # best-so-far candidates (the support atoms) and returns the float
+        # subgradient used by the next step.
+        order, atom = _chain_order(nums, p, q, full)
+        code = 0
+        previous = zero[1]
         g_float = [0.0] * n
-        for idx, j in enumerate(order):
-            current[j] = sides[j]
-            u = tuple(current)
-            value = memo.value(u)[1]
+        for k, j in enumerate(order, 1):
+            num = nums[j]
+            code += pos_codes[j] if num >= 0 else neg_codes[j]
+            hit = cache.get(code) or memo.value(code)
+            value = hit[1]
             step_value = value - previous
-            g_float[j] = step_value if x.coords[j] >= 0 else -step_value * inv_alpha
+            g_float[j] = step_value if num >= 0 else -step_value * inv_alpha
             previous = value
-            if magnitudes[j] and (
-                idx + 1 == n or magnitudes[order[idx + 1]] != magnitudes[j]
-            ):
-                consider(u, t)
-        if magnitudes[order[0]] < 1:
-            consider(zero_labeling, t)
+            if atom[k] and value <= best_float:
+                consider(code, hit, t)
+        if atom[0]:
+            consider(0, zero, t)
         return g_float
 
-    x = start
-    xf = [float(c) for c in x.coords]
-    g_float = walk(x, 0)
+    xf = [num / denominator for num in nums]
+    g_float = walk(0)
     iterations_used = 0
     best_lower_bound: Optional[Fraction] = None
+    certify = cfg.tolerance > 0
 
     for t in range(1, max_iters + 1):
-        if cfg.tolerance > 0:
+        if certify:
+            x = FractionalPoint(
+                tuple(Fraction(num, denominator) for num in nums), alpha
+            )
             g_exact = subgradient(f, x)
             current_extension = extension_value(f, x)
             bound = current_extension + sum(
-                min(gj * (alpha_lo - xj), gj * (1 - xj))
+                min(gj * (-alpha.value - xj), gj * (1 - xj))
                 for gj, xj in zip(g_exact, x.coords)
             )
             if best_lower_bound is None or bound > best_lower_bound:
@@ -292,17 +339,15 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
             g_float = [float(gj) for gj in g_exact]
 
         gamma = gamma0 / math.sqrt(t) if diminishing else gamma0
-        for j in range(n):
-            moved = xf[j] - gamma * g_float[j]
-            if not math.isfinite(moved):
-                raise RuntimeError(f"non-finite iterate at t={t}, j={j}: minimizer bug")
-            xf[j] = moved
-        x = project_box(xf, alpha)
-        xf = [float(c) for c in x.coords]
-        g_float = walk(x, t)
+        nums = _snap(
+            [xj - gamma * gj for xj, gj in zip(xf, g_float)], grid, unit, lo
+        )
+        xf = [num / denominator for num in nums]
+        g_float = walk(t)
         iterations_used = t
 
-    assert best_labeling is not None and best_value is not None
+    assert best_value is not None
+    best_labeling = _decode(best_code, n)
     exact_value = f.evaluate(best_labeling)
     assert exact_value == best_value
     return MinimizeReport(

@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: exit codes, JSON outputs, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -107,6 +110,18 @@ class TestMinimize:
     def test_bad_step_flag(self, good_path, capsys):
         assert run(["minimize", good_path, "--step", "newton"]) == 2
 
+    @pytest.mark.parametrize("step", ["fixed:inf", "diminishing:inf", "fixed:-inf", "fixed:nan"])
+    def test_non_finite_step_is_a_usage_error(self, good_path, capsys, step):
+        assert run(["minimize", good_path, "--step", step]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
+        assert err.count("\n") == 1
+
+    def test_overflowing_step_clamps_to_the_box(self, good_path, capsys):
+        assert run(["minimize", good_path, "--iters", "20", "--step", "fixed:1e308"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["iterations"] == 20
+
 
 class TestVerifyClosure:
     def test_passes_on_generated(self, tmp_path, capsys):
@@ -116,6 +131,14 @@ class TestVerifyClosure:
         assert run(["verify-closure", str(path), "--trials", "8", "--seed", "3"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc == {"pass": True, "trials": 8}
+
+    @pytest.mark.parametrize("command", ["verify-closure", "verify-all"])
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_must_be_positive(self, good_path, capsys, command, trials):
+        assert run([command, good_path, "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --trials must be >= 1, got {trials}\n"
 
     def test_detects_gap_on_spike(self, spike_path, capsys):
         assert run(["verify-closure", spike_path, "--trials", "300", "--seed", "0"]) == 1
@@ -147,6 +170,19 @@ class TestVerifyAll:
         assert doc["checks"]["decompose_roundtrip"]["pass"] is True
         assert doc["checks"]["lattice_identity"]["pass"] is True
 
+    def test_lattice_identity_beyond_exhaustive_arity(self, tmp_path, capsys):
+        # Beyond n = 4 the identity is checked on the 9 single-label pairs.
+        assert run(["generate", "--n", "5", "--alpha", "1/2", "--terms", "4", "--seed", "0"]) == 0
+        path = tmp_path / "five.json"
+        path.write_text(capsys.readouterr().out)
+        assert run(["verify-all", str(path), "--trials", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["checks"]["lattice_identity"] == {
+            "pass": True,
+            "pairs": 9,
+            "exhaustive": False,
+        }
+
     def test_minimize_line_matches_brute_force(self, good_path, capsys):
         assert run(["verify-all", good_path, "--trials", "5"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -174,6 +210,24 @@ class TestGenerate:
         text = capsys.readouterr().out
         doc = json.loads(text)
         assert instance_to_json(instance_from_json(doc)) == doc
+
+    def test_closed_stdout_ends_without_traceback(self):
+        # The reader closes the pipe before the output is written, as
+        # `skewbisub generate ... | head -c 0` does.
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = ["generate", "--n", "4", "--alpha", "1/2", "--terms", "3", "--seed", "9"]
+        child = subprocess.Popen(
+            [sys.executable, "-m", "skewbisub.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 141
+        assert err == b""
 
     def test_bad_alpha(self, capsys):
         argv = ["generate", "--n", "2", "--alpha", "9/8", "--terms", "1", "--seed", "0"]

@@ -1,5 +1,8 @@
 """The projected-subgradient minimizer and its report contract."""
 
+import json
+import math
+import os
 import random
 from fractions import Fraction
 
@@ -19,10 +22,12 @@ from skewbisub import (
     extension_value,
     format_labeling,
     generate_instance,
+    instance_from_json,
     minimize,
     numeric,
     project_box,
 )
+from skewbisub.cli import _parse_step
 from conftest import ALPHA_GRID, random_grid_point
 
 
@@ -50,8 +55,12 @@ class TestProjectBox:
         assert x.coords == (Fraction(-1, 3),)
 
     def test_non_finite_rejected(self, alpha_half):
-        with pytest.raises(RuntimeError, match="non-finite"):
-            project_box([float("nan")], alpha_half)
+        with pytest.raises(RuntimeError, match="non-finite coordinate 1"):
+            project_box([0.0, float("nan")], alpha_half)
+
+    def test_infinities_clamp_to_the_box(self, alpha_half):
+        x = project_box([math.inf, -math.inf], alpha_half)
+        assert x.coords == (Fraction(1), Fraction(-1, 2))
 
 
 class TestMinimizeBasics:
@@ -142,6 +151,11 @@ class TestMinimizeBasics:
             FixedStep(gamma=0.0)
         with pytest.raises(ValueError):
             DiminishingStep(gamma0=-1.0)
+        for size in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                FixedStep(gamma=size)
+            with pytest.raises(ValueError):
+                DiminishingStep(gamma0=size)
 
     def test_arity_mismatch_start(self, alpha_half):
         f = TableFunction(2, alpha_half, {u: 0 for u in all_labelings(2)})
@@ -190,3 +204,39 @@ class TestOptimality:
         # the certificate guarantees value within tolerance of the optimum
         assert report.value - best <= Fraction(1, 2)
         assert report.iterations_used <= 200 * 4
+
+
+_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "minimize_golden.json")
+with open(_GOLDEN_PATH, encoding="utf-8") as _handle:
+    _GOLDEN = json.load(_handle)
+
+
+def _golden_config(doc: dict, alpha: Alpha) -> MinimizeConfig:
+    step = doc.get("step")
+    start = doc.get("start")
+    return MinimizeConfig(
+        max_iters=doc.get("iters"),
+        step=_parse_step(step) if step else DiminishingStep(),
+        tolerance=Fraction(doc.get("tolerance", "0")),
+        seed=doc.get("seed"),
+        start=FractionalPoint.parse(start, alpha) if start else None,
+    )
+
+
+class TestGoldenReports:
+    """Reports recorded from the Fraction-iterate implementation of minimize.
+
+    tests/data/minimize_golden.json holds ten tilted instances (sum and
+    table form, n = 2-6, alpha in 1/3, 1/2, 3/4, 1, 2/7, 5/9) and, for each,
+    runs under the default, seeded, fixed-step, overshooting fixed-step,
+    off-grid explicit start and tolerance configurations.  The integer
+    iterate must reproduce every report byte for byte: the same trajectory,
+    minimizer, value, iteration count and oracle calls.
+    """
+
+    @pytest.mark.parametrize("index", range(len(_GOLDEN["runs"])))
+    def test_report_matches_recorded(self, index):
+        run = _GOLDEN["runs"][index]
+        f = instance_from_json(_GOLDEN["instances"][run["instance"]])
+        report = minimize(f, _golden_config(run["config"], f.alpha))
+        assert report.to_json() == run["report"]
