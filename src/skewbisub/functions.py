@@ -16,14 +16,18 @@ quiesced.
 from __future__ import annotations
 
 import abc
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from operator import add, sub
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .lattice import (
     Alpha,
     ArityMismatchError,
+    LEX_ORDER,
     Label,
     Labeling,
     POS,
@@ -208,6 +212,21 @@ class ViolationWitness:
         }
 
 
+def _digit_table(op) -> Tuple[Tuple[int, ...], ...]:
+    # A componentwise operation on single labels as lex digits ('-' -> 0,
+    # '0' -> 1, '+' -> 2): entry [x][y] is the digit of op(x, y).
+    return tuple(tuple(LEX_ORDER.index(op((x,), (y,))[0]) for y in LEX_ORDER) for x in LEX_ORDER)
+
+
+#: meet0, join0 and join1 as digit tables, in the order of the weights q, p
+#: and q - p the checker's integer inequality gives them (alpha = p/q).
+_PAIR_OP_DIGITS = (
+    _digit_table(meet0),
+    _digit_table(partial(join, tiebreak=ZERO)),
+    _digit_table(partial(join, tiebreak=POS)),
+)
+
+
 def check_alpha_bisubmodular(
     f: ValueOracle, cap: int = DEFAULT_ENUM_CAP
 ) -> Optional[ViolationWitness]:
@@ -215,22 +234,93 @@ def check_alpha_bisubmodular(
 
     Returns None when the inequality holds at all ordered pairs, else the
     lexicographically first violating pair (under '-' < '0' < '+').
+
+    Each of the 3^n values is read once, in lex order, and scaled to an
+    integer by the lcm of the denominators.  For alpha = p/q the test is
+    then q f(meet) + p f(join0) + (q - p) f(join1) > q (f(a) + f(b)) on
+    plain ints; lhs and rhs are computed as Fractions only at the witness.
+
+    Only the pairs with a <lex b are visited, and the witness is the same:
+    meet0 and both joins are commutative, so the inequality is symmetric in
+    (a, b), and at a = b both sides equal 2 f(a).  If the first violating
+    ordered pair had b <lex a, then (b, a) would violate too and come first;
+    so it has a <lex b, and the half scan, which visits its pairs in the
+    same order, finds it.
+
+    For each a, the lex indices of meet0(a, b), join0(a, b) and join1(a, b)
+    over all b are built as rows, digit by digit, and a prefix's rows serve
+    every a that extends it; no 9^n table is built.  The last digit stays
+    apart: for b = 3r + d, op(a, b) has index 3 row[r] + e, where the row
+    covers the first n - 1 digits and e is op on the last digits of a and
+    b.  So values are read from the slice of indices congruent to e mod 3,
+    and the three a's that differ only in the last digit share rows of
+    3^(n-1) entries.
     """
     n = f.arity
     if 3**n > cap:
         raise CapExceededError(f"3^{n} points exceed the enumeration cap {cap}")
     labelings = list(all_labelings(n))
-    values = {a: f.evaluate(a) for a in labelings}
-    al = f.alpha.value
-    om = 1 - al
-    for a in labelings:
-        fa = values[a]
-        for b in labelings:
-            lhs = values[meet0(a, b)] + al * values[join(a, b, ZERO)] + om * values[join(a, b, POS)]
-            rhs = fa + values[b]
-            if lhs > rhs:
-                return ViolationWitness(a, b, lhs, rhs)
+    values = [f.evaluate(a) for a in labelings]
+    scale = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    p = f.alpha.value.numerator
+    q = f.alpha.value.denominator
+    # weighted[o][e][r]: the weight of operation o times the value at lex
+    # index 3r + e.
+    weighted = [[[w * x for x in ints[e::3]] for e in range(3)] for w in (q, p, q - p)]
+    for head, top in enumerate(_prefix_rows(n - 1)):
+        for last in range(3):
+            i = 3 * head + last
+            j = _first_violating_b(top, weighted, i, last)
+            if j is not None:
+                r, d = divmod(j, 3)
+                meet, join0, join1 = (
+                    values[3 * top[o][r] + _PAIR_OP_DIGITS[o][last][d]] for o in range(3)
+                )
+                al = f.alpha.value
+                lhs = meet + al * join0 + (1 - al) * join1
+                return ViolationWitness(labelings[i], labelings[j], lhs, values[i] + values[j])
     return None
+
+
+def _prefix_rows(m: int, rows=([0], [0], [0])):
+    # For each a-prefix of m digits, in lex order, the rows of meet0, join0
+    # and join1: entry r of a row is the lex index of the operation on the
+    # a-prefix and the b-prefix with index r.
+    if m == 0:
+        yield rows
+        return
+    for digit in range(3):
+        yield from _prefix_rows(
+            m - 1,
+            tuple(
+                [3 * r + e for r in row for e in table[digit]]
+                for row, table in zip(rows, _PAIR_OP_DIGITS)
+            ),
+        )
+
+
+def _first_violating_b(top, weighted, i: int, last: int) -> Optional[int]:
+    # The least j > i such that the pair (a, b) at lex indices (i, j)
+    # violates the scaled inequality, or None.  `top` holds the rows of a's
+    # first n - 1 digits and `last` is a's last digit.  Each last digit d of
+    # b is scanned as one stream over r, with j = 3r + d.
+    qa = weighted[0][last][i // 3]
+    found = None
+    for d in range(3):
+        r0 = (i - d + 3) // 3  # the least r with 3r + d > i
+        gathered = [
+            map(weighted[o][_PAIR_OP_DIGITS[o][last][d]].__getitem__, top[o][r0:])
+            for o in range(3)
+        ]
+        excess = list(
+            map(sub, map(add, map(add, gathered[0], gathered[1]), gathered[2]), weighted[0][d][r0:])
+        )
+        if excess and max(excess) > qa:
+            r = r0 + next(t for t, x in enumerate(excess) if x > qa)
+            if found is None or 3 * r + d < found:
+                found = 3 * r + d
+    return found
 
 
 def expand_to_table(f: ValueOracle, cap: int = DEFAULT_ENUM_CAP) -> TableFunction:
@@ -264,12 +354,8 @@ def _fast_integer_accept(
 
 
 def _pair_op_indices(arity: int):
-    labelings = list(all_labelings(arity))
-    index = {a: i for i, a in enumerate(labelings)}
-    meets = [[index[meet0(a, b)] for b in labelings] for a in labelings]
-    joins0 = [[index[join(a, b, ZERO)] for b in labelings] for a in labelings]
-    joins1 = [[index[join(a, b, POS)] for b in labelings] for a in labelings]
-    return labelings, meets, joins0, joins1
+    meets, joins0, joins1 = zip(*_prefix_rows(arity))
+    return list(all_labelings(arity)), meets, joins0, joins1
 
 
 _PAIR_OPS_CACHE: Dict[int, tuple] = {}

@@ -204,8 +204,15 @@ class _MemoOracle:
     def value(self, code: int) -> Tuple[Fraction, float]:
         hit = self.cache.get(code)
         if hit is None:
-            exact = self._f.evaluate(_decode(code, self._n))
-            hit = (exact, float(exact))
+            labeling = _decode(code, self._n)
+            exact = self._f.evaluate(labeling)
+            try:
+                hit = (exact, float(exact))
+            except OverflowError:
+                raise ValueError(
+                    f"f({format_labeling(labeling)}) is beyond the float range "
+                    "the descent steps in"
+                ) from None
             self.cache[code] = hit
         return hit
 
@@ -216,15 +223,30 @@ def _heuristic_gamma0(memo: _MemoOracle, n: int, alpha: Alpha) -> float:
     # rescaling that the subgradient itself applies).
     base = memo.value(0)[1]
     inv_alpha = 1.0 / float(alpha.value)
-    norm_sq = 0.0
+    diffs = []
     for j in range(n):
         d_pos = abs(memo.value(2 * 3**j)[1] - base)
         d_neg = abs(memo.value(3**j)[1] - base) * inv_alpha
-        norm_sq += max(d_pos, d_neg) ** 2
-    if norm_sq <= 0.0:
+        diffs.append(max(d_pos, d_neg))
+    try:
+        norm_sq = 0.0
+        for d in diffs:
+            norm_sq += d**2
+        norm = math.sqrt(norm_sq)
+    except OverflowError:
+        norm = math.inf
+    if norm == math.inf:
+        # The squares overflow; hypot scales before it squares.  Finite
+        # sums keep the plain rule, whose rounding the reports are pinned to.
+        norm = math.hypot(*diffs)
+        if norm == math.inf:
+            raise ValueError(
+                "value differences of f exceed the float range; give the step size explicitly"
+            )
+    if norm <= 0.0:
         return 1.0
     diameter = (1.0 + float(alpha.value)) * math.sqrt(n)
-    return diameter / math.sqrt(norm_sq)
+    return diameter / norm
 
 
 def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> MinimizeReport:

@@ -122,6 +122,39 @@ class TestMinimize:
         doc = json.loads(capsys.readouterr().out)
         assert doc["iterations"] == 20
 
+    def test_value_beyond_float_range_is_a_usage_error(self, tmp_path, alpha_half, capsys):
+        f = TableFunction(1, alpha_half, {"-": 10**400, "0": 0, "+": 0})
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(instance_to_json(f)))
+        assert run(["minimize", str(path), "--iters", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: f(-) is beyond the float range the descent steps in\n"
+
+    def test_squares_beyond_float_range_keep_the_heuristic_step(self, tmp_path, alpha_half, capsys):
+        # The heuristic step squares value differences: 10^160 squared
+        # overflows a float, 10^160 itself does not.
+        f = TableFunction(1, alpha_half, {"-": 0, "0": 0, "+": -(10**160)})
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(instance_to_json(f)))
+        assert run(["minimize", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["minimizer"] == "+" and doc["value"] == str(-(10**160))
+
+    def test_differences_beyond_float_range_need_a_step(self, tmp_path, alpha_half, capsys):
+        f = TableFunction(1, alpha_half, {"-": 10**308, "0": 0, "+": -(10**308)})
+        path = tmp_path / "cliff.json"
+        path.write_text(json.dumps(instance_to_json(f)))
+        assert run(["minimize", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: value differences of f exceed the float range; "
+            "give the step size explicitly\n"
+        )
+        assert run(["minimize", str(path), "--step", "fixed:0.1"]) == 0
+        assert json.loads(capsys.readouterr().out)["minimizer"] == "+"
+
 
 class TestVerifyClosure:
     def test_passes_on_generated(self, tmp_path, capsys):
@@ -161,6 +194,13 @@ class TestVerifyAll:
             "minimize_vs_brute_force",
         }
         assert all(entry["pass"] for entry in doc["checks"].values())
+        # The identity is componentwise, so n = 4 checks the 9 single-label
+        # pairs as every other arity does.
+        assert doc["checks"]["lattice_identity"] == {
+            "pass": True,
+            "pairs": 9,
+            "exhaustive": False,
+        }
 
     def test_spike_fails_check_only(self, spike_path, capsys):
         assert run(["verify-all", spike_path, "--trials", "5"]) == 1
@@ -171,7 +211,8 @@ class TestVerifyAll:
         assert doc["checks"]["lattice_identity"]["pass"] is True
 
     def test_lattice_identity_beyond_exhaustive_arity(self, tmp_path, capsys):
-        # Beyond n = 4 the identity is checked on the 9 single-label pairs.
+        # At n = 5, as at every arity, the identity is checked on the 9
+        # single-label pairs.
         assert run(["generate", "--n", "5", "--alpha", "1/2", "--terms", "4", "--seed", "0"]) == 0
         path = tmp_path / "five.json"
         path.write_text(capsys.readouterr().out)
@@ -259,3 +300,16 @@ class TestMalformedInput:
 
     def test_no_arguments(self):
         assert run([]) == 2
+
+    def test_argument_rejection_is_one_line(self, good_path, capsys):
+        assert run(["minimize", good_path, "--iters", "abc"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: argument --iters: invalid int value: 'abc'\n"
+
+    def test_help_prints_usage_and_succeeds(self, capsys):
+        assert run(["minimize", "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: skewbisub minimize [-h]")
+        assert "--iters ITERS" in captured.out
+        assert captured.err == ""
