@@ -10,12 +10,13 @@ exits 141, as a shell reports a process killed by SIGPIPE.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .functions import (
     DEFAULT_ENUM_CAP,
@@ -27,7 +28,7 @@ from .functions import (
     instance_from_json,
     instance_to_json,
 )
-from .lattice import Alpha, NEG, POS, ZERO, all_labelings, join, meet0, numeric
+from .lattice import Alpha, Labeling, NEG, POS, ZERO, all_labelings, join, meet0, numeric
 from .lovasz import FractionalPoint, decompose, extension_value
 from .minimize import DiminishingStep, FixedStep, MinimizeConfig, minimize
 from .oracles import (
@@ -163,7 +164,7 @@ def _verify_all_checks(f: ValueOracle, trials: int, seed: int) -> dict:
     roundtrip_ok = True
     detail = None
     for _ in range(trials):
-        chain, weights = _random_chain_distribution(f.arity, rng)
+        chain, weights = random_chain_distribution(f.arity, rng)
         coords = [Fraction(0)] * f.arity
         for u, w in zip(chain, weights):
             for j, value in enumerate(numeric(u, f.alpha)):
@@ -231,7 +232,9 @@ def _verify_all_checks(f: ValueOracle, trials: int, seed: int) -> dict:
     return checks
 
 
-def _random_chain_distribution(n: int, rng: random.Random):
+def random_chain_distribution(
+    n: int, rng: random.Random
+) -> Tuple[List[Labeling], List[Fraction]]:
     """A random strictly decreasing chain with positive weights summing to 1.
 
     Atoms are sign-pattern prefixes of a random permutation under random
@@ -284,7 +287,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process.
+
+    Each `parse_args` call fills a fresh namespace, so the shared parser
+    carries nothing from one invocation to the next; callers must not add
+    arguments to it.
+    """
     parser = _Parser(
         prog="skewbisub",
         description="Minimize and verify skew bisubmodular functions given as JSON instances.",

@@ -19,8 +19,10 @@ from .lattice import Alpha, Labeling, all_labelings, numeric
 from .lovasz import FractionalPoint, extension_value, midpoint
 from .simplex import linear_min
 
-#: The closure LP has one variable per domain point; 3^5 = 243 keeps exact
-#: simplex solves comfortably fast.
+#: The closure LP has one variable per domain point.  At 3^5 = 243 columns
+#: one exact solve on the integer tableau takes about 0.12 s (median of 20
+#: generated instances' LPs, 0.02-0.18 s, on a 2-vCPU VM), against about
+#: 1.3 s with a tableau of Fractions.
 DEFAULT_LP_CAP = 3**5
 
 

@@ -1,10 +1,9 @@
-"""Shared helpers for the test suite: random objects and exact validators."""
+"""Shared helpers for the test suite: the alpha grid and exact validators."""
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List
 
 import pytest
 
@@ -28,42 +27,6 @@ ALPHA_GRID = (
     Alpha(Fraction(3, 4)),
     Alpha(Fraction(1)),
 )
-
-
-def random_grid_point(
-    n: int, alpha: Alpha, rng: random.Random, denominator: int = 1024
-) -> FractionalPoint:
-    lo = -(alpha.value.numerator * denominator // alpha.value.denominator)
-    return FractionalPoint(
-        tuple(Fraction(rng.randint(lo, denominator), denominator) for _ in range(n)),
-        alpha,
-    )
-
-
-def random_chain_distribution(
-    n: int, rng: random.Random
-) -> Tuple[List[Labeling], List[Fraction]]:
-    """A random strictly decreasing chain with positive rational weights summing to 1.
-
-    Atoms are sign-pattern prefixes of a random leave order under random
-    fixed signs, outermost first; the all-Zero atom (size 0) can only be
-    last.
-    """
-    signs = [rng.choice((NEG, POS)) for _ in range(n)]
-    leave_order = list(range(n))
-    rng.shuffle(leave_order)
-    length = rng.randint(1, n + 1)
-    sizes = sorted(rng.sample(range(n + 1), length), reverse=True)
-    chain = []
-    for size in sizes:
-        labels = [ZERO] * n
-        for j in leave_order[:size]:
-            labels[j] = signs[j]
-        chain.append(tuple(labels))
-    raw = [rng.randint(1, 100) for _ in chain]
-    total = sum(raw)
-    weights = [Fraction(r, total) for r in raw]
-    return chain, weights
 
 
 def compose_marginals(

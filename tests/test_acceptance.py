@@ -32,14 +32,14 @@ from skewbisub import (
     midpoint_gap,
     minimize,
     numeric,
+    random_box_point,
     subgradient,
 )
+from skewbisub.cli import random_chain_distribution
 from conftest import (
     ALPHA_GRID,
     assert_valid_decomposition,
     compose_marginals,
-    random_chain_distribution,
-    random_grid_point,
 )
 
 
@@ -126,7 +126,7 @@ def test_criterion_1_decomposition_correctness():
     for n in range(1, 9):
         for alpha in ALPHA_GRID:
             for _ in range(1000):
-                x = random_grid_point(n, alpha, rng)
+                x = random_box_point(n, alpha, rng)
                 assert_valid_decomposition(x, decompose(x))
 
 
@@ -163,7 +163,7 @@ def test_criterion_4_extension_closure_equality(pool_small):
     assert len(pool_small) >= 50
     for f in pool_small:
         for _ in range(20):
-            x = random_grid_point(f.arity, f.alpha, rng)
+            x = random_box_point(f.arity, f.alpha, rng)
             assert convex_closure(f, x).value == extension_value(f, x)
 
 
@@ -181,8 +181,8 @@ def test_criterion_5_convexity_dichotomy(mixed_raw_tables):
             accepted += 1
             rng = random.Random(505 + accepted)
             for _ in range(500):
-                x = random_grid_point(f.arity, f.alpha, rng)
-                y = random_grid_point(f.arity, f.alpha, rng)
+                x = random_box_point(f.arity, f.alpha, rng)
+                y = random_box_point(f.arity, f.alpha, rng)
                 assert midpoint_gap(f, x, y) <= 0
     # the pool must exercise both branches
     assert rejected >= 10
@@ -213,13 +213,13 @@ def test_criterion_7_subgradient_validity(pool_medium):
     fd_points_checked = 0
     for f in pool_medium:
         n, alpha = f.arity, f.alpha
-        points = [random_grid_point(n, alpha, rng) for _ in range(15)]
+        points = [random_box_point(n, alpha, rng) for _ in range(15)]
         points += [_qualifying_point(n, alpha, rng) for _ in range(5)]
         for x in points:
             g = subgradient(f, x)
             fx = extension_value(f, x)
             for _ in range(100):
-                y = random_grid_point(n, alpha, rng)
+                y = random_box_point(n, alpha, rng)
                 bound = fx + sum(
                     gj * (yj - xj) for gj, yj, xj in zip(g, y.coords, x.coords)
                 )
@@ -257,7 +257,7 @@ def _qualifies_for_fd(x: FractionalPoint) -> bool:
 
 def _qualifying_point(n, alpha, rng, attempts=10000):
     for _ in range(attempts):
-        x = random_grid_point(n, alpha, rng)
+        x = random_box_point(n, alpha, rng)
         if _qualifies_for_fd(x):
             return x
     raise AssertionError("could not sample a finite-difference-friendly point")
@@ -276,7 +276,7 @@ def test_criterion_8_extension_property_minimum_preservation():
             assert extension_value(f, vertex) == f[a]
         minimizer, best = brute_force_min(f)
         for _ in range(200):
-            x = random_grid_point(n, alpha, rng)
+            x = random_box_point(n, alpha, rng)
             assert extension_value(f, x) >= best
         vertex = FractionalPoint(numeric(minimizer, alpha), alpha)
         assert extension_value(f, vertex) == best

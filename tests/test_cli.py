@@ -165,6 +165,14 @@ class TestVerifyClosure:
         doc = json.loads(capsys.readouterr().out)
         assert doc == {"pass": True, "trials": 8}
 
+    def test_successive_runs_keep_their_own_options(self, good_path, capsys):
+        # The parser is built once per process; an option given to one call
+        # must not become the default of the next.
+        assert run(["verify-closure", good_path, "--trials", "3", "--seed", "4"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"pass": True, "trials": 3}
+        assert run(["verify-closure", good_path]) == 0
+        assert json.loads(capsys.readouterr().out) == {"pass": True, "trials": 20}
+
     @pytest.mark.parametrize("command", ["verify-closure", "verify-all"])
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_trials_must_be_positive(self, good_path, capsys, command, trials):

@@ -30,12 +30,11 @@ from skewbisub import (
     random_box_point,
     subgradient,
 )
+from skewbisub.cli import random_chain_distribution
 from conftest import (
     ALPHA_GRID,
     assert_valid_decomposition,
     compose_marginals,
-    random_chain_distribution,
-    random_grid_point,
 )
 
 
@@ -84,7 +83,7 @@ class TestDecompose:
         for _ in range(300):
             n = rng.randint(1, 7)
             alpha = ALPHA_GRID[rng.randrange(4)]
-            x = random_grid_point(n, alpha, rng)
+            x = random_box_point(n, alpha, rng)
             assert_valid_decomposition(x, decompose(x))
 
     def test_roundtrip_uniqueness(self):
@@ -101,7 +100,7 @@ class TestDecompose:
         for _ in range(300):
             n = rng.randint(1, 7)
             alpha = ALPHA_GRID[rng.randrange(4)]
-            x = random_grid_point(n, alpha, rng)
+            x = random_box_point(n, alpha, rng)
             assert chain_support_points(x) == decompose(x).support()
 
     def test_json_shape(self, alpha_half):
@@ -128,14 +127,14 @@ class TestExtension:
         f = TableFunction(3, alpha_half, {u: Fraction(9, 7) for u in all_labelings(3)})
         rng = random.Random(1)
         for _ in range(20):
-            x = random_grid_point(3, alpha_half, rng)
+            x = random_box_point(3, alpha_half, rng)
             assert extension_value(f, x) == Fraction(9, 7)
 
     def test_oracle_call_budget(self, alpha_half):
         f = TableFunction(3, alpha_half, {u: 0 for u in all_labelings(3)})
         rng = random.Random(2)
         for _ in range(20):
-            x = random_grid_point(3, alpha_half, rng)
+            x = random_box_point(3, alpha_half, rng)
             before = f.call_count
             extension_value(f, x)
             assert f.call_count - before <= 4  # n + 1
@@ -173,7 +172,7 @@ class TestExtension:
         discrete_min = min(f[a] for a in all_labelings(3))
         rng = random.Random(4)
         for _ in range(50):
-            x = random_grid_point(3, alpha_half, rng)
+            x = random_box_point(3, alpha_half, rng)
             assert extension_value(f, x) >= discrete_min
         minimizer = min(all_labelings(3), key=lambda a: f[a])
         vertex = FractionalPoint(numeric(minimizer, alpha_half), alpha_half)
@@ -203,8 +202,8 @@ class TestConvexityCertificates:
         )
         rng = random.Random(5)
         for _ in range(100):
-            x = random_grid_point(3, alpha_half, rng)
-            y = random_grid_point(3, alpha_half, rng)
+            x = random_box_point(3, alpha_half, rng)
+            y = random_box_point(3, alpha_half, rng)
             assert midpoint_gap(f, x, y) <= 0
 
 
@@ -222,7 +221,7 @@ class TestSubgradient:
         )
         rng = random.Random(6)
         for _ in range(30):
-            x = random_grid_point(3, alpha, rng)
+            x = random_box_point(3, alpha, rng)
             assert subgradient(f, x) == coeffs
 
     def test_constant_function(self, alpha_half):
@@ -238,11 +237,11 @@ class TestSubgradient:
             f = expand_to_table(
                 generate_instance(n, alpha, num_terms=n, max_scope=2, seed=400 + k)
             )
-            x = random_grid_point(n, alpha, rng)
+            x = random_box_point(n, alpha, rng)
             g = subgradient(f, x)
             fx = extension_value(f, x)
             for _ in range(50):
-                y = random_grid_point(n, alpha, rng)
+                y = random_box_point(n, alpha, rng)
                 bound = fx + sum(gj * (yj - xj) for gj, yj, xj in zip(g, y.coords, x.coords))
                 assert extension_value(f, y) >= bound
 
@@ -258,7 +257,7 @@ class TestSubgradient:
             f = expand_to_table(
                 generate_instance(n, alpha, num_terms=3, max_scope=2, seed=500 + checked)
             )
-            x = random_grid_point(n, alpha, rng)
+            x = random_box_point(n, alpha, rng)
             mags = [c if c >= 0 else -c / alpha.value for c in x.coords]
             if any(c == 0 for c in x.coords):
                 continue
@@ -295,7 +294,7 @@ class TestSubgradient:
         fx = extension_value(f, x)
         rng = random.Random(10)
         for _ in range(100):
-            y = random_grid_point(3, alpha_half, rng)
+            y = random_box_point(3, alpha_half, rng)
             bound = fx + sum(gj * (yj - xj) for gj, yj, xj in zip(g, y.coords, x.coords))
             assert extension_value(f, y) >= bound
 

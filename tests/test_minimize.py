@@ -26,9 +26,10 @@ from skewbisub import (
     minimize,
     numeric,
     project_box,
+    random_box_point,
 )
 from skewbisub.cli import _parse_step
-from conftest import ALPHA_GRID, random_grid_point
+from conftest import ALPHA_GRID
 
 
 class TestProjectBox:
@@ -172,7 +173,7 @@ class TestRoundingSoundness:
         )
         rng = random.Random(0)
         for _ in range(50):
-            x = random_grid_point(4, alpha_half, rng)
+            x = random_box_point(4, alpha_half, rng)
             support_min = min(f[u] for u in decompose(x).support())
             assert support_min <= extension_value(f, x)
 

@@ -22,7 +22,7 @@ from skewbisub import (
     numeric,
     random_box_point,
 )
-from conftest import ALPHA_GRID, random_grid_point
+from conftest import ALPHA_GRID
 
 
 class TestBruteForce:
@@ -69,7 +69,7 @@ class TestConvexClosure:
         f = TableFunction(2, alpha_half, {u: Fraction(3, 2) for u in all_labelings(2)})
         rng = random.Random(1)
         for _ in range(5):
-            x = random_grid_point(2, alpha_half, rng)
+            x = random_box_point(2, alpha_half, rng)
             assert convex_closure(f, x).value == Fraction(3, 2)
 
     def test_distribution_is_valid(self, alpha_half):
@@ -78,7 +78,7 @@ class TestConvexClosure:
         )
         rng = random.Random(2)
         for _ in range(10):
-            x = random_grid_point(3, alpha_half, rng)
+            x = random_box_point(3, alpha_half, rng)
             result = convex_closure(f, x)
             weights = result.distribution
             assert all(w > 0 for w in weights.values())
@@ -98,7 +98,7 @@ class TestConvexClosure:
             f = TableFunction(
                 2, alpha, {u: Fraction(rng.randint(-10, 10)) for u in all_labelings(2)}
             )
-            x = random_grid_point(2, alpha, rng)
+            x = random_box_point(2, alpha, rng)
             assert convex_closure(f, x).value <= extension_value(f, x)
 
     @pytest.mark.parametrize("alpha", ALPHA_GRID, ids=str)
@@ -107,7 +107,7 @@ class TestConvexClosure:
         assert check_alpha_bisubmodular(f) is None
         rng = random.Random(4)
         for _ in range(8):
-            x = random_grid_point(3, alpha, rng)
+            x = random_box_point(3, alpha, rng)
             assert convex_closure(f, x).value == extension_value(f, x)
 
     def test_strictly_below_extension_somewhere_for_rejected(self):
