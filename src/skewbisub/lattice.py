@@ -159,15 +159,6 @@ def join(a: Sequence[Label], b: Sequence[Label], tiebreak: Label) -> Labeling:
     return tuple(_join_label(x, y, tiebreak) for x, y in zip(a, b))
 
 
-def numeric_label(a: Label, alpha: Alpha) -> Fraction:
-    """Render one label to its rational value: Neg -> -alpha, Zero -> 0, Pos -> 1."""
-    if a is POS:
-        return Fraction(1)
-    if a is NEG:
-        return -alpha.value
-    return Fraction(0)
-
-
 def numeric(a: Sequence[Label], alpha: Alpha) -> Tuple[Fraction, ...]:
     """Render a label vector to exact rational coordinates in [-alpha, 1]^n."""
     neg = -alpha.value

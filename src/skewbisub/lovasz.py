@@ -2,9 +2,23 @@
 
 Every point x of the box [-alpha, 1]^n is the mean of exactly one
 probability distribution on D^n whose support is totally ordered (a chain).
-The construction is a greedy sign-pattern recursion: peel off the current
+Its definition is a greedy sign-pattern recursion: peel off the current
 sign pattern of the residual with the largest weight that keeps all residual
 signs intact, and repeat; the leftover mass lands on the all-Zero vector.
+The tests keep that recursion as the reference.
+
+Here the recursion is one sort.  It lowers every live normalized magnitude
+(x_j on the Pos side, -x_j/alpha on the Neg side) by the same amount per
+round, so coordinates leave the support in decreasing-magnitude order, and
+the atoms are the prefixes of that order at which the magnitude drops.  With
+x = nums / D over a common denominator D and alpha = p/q, the magnitude of
+coordinate j times D * p is the integer key num_j * p (num_j >= 0) or
+-num_j * q (num_j < 0), and D * p stands for magnitude 1.  Scaling by the
+positive D * p keeps the order and the ties, so `chain_order` sorts plain
+ints; the prefix ending at order position k then has weight
+(key_k - key_{k+1}) / (D * p), with key_n = 0, and the all-Zero vector gets
+(D * p - max key) / (D * p).  Both are exact quotients of integers.
+`decompose`, `subgradient` and the minimizer all walk that one order.
 
 The extension of an oracle f is the expectation of f under that chain
 distribution.  It agrees with f on the 3^n vertices, is piecewise linear,
@@ -12,16 +26,17 @@ and is convex exactly when f is skew bisubmodular; on the convex case its
 minimum over the box equals the discrete minimum, which is what the
 minimizer exploits.
 
-All arithmetic here is exact rational: the decomposition's defining
-properties (marginals, weights summing to one, uniqueness) are equalities,
-and tolerances would only mask bugs.
+All arithmetic here is exact: the decomposition's defining properties
+(marginals, weights summing to one, uniqueness) are equalities, and
+tolerances would only mask bugs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from .functions import ValueOracle
 from .lattice import (
@@ -107,51 +122,50 @@ class ChainDecomposition:
         }
 
 
-def decompose(x: FractionalPoint) -> ChainDecomposition:
-    """Run the greedy sign-pattern recursion at x.
+def chain_order(nums: Sequence[int], p: int, q: int) -> Tuple[List[int], List[int]]:
+    """The chain walk at the point nums / D of the box for alpha = p/q.
 
-    Each round reads off the sign pattern u of the residual, gives it weight
-    min over { -r_j/alpha : r_j < 0 } and { r_j : r_j > 0 }, and subtracts
-    weight * u from the residual; at least one coordinate reaches zero per
-    round, so at most n rounds precede the final all-Zero atom, which
-    absorbs the remaining probability mass.
-
-    Signs never flip, so the recursion runs on the normalized magnitudes
-    (r_j for positive coordinates, -r_j/alpha for negative ones): every
-    round subtracts the common minimum from the still-positive magnitudes.
-    This is the same recursion expressed in the residual's natural scale,
-    with one division per negative coordinate overall.
+    Coordinate j's key is num_j * p when num_j >= 0 and -num_j * q
+    otherwise: its normalized magnitude scaled by D * p, so D * p stands for
+    magnitude 1.  `order` lists the coordinates innermost first (largest
+    key first, the larger index first among ties); zero coordinates come
+    last, and callers put them on the Pos side.  `keys` are the keys in
+    that order followed by a closing 0, so the prefix of the first k + 1
+    coordinates of the order has weight (keys[k] - keys[k + 1]) / (D * p)
+    and is an atom when that is positive, and the all-Zero vector gets
+    (D * p - keys[0]) / (D * p).
     """
+    by_coordinate = [num * p if num >= 0 else -num * q for num in nums]
+    order = sorted(
+        range(len(nums) - 1, -1, -1), key=by_coordinate.__getitem__, reverse=True
+    )
+    keys = [by_coordinate[j] for j in order]
+    keys.append(0)
+    return order, keys
+
+
+def _walk(x: FractionalPoint) -> Tuple[List[int], List[int], int]:
+    """chain_order at x over the lcm D of its denominators, and D * p."""
     alpha = x.alpha.value
-    signs: List[Label] = []
-    magnitudes: List[Fraction] = []
-    for c in x.coords:
-        if c < 0:
-            signs.append(NEG)
-            magnitudes.append(-c / alpha)
-        elif c > 0:
-            signs.append(POS)
-            magnitudes.append(c)
-        else:
-            signs.append(ZERO)
-            magnitudes.append(Fraction(0))
-    atoms: List[Tuple[Labeling, Fraction]] = []
-    spent = Fraction(0)
-    n = len(signs)
-    while True:
-        live = [j for j in range(n) if magnitudes[j]]
-        if not live:
-            leftover = 1 - spent
-            if leftover:
-                atoms.append(((ZERO,) * n, leftover))
-            break
-        weight = min(magnitudes[j] for j in live)
-        u = tuple(signs[j] if magnitudes[j] else ZERO for j in range(n))
-        atoms.append((u, weight))
-        spent += weight
-        for j in live:
-            magnitudes[j] -= weight
-    return ChainDecomposition(tuple(atoms))
+    denominator = math.lcm(*(c.denominator for c in x.coords))
+    nums = [c.numerator * (denominator // c.denominator) for c in x.coords]
+    order, keys = chain_order(nums, alpha.numerator, alpha.denominator)
+    return order, keys, denominator * alpha.numerator
+
+
+def decompose(x: FractionalPoint) -> ChainDecomposition:
+    """The chain decomposition at x, read off the sorted keys of its walk."""
+    order, keys, full = _walk(x)
+    prefixes: List[Tuple[Labeling, Fraction]] = []
+    current: List[Label] = [ZERO] * len(order)
+    for k, j in enumerate(order):
+        current[j] = NEG if x.coords[j] < 0 else POS
+        if keys[k] != keys[k + 1]:
+            prefixes.append((tuple(current), Fraction(keys[k] - keys[k + 1], full)))
+    prefixes.reverse()  # outermost first
+    if keys[0] != full:
+        prefixes.append(((ZERO,) * len(order), Fraction(full - keys[0], full)))
+    return ChainDecomposition(tuple(prefixes))
 
 
 def _check_oracle_point(f: ValueOracle, x: FractionalPoint) -> None:
@@ -173,32 +187,6 @@ def extension_value(f: ValueOracle, x: FractionalPoint) -> Fraction:
     )
 
 
-def _refinement_order(x: FractionalPoint) -> Tuple[List[int], List[Fraction], List[Label]]:
-    """Sorted coordinate order underlying the maximal-chain refinement.
-
-    Normalized magnitudes m_j (= x_j for x_j >= 0, -x_j/alpha otherwise) are
-    what the recursion decrements uniformly; coordinates leave the support
-    in increasing-m order.  Ties, including all the zero coordinates, are
-    split deterministically: the smaller index flips to Zero at the
-    outermore position.  Zero coordinates take the Pos side.
-    """
-    alpha = x.alpha.value
-    magnitudes: List[Fraction] = []
-    sides: List[Label] = []
-    for c in x.coords:
-        if c < 0:
-            magnitudes.append(-c / alpha)
-            sides.append(NEG)
-        else:
-            magnitudes.append(Fraction(c))
-            sides.append(POS)
-    # order[0] is the innermost survivor: largest magnitude, largest index
-    # among ties (so that among tied coordinates the smallest index leaves
-    # the support first, i.e. outermost).
-    order = sorted(range(len(magnitudes)), key=lambda j: (-magnitudes[j], -j))
-    return order, magnitudes, sides
-
-
 def subgradient(f: ValueOracle, x: FractionalPoint) -> Tuple[Fraction, ...]:
     """A subgradient of the extension at x, for skew-bisubmodular f.
 
@@ -214,41 +202,15 @@ def subgradient(f: ValueOracle, x: FractionalPoint) -> Tuple[Fraction, ...]:
     _check_oracle_point(f, x)
     n = len(x.coords)
     alpha = x.alpha.value
-    order, _, sides = _refinement_order(x)
+    order = _walk(x)[0]
     gradient: List[Fraction] = [Fraction(0)] * n
     current: List[Label] = [ZERO] * n
     previous_value = f.evaluate(tuple(current))
     for j in order:
-        current[j] = sides[j]
+        positive = x.coords[j] >= 0
+        current[j] = POS if positive else NEG
         value = f.evaluate(tuple(current))
         step = value - previous_value
-        gradient[j] = step if x.coords[j] >= 0 else -step / alpha
+        gradient[j] = step if positive else -step / alpha
         previous_value = value
     return tuple(gradient)
-
-
-def chain_support_points(x: FractionalPoint) -> Tuple[Labeling, ...]:
-    """The decomposition's support, computed by sorting instead of recursion.
-
-    The recursion's atoms are exactly the sign-pattern prefixes at each
-    distinct positive normalized magnitude, plus the all-Zero vector when
-    the magnitudes do not already exhaust the probability mass.  Must agree
-    with decompose(x).support() identically; the minimizer leans on this
-    cheaper path in its inner loop.
-    """
-    order, magnitudes, sides = _refinement_order(x)
-    n = len(order)
-    current: List[Label] = [ZERO] * n
-    prefixes: List[Labeling] = []
-    for t, j in enumerate(order):
-        if not magnitudes[j]:
-            break
-        current[j] = sides[j]
-        nxt = order[t + 1] if t + 1 < n else None
-        if nxt is None or magnitudes[nxt] != magnitudes[j]:
-            prefixes.append(tuple(current))
-    prefixes.reverse()  # outermost first, matching chain order
-    support: List[Labeling] = list(prefixes)
-    if max(magnitudes) < 1:
-        support.append((ZERO,) * n)
-    return tuple(support)

@@ -12,7 +12,8 @@ The iterate is kept exactly, as integer numerators over one common
 denominator D, a multiple of both the snapping grid 2^-20 and the
 denominator q of alpha = p/q (and of the start point's denominators).  Each
 float step is snapped back to that grid with integer operations, so the
-chain walk is ordered by exact integer keys and never touches a Fraction;
+chain walk is `lovasz.chain_order` on those numerators, the one integer
+walk that decompose and subgradient use too, and never touches a Fraction;
 the step itself is taken in floats.  Labelings are coded in base 3, so each
 chain step updates the memo key with one addition.  Every reported value is
 an exact rational oracle value.  Runs are deterministic given the
@@ -29,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .functions import ValueOracle
 from .lattice import Alpha, ArityMismatchError, Labeling, NEG, POS, ZERO, format_labeling
-from .lovasz import FractionalPoint, extension_value, subgradient
+from .lovasz import FractionalPoint, chain_order, extension_value, subgradient
 from .oracles import random_box_point
 from .rationals import format_rational
 
@@ -154,31 +155,6 @@ def project_box(
     denominator = q * max_denominator
     nums = _snap(vec, max_denominator, q, -p * max_denominator)
     return FractionalPoint(tuple(Fraction(num, denominator) for num in nums), alpha)
-
-
-def _chain_order(
-    nums: Sequence[int], p: int, q: int, full: int
-) -> Tuple[List[int], List[bool]]:
-    """The maximal-chain walk at the point nums / D, in integers.
-
-    The key num * p (num >= 0) or -num * q (num < 0) is the normalized
-    magnitude scaled by D * p, so `full` = D * p stands for magnitude 1.
-    The order is lovasz._refinement_order's: innermost (largest key) first,
-    the larger index first among ties, Pos side for zero coordinates.
-    atom[k] tells whether the prefix of the first k coordinates of the order
-    is in the chain decomposition's support: for k >= 1 when its last key is
-    nonzero and differs from the next one, for k = 0 (all-Zero) when some
-    mass is left below magnitude 1.
-    """
-    n = len(nums)
-    keys = [num * p if num >= 0 else -num * q for num in nums]
-    order = sorted(range(n - 1, -1, -1), key=keys.__getitem__, reverse=True)
-    atom = [keys[order[0]] < full]
-    for k in range(1, n):
-        key = keys[order[k - 1]]
-        atom.append(key != 0 and keys[order[k]] != key)
-    atom.append(keys[order[-1]] != 0)
-    return order, atom
 
 
 _DIGIT_LABELS = (ZERO, NEG, POS)
@@ -315,14 +291,16 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
             trajectory.append((t, exact))
 
     def walk(t: int) -> List[float]:
-        # One pass along the maximal chain at the iterate: feeds the
-        # best-so-far candidates (the support atoms) and returns the float
-        # subgradient used by the next step.
-        order, atom = _chain_order(nums, p, q, full)
+        # One pass along the maximal chain at the iterate, in the order of
+        # lovasz.chain_order: feeds the best-so-far candidates (the support
+        # atoms, the prefixes where the key drops, and all-Zero when mass is
+        # left below magnitude 1) and returns the float subgradient used by
+        # the next step.
+        order, keys = chain_order(nums, p, q)
         code = 0
         previous = zero[1]
         g_float = [0.0] * n
-        for k, j in enumerate(order, 1):
+        for k, j in enumerate(order):
             num = nums[j]
             code += pos_codes[j] if num >= 0 else neg_codes[j]
             hit = cache.get(code) or memo.value(code)
@@ -330,9 +308,9 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
             step_value = value - previous
             g_float[j] = step_value if num >= 0 else -step_value * inv_alpha
             previous = value
-            if atom[k] and value <= best_float:
+            if keys[k] != keys[k + 1] and value <= best_float:
                 consider(code, hit, t)
-        if atom[0]:
+        if keys[0] != full:
             consider(0, zero, t)
         return g_float
 

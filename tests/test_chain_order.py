@@ -1,39 +1,128 @@
-"""The minimizer's integer chain walk against the exact Fraction reference.
+"""The integer chain walk against the exact Fraction references.
 
-`_chain_order` orders the walk by integer keys over a common denominator;
-`_refinement_order` and `chain_support_points` compute the same order and
-support from Fraction magnitudes.  They must agree exactly, ties included.
+`decompose` and `subgradient` read everything off one sort by integer keys
+(`lovasz.chain_order`).  The references below are the definitions they
+replaced: `reference_decompose` is the greedy sign-pattern recursion, and
+`reference_subgradient` walks the order sorted by Fraction magnitudes.
+They must agree exactly: the same atoms, the same gradient, and the same
+labelings evaluated in the same sequence, ties included.
 """
 
+import math
+import random
 from fractions import Fraction
+from typing import List, Tuple
 
 import pytest
 from hypothesis import given, strategies as st
 
-from skewbisub import NEG, POS, ZERO, Alpha, FractionalPoint, chain_support_points
-from skewbisub.lovasz import _refinement_order
-from skewbisub.minimize import _chain_order
+from skewbisub import (
+    NEG,
+    POS,
+    ZERO,
+    Alpha,
+    ChainDecomposition,
+    FractionalPoint,
+    Label,
+    Labeling,
+    ValueOracle,
+    decompose,
+    extension_value,
+    format_labeling,
+    subgradient,
+)
 
 
-def _integer_walk(nums, denominator, alpha):
-    """Order and support of the point nums / denominator via `_chain_order`."""
-    p, q = alpha.value.numerator, alpha.value.denominator
-    order, atom = _chain_order(nums, p, q, denominator * p)
-    n = len(nums)
+def reference_decompose(x: FractionalPoint) -> ChainDecomposition:
+    """The greedy sign-pattern recursion, on normalized Fraction magnitudes.
+
+    Each round gives the residual's sign pattern the smallest live magnitude
+    as weight and subtracts it from every live magnitude; the leftover mass
+    goes to the all-Zero vector.
+    """
+    alpha = x.alpha.value
+    signs: List[Label] = []
+    magnitudes: List[Fraction] = []
+    for c in x.coords:
+        if c < 0:
+            signs.append(NEG)
+            magnitudes.append(-c / alpha)
+        elif c > 0:
+            signs.append(POS)
+            magnitudes.append(c)
+        else:
+            signs.append(ZERO)
+            magnitudes.append(Fraction(0))
+    atoms: List[Tuple[Labeling, Fraction]] = []
+    spent = Fraction(0)
+    n = len(signs)
+    while True:
+        live = [j for j in range(n) if magnitudes[j]]
+        if not live:
+            leftover = 1 - spent
+            if leftover:
+                atoms.append(((ZERO,) * n, leftover))
+            break
+        weight = min(magnitudes[j] for j in live)
+        u = tuple(signs[j] if magnitudes[j] else ZERO for j in range(n))
+        atoms.append((u, weight))
+        spent += weight
+        for j in live:
+            magnitudes[j] -= weight
+    return ChainDecomposition(tuple(atoms))
+
+
+def reference_subgradient(f: ValueOracle, x: FractionalPoint) -> Tuple[Fraction, ...]:
+    """The telescoping f-differences along the order of Fraction magnitudes.
+
+    Innermost (largest magnitude) first, the larger index first among ties;
+    zero coordinates take the Pos side.
+    """
+    alpha = x.alpha.value
+    n = len(x.coords)
+    magnitudes = [c if c >= 0 else -c / alpha for c in x.coords]
+    order = sorted(range(n), key=lambda j: (-magnitudes[j], -j))
+    gradient = [Fraction(0)] * n
     current = [ZERO] * n
-    prefixes = []
-    for k, j in enumerate(order, 1):
-        current[j] = NEG if nums[j] < 0 else POS
-        if atom[k]:
-            prefixes.append(tuple(current))
-    support = prefixes[::-1]  # outermost first
-    if atom[0]:
-        support.append((ZERO,) * n)
-    return order, tuple(support)
+    previous_value = f.evaluate(tuple(current))
+    for j in order:
+        current[j] = POS if x.coords[j] >= 0 else NEG
+        value = f.evaluate(tuple(current))
+        step = value - previous_value
+        gradient[j] = step if x.coords[j] >= 0 else -step / alpha
+        previous_value = value
+    return tuple(gradient)
 
 
-def _point(nums, denominator, alpha):
-    return FractionalPoint(tuple(Fraction(num, denominator) for num in nums), alpha)
+class RecordingOracle(ValueOracle):
+    """Seeded pseudo-random values; records every labeling it is asked for."""
+
+    def __init__(self, n: int, alpha: Alpha, seed: int):
+        super().__init__(n, alpha)
+        self.seed = seed
+        self.asked: List[Labeling] = []
+
+    def _value(self, labeling: Labeling) -> Fraction:
+        self.asked.append(labeling)
+        rng = random.Random(f"{self.seed}:{format_labeling(labeling)}")
+        return Fraction(rng.randint(-60, 60), rng.choice((1, 2, 3, 7)))
+
+
+def assert_walks_agree(x: FractionalPoint, seed: int = 0) -> None:
+    assert decompose(x).atoms == reference_decompose(x).atoms
+
+    n, alpha = len(x.coords), x.alpha
+    f, g = RecordingOracle(n, alpha, seed), RecordingOracle(n, alpha, seed)
+    assert subgradient(f, x) == reference_subgradient(g, x)
+    assert f.asked == g.asked
+
+    f.asked.clear()
+    g.asked.clear()
+    expected = sum(
+        (w * g.evaluate(u) for u, w in reference_decompose(x).atoms), start=Fraction(0)
+    )
+    assert extension_value(f, x) == expected
+    assert f.asked == g.asked
 
 
 @pytest.mark.parametrize(
@@ -49,32 +138,40 @@ def test_equal_magnitudes_tie_exactly(p, q, m):
     denominator = q << 20
     neg, pos = -p * m * q, q * m * q
     for nums in ([neg, pos], [pos, neg], [neg, pos, neg, 0]):
-        x = _point(nums, denominator, alpha)
-        order, support = _integer_walk(nums, denominator, alpha)
-        assert order == _refinement_order(x)[0]
-        assert support == chain_support_points(x)
+        x = FractionalPoint(tuple(Fraction(num, denominator) for num in nums), alpha)
+        assert_walks_agree(x)
 
 
 _ALPHAS = [Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(2, 7), Fraction(5, 9)]
+_DENOMINATORS = (1, 2, 3, 7, 1 << 20, 10**9 + 7)
 
 
 @st.composite
-def grid_points(draw):
+def box_points(draw):
+    """Arbitrary rational points with mixed denominators, corners and ties.
+
+    A "tie" coordinate copies the normalized magnitude of an earlier one,
+    on the Pos or the Neg side, so equal keys across sides are common.
+    """
     alpha = Alpha(draw(st.sampled_from(_ALPHAS)))
-    p, q = alpha.value.numerator, alpha.value.denominator
-    # A coarse grid makes equal magnitudes common; -alpha and 1 are drawn
-    # explicitly so the box corners appear often.
-    denominator = q * draw(st.sampled_from((1, 2, 4, 8, 1 << 20)))
-    lo = -p * denominator // q
-    coordinate = st.one_of(st.just(lo), st.just(denominator), st.just(0), st.integers(lo, denominator))
-    nums = draw(st.lists(coordinate, min_size=1, max_size=7))
-    return nums, denominator, alpha
+    a = alpha.value
+    coords: List[Fraction] = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(("corner", "zero", "free", "tie")))
+        if kind == "tie" and coords:
+            c = coords[draw(st.integers(0, len(coords) - 1))]
+            magnitude = c if c >= 0 else -c / a
+            coords.append(magnitude if draw(st.booleans()) else -a * magnitude)
+        elif kind == "corner":
+            coords.append(draw(st.sampled_from((-a, Fraction(1)))))
+        elif kind == "zero":
+            coords.append(Fraction(0))
+        else:
+            d = draw(st.sampled_from(_DENOMINATORS))
+            coords.append(Fraction(draw(st.integers(math.ceil(-a * d), d)), d))
+    return FractionalPoint(tuple(coords), alpha)
 
 
-@given(grid_points())
-def test_integer_walk_matches_the_fraction_reference(case):
-    nums, denominator, alpha = case
-    x = _point(nums, denominator, alpha)
-    order, support = _integer_walk(nums, denominator, alpha)
-    assert order == _refinement_order(x)[0]
-    assert support == chain_support_points(x)
+@given(box_points(), st.integers(0, 3))
+def test_integer_walk_matches_the_fraction_reference(x, seed):
+    assert_walks_agree(x, seed)

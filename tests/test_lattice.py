@@ -15,15 +15,13 @@ from skewbisub import (
     all_labelings,
     format_labeling,
     join,
-    label_leq,
-    label_less,
     leq,
     less,
     meet0,
     numeric,
-    numeric_label,
     parse_labeling,
 )
+from skewbisub.lattice import label_leq, label_less
 
 ALPHAS = [Alpha(Fraction(1, 4)), Alpha(Fraction(1, 2)), Alpha(Fraction(3, 4)), Alpha(Fraction(1)), Alpha(Fraction(2, 7))]
 
@@ -147,9 +145,9 @@ class TestNumeric:
 
     def test_label_rendering(self):
         al = Alpha(Fraction(2, 7))
-        assert numeric_label(NEG, al) == Fraction(-2, 7)
-        assert numeric_label(ZERO, al) == 0
-        assert numeric_label(POS, al) == 1
+        assert numeric((NEG,), al) == (Fraction(-2, 7),)
+        assert numeric((ZERO,), al) == (0,)
+        assert numeric((POS,), al) == (1,)
 
 
 class TestRecombinationIdentity:
@@ -159,11 +157,11 @@ class TestRecombinationIdentity:
     def test_single_labels(self, alpha):
         for a, b in itertools.product(LEX_ORDER, repeat=2):
             left = (
-                numeric_label(a if a is b else ZERO, alpha)
-                + alpha.value * numeric_label(join((a,), (b,), ZERO)[0], alpha)
-                + (1 - alpha.value) * numeric_label(join((a,), (b,), POS)[0], alpha)
+                numeric((a if a is b else ZERO,), alpha)[0]
+                + alpha.value * numeric(join((a,), (b,), ZERO), alpha)[0]
+                + (1 - alpha.value) * numeric(join((a,), (b,), POS), alpha)[0]
             )
-            assert left == numeric_label(a, alpha) + numeric_label(b, alpha)
+            assert left == numeric((a,), alpha)[0] + numeric((b,), alpha)[0]
 
     @pytest.mark.parametrize("alpha", ALPHAS, ids=str)
     def test_vectors_n3(self, alpha):

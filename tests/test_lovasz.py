@@ -13,7 +13,6 @@ from skewbisub import (
     TableFunction,
     ZERO,
     all_labelings,
-    chain_support_points,
     check_alpha_bisubmodular,
     decompose,
     expand_to_table,
@@ -94,14 +93,6 @@ class TestDecompose:
             chain, weights = random_chain_distribution(n, rng)
             x = compose_marginals(chain, weights, alpha)
             assert decompose(x).atoms == tuple(zip(chain, weights))
-
-    def test_support_fast_path_matches(self):
-        rng = random.Random(13)
-        for _ in range(300):
-            n = rng.randint(1, 7)
-            alpha = ALPHA_GRID[rng.randrange(4)]
-            x = random_box_point(n, alpha, rng)
-            assert chain_support_points(x) == decompose(x).support()
 
     def test_json_shape(self, alpha_half):
         x = FractionalPoint((Fraction(3, 5), Fraction(-1, 5)), alpha_half)
