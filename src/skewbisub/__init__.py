@@ -2,8 +2,9 @@
 
 The package provides the signed three-element lattice, value-oracle function
 models, the chain-decomposition extension with subgradients, exact desk
-oracles (brute force, closure LP), a projected-subgradient minimizer with
-discrete rounding, and a JSON/CLI surface tying them together.
+oracles (brute force, closure LP), an exact cutting-plane minimizer that
+stops on an optimality certificate, and a JSON/CLI surface tying them
+together.
 """
 
 from .lattice import (
@@ -58,8 +59,7 @@ from .oracles import (
     random_box_point,
 )
 from .minimize import (
-    DiminishingStep,
-    FixedStep,
+    ConvexityWitness,
     MinimizeConfig,
     MinimizeReport,
     minimize,
@@ -75,10 +75,9 @@ __all__ = [
     "CapExceededError",
     "ChainDecomposition",
     "ClosureResult",
+    "ConvexityWitness",
     "DEFAULT_ENUM_CAP",
     "DEFAULT_LP_CAP",
-    "DiminishingStep",
-    "FixedStep",
     "FractionalPoint",
     "GenerationBudgetError",
     "InstanceFormatError",

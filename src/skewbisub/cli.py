@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -30,7 +31,7 @@ from .functions import (
 )
 from .lattice import Alpha, Labeling, NEG, POS, ZERO, all_labelings, join, meet0, numeric
 from .lovasz import FractionalPoint, decompose, extension_value
-from .minimize import DiminishingStep, FixedStep, MinimizeConfig, minimize
+from .minimize import NOT_CONVEX, MinimizeConfig, minimize
 from .oracles import (
     DEFAULT_LP_CAP,
     brute_force_min,
@@ -74,17 +75,6 @@ def _parse_point(text: str, f: ValueOracle) -> FractionalPoint:
     return point
 
 
-def _parse_step(text: str):
-    kind, _, argument = text.partition(":")
-    if kind == "fixed":
-        if not argument:
-            raise ValueError("step rule 'fixed' needs a size, e.g. fixed:0.5")
-        return FixedStep(gamma=float(argument))
-    if kind == "diminishing":
-        return DiminishingStep(gamma0=float(argument) if argument else None)
-    raise ValueError(f"unknown step rule {text!r} (expected fixed:G or diminishing[:G0])")
-
-
 def _cmd_check(args) -> int:
     f = _load_instance(args.instance)
     witness = check_alpha_bisubmodular(f)
@@ -111,14 +101,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_minimize(args) -> int:
     f = _load_instance(args.instance)
-    cfg = MinimizeConfig(
-        max_iters=args.iters,
-        step=_parse_step(args.step) if args.step else DiminishingStep(),
-        seed=args.seed,
-    )
-    report = minimize(f, cfg)
+    report = minimize(f, MinimizeConfig(max_iters=args.iters, seed=args.seed))
     _emit(report.to_json())
-    return 0
+    return 1 if report.stop_reason == NOT_CONVEX else 0
 
 
 def _check_trials(trials: int) -> None:
@@ -281,7 +266,16 @@ def _cmd_generate(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose rejections are one `error:` line, exit 2."""
+    """An argument parser whose rejections are one `error:` line, exit 2.
+
+    An argument that starts with "-" and a digit is a value, not an option,
+    so `--point -1/3,2/3` reads as a point; argparse on its own accepts only
+    plain negative numbers such as -1 or -0.5 there.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d")
 
     def error(self, message: str):
         self.exit(2, f"error: {message}\n")
@@ -315,11 +309,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("minimize", help="projected subgradient minimization")
+    p = sub.add_parser(
+        "minimize",
+        help="exact cutting-plane minimization with an optimality certificate",
+        description=(
+            "Minimize f by Kelley's cutting planes on its extension, in exact "
+            "arithmetic.  The report's stop_reason is certified (the value "
+            "equals the LP lower bound: optimal if f is skew bisubmodular), "
+            "not_convex (a point lies below a cut, so f is not skew "
+            "bisubmodular; exit 1, with the witness) or cut_cap."
+        ),
+    )
     p.add_argument("instance")
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--step", default=None, help="fixed:G or diminishing[:G0]")
+    p.add_argument(
+        "--iters", type=int, default=None, help="cap on cutting-plane rounds (default 200 n^2)"
+    )
+    p.add_argument("--seed", type=int, default=None, help="draw the first point at random")
     p.set_defaults(func=_cmd_minimize)
 
     p = sub.add_parser("verify-closure", help="compare extension against the closure LP")

@@ -60,14 +60,17 @@ class FractionalPoint:
     alpha: Alpha
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
-        if not self.coords:
+        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coords)
+        object.__setattr__(self, "coords", coords)
+        if not coords:
             raise ValueError("a point needs at least one coordinate")
-        lo = -self.alpha.value
-        for j, c in enumerate(self.coords):
-            if c < lo or c > 1:
+        # -p/q <= m/d <= 1 with d > 0, compared on the integers.
+        p, q = self.alpha.value.numerator, self.alpha.value.denominator
+        for j, c in enumerate(coords):
+            m, d = c.numerator, c.denominator
+            if m * q < -p * d or m > d:
                 raise ValueError(
-                    f"coordinate {j} = {c} outside the box [{lo}, 1]"
+                    f"coordinate {j} = {c} outside the box [{-self.alpha.value}, 1]"
                 )
 
     @classmethod

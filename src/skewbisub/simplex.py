@@ -50,7 +50,10 @@ _ZERO = Fraction(0)
 
 def _integer_scale(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
     """The lcm s of the denominators and the integers s * v."""
-    scale = lcm(*(v.denominator for v in values))
+    # Unpack a list, not a generator: CPython builds a tuple from a generator
+    # at a guessed size and resizes it, so every call moves one tuple to
+    # another size's free list, and those lists grow to thousands of tuples.
+    scale = lcm(*[v.denominator for v in values])
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 

@@ -16,7 +16,9 @@ from skewbisub import (
     POS,
     ZERO,
     all_labelings,
+    join,
     less,
+    meet0,
     numeric,
 )
 
@@ -61,6 +63,43 @@ def assert_valid_decomposition(x: FractionalPoint, cd: ChainDecomposition) -> No
             if label is not ZERO:
                 marginals[j] += w * values[label]
     assert tuple(marginals) == x.coords
+
+
+def pair_sides(values, alpha, a, b):
+    """Both sides (lhs, rhs) of the inequality at the pair (a, b)."""
+    lhs = (
+        values[meet0(a, b)]
+        + alpha * values[join(a, b, ZERO)]
+        + (1 - alpha) * values[join(a, b, POS)]
+    )
+    return lhs, values[a] + values[b]
+
+
+def boundary_shift(values, n, alpha, u, sign):
+    """The least t >= 0 past which moving f(u) by sign * t breaks the inequality.
+
+    Moving f(u) by delta changes the slack rhs - lhs of a pair by c * delta,
+    where c counts u among a and b minus its weights among the meet and the
+    joins.  None when no pair's slack shrinks in that direction.
+    """
+    best = None
+    for a in all_labelings(n):
+        for b in all_labelings(n):
+            meet, join0, join1 = meet0(a, b), join(a, b, ZERO), join(a, b, POS)
+            if u not in (a, b, meet, join0, join1):
+                continue
+            c = (
+                (a == u)
+                + (b == u)
+                - (meet == u)
+                - alpha * (join0 == u)
+                - (1 - alpha) * (join1 == u)
+            )
+            if c * sign < 0:
+                lhs, rhs = pair_sides(values, alpha, a, b)
+                t = (rhs - lhs) / (-c * sign)
+                best = t if best is None else min(best, t)
+    return best
 
 
 @pytest.fixture(scope="session")

@@ -196,7 +196,11 @@ def test_criterion_6_minimization_optimality(pool_desk):
     for f in pool_desk:
         report = minimize(f)
         _, best = brute_force_min(expand_to_table(f))
-        assert report.value == best, (f.arity, str(f.alpha))
+        assert report.certified, (f.arity, str(f.alpha))
+        assert report.value == report.lower_bound == best, (f.arity, str(f.alpha))
+        values = [v for _, v in report.trajectory_best]
+        assert all(a > b for a, b in zip(values, values[1:]))
+        assert 0 < report.oracle_calls <= 3**f.arity + 1
         calls_per_run.append(report.oracle_calls)
     print(
         "  oracle calls per run: "

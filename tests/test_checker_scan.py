@@ -11,62 +11,26 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from skewbisub import (
-    POS,
-    ZERO,
     Alpha,
     TableFunction,
     all_labelings,
     check_alpha_bisubmodular,
     expand_to_table,
     generate_instance,
-    join,
-    meet0,
 )
+from conftest import boundary_shift, pair_sides
 
 _ALPHAS = [Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(2, 7), Fraction(5, 9)]
-
-
-def _sides(values, alpha, a, b):
-    lhs = (
-        values[meet0(a, b)]
-        + alpha * values[join(a, b, ZERO)]
-        + (1 - alpha) * values[join(a, b, POS)]
-    )
-    return lhs, values[a] + values[b]
 
 
 def _naive_witness(values, n, alpha):
     """The first violating ordered pair of all 9^n, as (a, b, lhs, rhs), or None."""
     for a in all_labelings(n):
         for b in all_labelings(n):
-            lhs, rhs = _sides(values, alpha, a, b)
+            lhs, rhs = pair_sides(values, alpha, a, b)
             if lhs > rhs:
                 return a, b, lhs, rhs
     return None
-
-
-def _boundary_shift(values, n, alpha, u, sign):
-    """The least t >= 0 past which moving f(u) by sign * t breaks the inequality.
-
-    Moving f(u) by delta changes the slack rhs - lhs of a pair by c * delta,
-    where c counts u among a and b minus its weights among the meet and the
-    joins.  None when no pair's slack shrinks in that direction.
-    """
-    best = None
-    for a in all_labelings(n):
-        for b in all_labelings(n):
-            lhs, rhs = _sides(values, alpha, a, b)
-            c = (
-                (a == u)
-                + (b == u)
-                - (meet0(a, b) == u)
-                - alpha * (join(a, b, ZERO) == u)
-                - (1 - alpha) * (join(a, b, POS) == u)
-            )
-            if c * sign < 0:
-                t = (rhs - lhs) / (-c * sign)
-                best = t if best is None else min(best, t)
-    return best
 
 
 def _assert_checker_matches(values, n, alpha):
@@ -112,7 +76,7 @@ def nudged_tables(draw):
     values = {u: g[u] for u in all_labelings(n)}
     u = draw(st.sampled_from(list(values)))
     sign = draw(st.sampled_from((1, -1)))
-    t = _boundary_shift(values, n, alpha, u, sign)
+    t = boundary_shift(values, n, alpha, u, sign)
     if t is not None:
         eps = draw(st.sampled_from((Fraction(0), Fraction(1, 997), Fraction(-1, 997))))
         values[u] += sign * max(t + eps, Fraction(0))

@@ -80,6 +80,19 @@ class TestDecompose:
     def test_wrong_dimension(self, table_path, capsys):
         assert run(["decompose", table_path, "--point", "1/2"]) == 2
 
+    def test_negative_first_coordinate_is_a_point(self, table_path, capsys):
+        expected = {
+            "atoms": [
+                {"u": "-+", "w": "1/2"},
+                {"u": "-0", "w": "1/6"},
+                {"u": "00", "w": "1/3"},
+            ]
+        }
+        assert run(["decompose", table_path, "--point", "-1/3,1/2"]) == 0
+        assert json.loads(capsys.readouterr().out) == expected
+        assert run(["decompose", table_path, "--point=-1/3,1/2"]) == 0
+        assert json.loads(capsys.readouterr().out) == expected
+
 
 class TestEval:
     def test_vertex_returns_table_value(self, table_path, capsys):
@@ -91,6 +104,11 @@ class TestEval:
     def test_float_point_rejected(self, table_path, capsys):
         assert run(["eval", table_path, "--point", "0.5,0"]) == 2
 
+    def test_negative_first_coordinate_is_a_point(self, table_path, capsys):
+        # 1/2 f(-+) + 1/6 f(-0) + 1/3 f(00) with f = lex index / 2
+        assert run(["eval", table_path, "--point", "-1/3,1/2"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"f_L": "5/4"}
+
 
 class TestMinimize:
     def test_reports_and_is_reproducible(self, good_path, capsys):
@@ -99,41 +117,45 @@ class TestMinimize:
         assert run(["minimize", good_path, "--iters", "400"]) == 0
         second = json.loads(capsys.readouterr().out)
         assert first == second
-        assert set(first) == {"minimizer", "value", "iterations", "oracle_calls", "trace"}
+        assert set(first) == {
+            "minimizer", "value", "iterations", "oracle_calls", "trace",
+            "stop_reason", "certified", "lower_bound", "gap", "cuts",
+            "distinct_points", "cache_hits", "witness",
+        }
+        assert first["certified"] is True and first["gap"] == "0"
+
+    @staticmethod
+    def _assert_rejected(path, step, capsys):
+        # Step rules are gone with the descent: --step is an unknown option.
+        assert run(["minimize", path, "--step", step]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unrecognized arguments: --step {step}\n"
 
     def test_step_flag(self, good_path, capsys):
-        assert run(["minimize", good_path, "--iters", "200", "--step", "fixed:0.05"]) == 0
-        json.loads(capsys.readouterr().out)
-        assert run(["minimize", good_path, "--iters", "200", "--step", "diminishing:0.5"]) == 0
-        json.loads(capsys.readouterr().out)
+        for step in ("fixed:0.05", "diminishing:0.5", "diminishing"):
+            self._assert_rejected(good_path, step, capsys)
 
     def test_bad_step_flag(self, good_path, capsys):
         assert run(["minimize", good_path, "--step", "newton"]) == 2
 
     @pytest.mark.parametrize("step", ["fixed:inf", "diminishing:inf", "fixed:-inf", "fixed:nan"])
     def test_non_finite_step_is_a_usage_error(self, good_path, capsys, step):
-        assert run(["minimize", good_path, "--step", step]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "finite" in err
-        assert err.count("\n") == 1
+        self._assert_rejected(good_path, step, capsys)
 
-    def test_overflowing_step_clamps_to_the_box(self, good_path, capsys):
-        assert run(["minimize", good_path, "--iters", "20", "--step", "fixed:1e308"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["iterations"] == 20
-
-    def test_value_beyond_float_range_is_a_usage_error(self, tmp_path, alpha_half, capsys):
-        f = TableFunction(1, alpha_half, {"-": 10**400, "0": 0, "+": 0})
+    def test_value_beyond_float_range_minimizes_exactly(self, tmp_path, alpha_half, capsys):
+        big = 10**400
+        f = TableFunction(1, alpha_half, {"-": big, "0": big + 1, "+": big + 5})
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(instance_to_json(f)))
-        assert run(["minimize", str(path), "--iters", "3"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: f(-) is beyond the float range the descent steps in\n"
+        assert run(["minimize", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["minimizer"] == "-" and doc["value"] == str(big)
+        assert doc["certified"] is True and doc["lower_bound"] == str(big)
 
     def test_squares_beyond_float_range_keep_the_heuristic_step(self, tmp_path, alpha_half, capsys):
-        # The heuristic step squares value differences: 10^160 squared
-        # overflows a float, 10^160 itself does not.
+        # 10^160 squared overflows a float, 10^160 itself does not; the
+        # descent's step heuristic squared it, the cutting planes are exact.
         f = TableFunction(1, alpha_half, {"-": 0, "0": 0, "+": -(10**160)})
         path = tmp_path / "steep.json"
         path.write_text(json.dumps(instance_to_json(f)))
@@ -141,19 +163,33 @@ class TestMinimize:
         doc = json.loads(capsys.readouterr().out)
         assert doc["minimizer"] == "+" and doc["value"] == str(-(10**160))
 
-    def test_differences_beyond_float_range_need_a_step(self, tmp_path, alpha_half, capsys):
+    def test_differences_beyond_float_range_minimize_exactly(self, tmp_path, alpha_half, capsys):
         f = TableFunction(1, alpha_half, {"-": 10**308, "0": 0, "+": -(10**308)})
         path = tmp_path / "cliff.json"
         path.write_text(json.dumps(instance_to_json(f)))
-        assert run(["minimize", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: value differences of f exceed the float range; "
-            "give the step size explicitly\n"
-        )
-        assert run(["minimize", str(path), "--step", "fixed:0.1"]) == 0
-        assert json.loads(capsys.readouterr().out)["minimizer"] == "+"
+        assert run(["minimize", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["minimizer"] == "+" and doc["value"] == str(-(10**308))
+        assert doc["certified"] is True
+
+    def test_not_convex_exits_1_with_the_report(self, tmp_path, capsys):
+        # (1 + alpha) f(0) > f(-) + alpha f(+): the pair (-, +) violates the
+        # inequality, and the run finds f(-) below the first cut.
+        f = TableFunction(1, Alpha(Fraction(3, 4)), {"-": -1, "0": 6, "+": 13})
+        path = tmp_path / "bent.json"
+        path.write_text(json.dumps(instance_to_json(f)))
+        assert run(["minimize", str(path)]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["stop_reason"] == "not_convex" and doc["certified"] is False
+        assert doc["minimizer"] == "-" and doc["value"] == "-1"
+        assert doc["witness"] == {"u": "-", "cut": 0, "g": ["7"], "value": "-1", "bound": "3/4"}
+        assert run(["check", str(path)]) == 1
+
+    def test_help_states_what_a_certificate_means(self, capsys):
+        assert run(["minimize", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "optimal if f is skew bisubmodular" in text
+        assert "--step" not in text
 
 
 class TestVerifyClosure:

@@ -1,4 +1,4 @@
-"""The projected-subgradient minimizer and its report contract."""
+"""The cutting-plane minimizer and its report contract."""
 
 import json
 import math
@@ -10,13 +10,13 @@ import pytest
 
 from skewbisub import (
     Alpha,
-    DiminishingStep,
-    FixedStep,
     FractionalPoint,
     MinimizeConfig,
     TableFunction,
+    ZERO,
     all_labelings,
     brute_force_min,
+    check_alpha_bisubmodular,
     decompose,
     expand_to_table,
     extension_value,
@@ -28,8 +28,7 @@ from skewbisub import (
     project_box,
     random_box_point,
 )
-from skewbisub.cli import _parse_step
-from conftest import ALPHA_GRID
+from conftest import ALPHA_GRID, boundary_shift
 
 
 class TestProjectBox:
@@ -116,18 +115,29 @@ class TestMinimizeBasics:
         assert r1.to_json() == r2.to_json()
 
     def test_report_json_shape(self, alpha_half):
-        f = TableFunction(1, alpha_half, {"-": -1, "0": 0, "+": 1})
+        f = TableFunction(1, alpha_half, {"-": -1, "0": 0, "+": 2})
         report = minimize(f)
         doc = report.to_json()
-        assert set(doc) == {"minimizer", "value", "iterations", "oracle_calls", "trace"}
+        assert set(doc) == {
+            "minimizer", "value", "iterations", "oracle_calls", "trace",
+            "stop_reason", "certified", "lower_bound", "gap", "cuts",
+            "distinct_points", "cache_hits", "witness",
+        }
         assert doc["minimizer"] == "-"
         assert doc["value"] == "-1"
         assert all(isinstance(t, int) and isinstance(v, str) for t, v in doc["trace"])
+        assert doc["stop_reason"] == "certified" and doc["certified"] is True
+        assert doc["lower_bound"] == "-1" and doc["gap"] == "0"
+        assert doc["witness"] is None
+        assert doc["distinct_points"] == doc["oracle_calls"]
 
     def test_default_iteration_budget(self, alpha_half):
+        # The 200 n^2 rounds are a cap: a constant function is certified by
+        # the first cut, g = 0.
         f = TableFunction(2, alpha_half, {u: Fraction(1) for u in all_labelings(2)})
         report = minimize(f)
-        assert report.iterations_used == 200 * 4
+        assert report.certified
+        assert report.iterations_used == report.cuts == 1
 
     def test_explicit_start(self, alpha_half):
         f = TableFunction(2, alpha_half, {u: Fraction(2) for u in all_labelings(2)})
@@ -144,19 +154,9 @@ class TestMinimizeBasics:
         assert r1.to_json() == r2.to_json()
 
     def test_config_validation(self, alpha_half):
-        with pytest.raises(ValueError):
-            MinimizeConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            MinimizeConfig(tolerance=Fraction(-1))
-        with pytest.raises(ValueError):
-            FixedStep(gamma=0.0)
-        with pytest.raises(ValueError):
-            DiminishingStep(gamma0=-1.0)
-        for size in (math.inf, -math.inf, math.nan):
+        for cap in (0, -1):
             with pytest.raises(ValueError):
-                FixedStep(gamma=size)
-            with pytest.raises(ValueError):
-                DiminishingStep(gamma0=size)
+                MinimizeConfig(max_iters=cap)
 
     def test_arity_mismatch_start(self, alpha_half):
         f = TableFunction(2, alpha_half, {u: 0 for u in all_labelings(2)})
@@ -186,25 +186,30 @@ class TestOptimality:
             f = generate_instance(n, alpha, num_terms=n, max_scope=2, seed=700 + k)
             report = minimize(f)
             _, best = brute_force_min(expand_to_table(f))
-            assert report.value == best, (k, n, str(alpha))
+            assert report.certified, (k, n, str(alpha))
+            assert report.value == report.lower_bound == best, (k, n, str(alpha))
 
-    def test_fixed_step_rule_works_when_scaled(self, alpha_half):
+    def test_cut_cap_keeps_a_valid_bound(self):
+        # Tilted so that the zero start is not optimal: one round leaves a gap.
+        alpha = Alpha(Fraction(1, 3))
         f = expand_to_table(
-            generate_instance(2, alpha_half, num_terms=2, max_scope=2, seed=66)
+            generate_instance(4, alpha, num_terms=4, max_scope=2, seed=71)
         )
-        report = minimize(f, MinimizeConfig(step=FixedStep(gamma=0.01)))
-        _, best = brute_force_min(f)
-        assert report.value == best
-
-    def test_early_stop_with_tolerance(self, alpha_half):
-        f = expand_to_table(
-            generate_instance(2, alpha_half, num_terms=2, max_scope=2, seed=67)
+        tilt = (5, -7, 3, -2)
+        f = TableFunction(
+            4,
+            alpha,
+            {u: f[u] + sum(c * x for c, x in zip(tilt, numeric(u, alpha))) for u in all_labelings(4)},
         )
-        report = minimize(f, MinimizeConfig(tolerance=Fraction(1, 2)))
         _, best = brute_force_min(f)
-        # the certificate guarantees value within tolerance of the optimum
-        assert report.value - best <= Fraction(1, 2)
-        assert report.iterations_used <= 200 * 4
+        capped = minimize(f, MinimizeConfig(max_iters=1))
+        assert capped.stop_reason == "cut_cap" and not capped.certified
+        assert capped.iterations_used == capped.cuts == 1
+        assert capped.lower_bound <= best <= capped.value
+        assert capped.gap == capped.value - capped.lower_bound > 0
+        full = minimize(f)
+        assert full.certified and full.value == best
+        assert full.iterations_used > 1
 
 
 _GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "minimize_golden.json")
@@ -213,26 +218,25 @@ with open(_GOLDEN_PATH, encoding="utf-8") as _handle:
 
 
 def _golden_config(doc: dict, alpha: Alpha) -> MinimizeConfig:
-    step = doc.get("step")
+    # Step rules and tolerances no longer exist; iters, seed and start do.
     start = doc.get("start")
     return MinimizeConfig(
         max_iters=doc.get("iters"),
-        step=_parse_step(step) if step else DiminishingStep(),
-        tolerance=Fraction(doc.get("tolerance", "0")),
         seed=doc.get("seed"),
         start=FractionalPoint.parse(start, alpha) if start else None,
     )
 
 
 class TestGoldenReports:
-    """Reports recorded from the Fraction-iterate implementation of minimize.
+    """The runs recorded from the projected-subgradient minimizer.
 
     tests/data/minimize_golden.json holds ten tilted instances (sum and
-    table form, n = 2-6, alpha in 1/3, 1/2, 3/4, 1, 2/7, 5/9) and, for each,
-    runs under the default, seeded, fixed-step, overshooting fixed-step,
-    off-grid explicit start and tolerance configurations.  The integer
-    iterate must reproduce every report byte for byte: the same trajectory,
-    minimizer, value, iteration count and oracle calls.
+    table form, n = 2-6, alpha in 1/3, 1/2, 3/4, 1, 2/7, 5/9) and 56 runs
+    of the descent under default, seeded, fixed-step, overshooting
+    fixed-step, off-grid explicit start and tolerance configurations.  Each
+    run, under the fields that still exist, must now be certified at the
+    brute-force minimum, and so never worse than the recorded value; nine
+    recorded fixed-step runs stopped above it.
     """
 
     @pytest.mark.parametrize("index", range(len(_GOLDEN["runs"])))
@@ -240,4 +244,69 @@ class TestGoldenReports:
         run = _GOLDEN["runs"][index]
         f = instance_from_json(_GOLDEN["instances"][run["instance"]])
         report = minimize(f, _golden_config(run["config"], f.alpha))
-        assert report.to_json() == run["report"]
+        _, best = brute_force_min(expand_to_table(f))
+        assert report.certified
+        assert report.value == report.lower_bound == best
+        assert report.value <= Fraction(run["report"]["value"])
+
+    def test_recorded_runs_above_the_minimum(self):
+        above = []
+        for index, run in enumerate(_GOLDEN["runs"]):
+            f = instance_from_json(_GOLDEN["instances"][run["instance"]])
+            if Fraction(run["report"]["value"]) != brute_force_min(expand_to_table(f))[1]:
+                above.append(index)
+        assert len(above) == 9
+        assert all("step" in _GOLDEN["runs"][i]["config"] for i in above)
+
+
+_NUDGE_ALPHAS = (Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(2, 7), Fraction(5, 9))
+
+
+def _nudged_table(k: int) -> TableFunction:
+    """A generated table, n = 1-4, with one entry moved past its boundary."""
+    rng = random.Random(k)
+    n = 1 + k % 4
+    alpha = _NUDGE_ALPHAS[k % len(_NUDGE_ALPHAS)]
+    g = expand_to_table(
+        generate_instance(n, Alpha(alpha), num_terms=n + 1, max_scope=2, seed=4000 + k)
+    )
+    values = {u: g[u] for u in all_labelings(n)}
+    while True:
+        u = rng.choice(list(values))
+        sign = rng.choice((1, -1))
+        t = boundary_shift(values, n, alpha, u, sign)
+        if t is not None:
+            break
+    values[u] += sign * (t + rng.choice((Fraction(1, 997), Fraction(1), t + 3)))
+    return TableFunction(n, Alpha(alpha), values)
+
+
+class TestNotConvex:
+    def test_nudged_tables(self):
+        outcomes = {"certified": 0, "certified_above_minimum": 0, "not_convex": 0, "cut_cap": 0}
+        for k in range(100):
+            f = _nudged_table(k)
+            assert check_alpha_bisubmodular(f) is not None
+            report = minimize(f)
+            _, best = brute_force_min(f)
+            assert report.value >= best
+            assert [v for _, v in report.trajectory_best][-1] == report.value
+            if report.stop_reason == "not_convex":
+                w = report.witness
+                zero = f[(ZERO,) * f.arity]
+                bound = zero + sum(g * x for g, x in zip(w.g, numeric(w.u, f.alpha)))
+                assert f[w.u] == w.value < bound == w.bound
+                assert w.u == report.minimizer and report.value < report.lower_bound
+                outcomes["not_convex"] += 1
+            elif report.certified:
+                assert report.value == report.lower_bound
+                assert report.witness is None
+                outcomes["certified"] += 1
+                if report.value > best:
+                    outcomes["certified_above_minimum"] += 1
+            else:
+                outcomes["cut_cap"] += 1
+        # How often a table that is not skew bisubmodular still ends
+        # certified above its minimum is printed, not bounded.
+        print(f"nudged tables: {outcomes}")
+        assert outcomes["not_convex"] > 0
