@@ -103,6 +103,8 @@ def _cmd_minimize(args) -> int:
     f = _load_instance(args.instance)
     report = minimize(f, MinimizeConfig(max_iters=args.iters, seed=args.seed))
     _emit(report.to_json())
+    if args.stats:
+        print(json.dumps(report.stats()), file=sys.stderr)
     return 1 if report.stop_reason == NOT_CONVEX else 0
 
 
@@ -325,6 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--iters", type=int, default=None, help="cap on cutting-plane rounds (default 200 n^2)"
     )
     p.add_argument("--seed", type=int, default=None, help="draw the first point at random")
+    p.add_argument(
+        "--stats",
+        action="store_true",
+        help="also write rounds, cuts, LP pivots, seconds per phase and oracle "
+        "accounting as one JSON line on stderr",
+    )
     p.set_defaults(func=_cmd_minimize)
 
     p = sub.add_parser("verify-closure", help="compare extension against the closure LP")

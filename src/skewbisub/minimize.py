@@ -15,8 +15,21 @@ to a minimizer of the master LP
 
     min t  s.t.  t >= g_k.y for every stored cut k,  y in [-alpha, 1]^n,
 
-solved cold each round with `simplex.linear_min` (Kelley, J. SIAM 1960).
-Then f(0) + t* is a lower bound on f_L, and hence on the discrete minimum.
+which is Kelley's method (J. SIAM 1960).  Then f(0) + t* is a lower bound
+on f_L, and hence on the discrete minimum.
+
+The master LP is solved cold once, in the first round, and then kept warm
+as a `simplex.WarmLP`: its fraction-free tableau stays alive across rounds.
+A new cut enters as one row with its own slack column.  The old optimal
+basis, extended by that slack, keeps every reduced cost, so it stays dual
+feasible, and the slack's value t* - g.y* is negative exactly when the old
+minimizer violates the cut.  Dual simplex pivots then restore optimality
+(Lemke, Naval Res. Logist. Q. 1954) under a dual Bland rule: leave on the
+negative row with the smallest basic index, enter on the least ratio
+reduced cost / |entry|, ties to the smallest column.  t* and y* are read off
+the tableau as integers over its denominator.  A round whose cut is already
+stored does no LP work.
+
 The run stops with
 
 - ``certified`` when the bound equals the best value found, which is then
@@ -38,6 +51,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -50,7 +64,7 @@ from .lovasz import FractionalPoint, chain_order
 from .lovasz import extension_value, subgradient  # noqa: F401
 from .oracles import random_box_point
 from .rationals import format_rational
-from .simplex import linear_min
+from .simplex import WarmLP
 
 #: Default denominator bound of `project_box`'s snapping grid.
 DEFAULT_DENOMINATOR_LIMIT = 1 << 20
@@ -98,9 +112,9 @@ def project_box(
 class MinimizeConfig:
     """Knobs for one minimization run.
 
-    max_iters caps the rounds, one chain walk and one master LP each; None
-    means 200 * n^2.  The first round walks at `start` when given, else at
-    a point a seed draws uniformly from the grid, else at the zero vector.
+    max_iters caps the rounds, one chain walk and at most one new cut each;
+    None means 200 * n^2.  The first round walks at `start` when given, else
+    at a point a seed draws uniformly from the grid, else at the zero vector.
     """
 
     max_iters: Optional[int] = None
@@ -138,6 +152,9 @@ class MinimizeReport:
     lower bound of the last master LP, why the run stopped, and accounting.
 
     trajectory_best lists (round, value) at each strict improvement.
+    lp_pivots counts the dual simplex pivots that the added cuts cost, and
+    walk_s and lp_s the seconds spent in chain walks and in the master LP;
+    they vary from run to run, so `stats` reports them and `to_json` does not.
     """
 
     minimizer: Labeling
@@ -150,7 +167,10 @@ class MinimizeReport:
     cuts: int
     distinct_points: int
     cache_hits: int
-    witness: Optional[ConvexityWitness] = None
+    witness: Optional[ConvexityWitness]
+    lp_pivots: int
+    walk_s: float
+    lp_s: float
 
     @property
     def certified(self) -> bool:
@@ -177,6 +197,19 @@ class MinimizeReport:
             "witness": None if self.witness is None else self.witness.to_json(),
         }
 
+    def stats(self) -> dict:
+        """What the run did and where its time went, for `minimize --stats`."""
+        return {
+            "rounds": self.iterations_used,
+            "cuts": self.cuts,
+            "lp_pivots": self.lp_pivots,
+            "walk_s": self.walk_s,
+            "lp_s": self.lp_s,
+            "oracle_calls": self.oracle_calls,
+            "distinct_points": self.distinct_points,
+            "cache_hits": self.cache_hits,
+        }
+
 
 _DIGIT_LABELS = (ZERO, NEG, POS)
 
@@ -190,17 +223,15 @@ def _decode(code: int, n: int) -> Labeling:
     return tuple(labels)
 
 
-def _master(
-    cuts: Sequence[Tuple[Fraction, ...]], alpha: Fraction
-) -> Tuple[Fraction, Tuple[Fraction, ...]]:
-    """(t*, y*) of min t s.t. t >= g.y for every cut g, y in [-alpha, 1]^n.
+def _first_master(g: Tuple[Fraction, ...], alpha: Fraction) -> WarmLP:
+    """The master LP with its first cut g, solved cold.
 
-    Equality form over z = y + alpha >= 0: rows z_j + s_j = 1 + alpha, and
-    per cut t+ - t- - g.z - r = -alpha sum(g), minimizing t+ - t-.
+    Equality form over z = y + alpha >= 0 with columns z, s (n each), t+,
+    t- and r: rows z_j + s_j = 1 + alpha, and t+ - t- - g.z - r =
+    -alpha sum(g), minimizing t+ - t-.  Later cuts come in by `_add_cut`.
     """
-    n = len(cuts[0])
-    k = len(cuts)
-    width = 2 * n + 2 + k
+    n = len(g)
+    width = 2 * n + 3
     rows: List[List[Fraction]] = []
     rhs: List[Fraction] = []
     for j in range(n):
@@ -208,18 +239,18 @@ def _master(
         row[j] = row[n + j] = 1
         rows.append(row)
         rhs.append(1 + alpha)
-    for i, g in enumerate(cuts):
-        row = [-gj for gj in g] + [0] * (n + 2 + k)
-        row[2 * n] = 1
-        row[2 * n + 1] = -1
-        row[2 * n + 2 + i] = -1
-        rows.append(row)
-        rhs.append(-alpha * sum(g))
+    rows.append([-gj for gj in g] + [0] * n + [1, -1, -1])
+    rhs.append(-alpha * sum(g))
     cost = [0] * width
     cost[2 * n] = 1
     cost[2 * n + 1] = -1
-    t_star, solution = linear_min(cost, rows, rhs)
-    return t_star, tuple([z - alpha for z in solution[:n]])
+    return WarmLP(cost, rows, rhs)
+
+
+def _add_cut(lp: WarmLP, g: Tuple[Fraction, ...], alpha: Fraction) -> None:
+    """Add t >= g.y, which is g.z - t+ + t- <= alpha sum(g), to the master LP."""
+    n = len(g)
+    lp.add_row([*g, *[0] * n, -1, 1, 0], alpha * sum(g))
 
 
 def _start(f: ValueOracle, cfg: MinimizeConfig) -> Tuple[Fraction, ...]:
@@ -277,13 +308,11 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
             best_value, best_code = candidate, code
             trajectory.append((t, candidate))
 
-    def walk(t: int) -> Tuple[Fraction, ...]:
-        # One pass along the maximal chain at y: feeds the best-so-far (the
-        # support atoms, the prefixes where the key drops, and all-Zero when
-        # mass is left below magnitude 1) and returns the cut's gradient.
-        # A list, not a generator, as in simplex._integer_scale.
-        denominator = math.lcm(*[c.denominator for c in y])
-        nums = [c.numerator * (denominator // c.denominator) for c in y]
+    def walk(t: int, nums: Sequence[int], denominator: int) -> Tuple[Fraction, ...]:
+        # One pass along the maximal chain at y = nums / denominator: feeds
+        # the best-so-far (the support atoms, the prefixes where the key
+        # drops, and all-Zero when mass is left below magnitude 1) and
+        # returns the cut's gradient.
         order, keys = chain_order(nums, p, q)
         code = 0
         previous = zero
@@ -301,15 +330,32 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
             consider(0, zero, t)
         return tuple(g)
 
+    # The first point over the lcm of its denominators; a list, not a
+    # generator, as in simplex._integer_scale.
+    denominator = math.lcm(*[c.denominator for c in y])
+    nums = [c.numerator * (denominator // c.denominator) for c in y]
     cuts: List[Tuple[Fraction, ...]] = []
+    lp: Optional[WarmLP] = None
     stop_reason = CUT_CAP
     witness: Optional[ConvexityWitness] = None
+    walk_s = lp_s = 0.0
     for t in range(1, max_iters + 1):
-        g = walk(t)
+        clock = time.perf_counter()
+        g = walk(t, nums, denominator)
+        walk_s += time.perf_counter() - clock
         if g not in cuts:
+            clock = time.perf_counter()
             cuts.append(g)
-        t_star, y = _master(cuts, alpha)
-        lower_bound = zero + t_star
+            if lp is None:
+                lp = _first_master(g, alpha)
+            else:
+                _add_cut(lp, g, alpha)
+            # z = N / d, so y = z - p/q = (q N - p d) / (q d) and t = t+ - t-.
+            z_nums, d = lp.numerators()
+            nums = [q * v - p * d for v in z_nums[:n]]
+            denominator = q * d
+            lower_bound = zero + Fraction(z_nums[2 * n] - z_nums[2 * n + 1], d)
+            lp_s += time.perf_counter() - clock
         if best_value == lower_bound:
             stop_reason = CERTIFIED
             break
@@ -335,4 +381,7 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
         distinct_points=len(cache),
         cache_hits=cache_hits,
         witness=witness,
+        lp_pivots=lp.pivots,
+        walk_s=walk_s,
+        lp_s=lp_s,
     )

@@ -19,16 +19,45 @@ divides exactly,
 
 and the cost rows, d times the reduced costs of an integer objective, are
 bordered determinants of the same kind and update by the same rule.  When
-d' < 0 (only when an artificial is driven out on a negative entry) the
-whole tableau is negated.  Dropping a redundant row or the artificial
-columns changes no other entry, so the argument still holds after phase 1.
+d' < 0 (when an artificial is driven out on a negative entry, and on every
+dual simplex pivot below) the whole tableau is negated; `_pivot` does so in
+the same pass, by negating the pivot row and d' first.  Dropping a
+redundant row or the artificial columns changes no other entry, so the
+argument still holds after phase 1.
 
 Row scaling by a positive factor moves no pivot: ratios, signs and ties are
 unchanged, and phase 1 weights artificial i by 1/s_i so that it minimizes
 the sum of the artificials of the unscaled rows.  So the pivots, and with
 them the optimal basis returned, are those of the same method run on a
 tableau of Fractions.
+
+`WarmLP` keeps the final tableau of such a solve and adds constraints
+a.x <= beta to it.  The row a is scaled to integers by the lcm s of its
+denominators and gets a new slack column r' whose only nonzero entry, in
+that row, is 1: s a.x + r' = s beta.  With r' basic in the new row, the new
+basis matrix is [[B, 0], [(s a)_B, 1]], block triangular with determinant
+det B, so d does not change; the new row of T = d B^-1 M is
+d [s a | 1 | s beta] - sum_i (s a)_B(i) T_i, and every other row only gains
+a 0 in the new column.  The new matrix is still integer, so T stays a
+matrix of bordered determinants and the pivot division stays exact.  The
+cost row gains a 0 in the new column and keeps every other entry, so the
+old optimal basis stays dual feasible, and the new row's right-hand side,
+d s times the slack's value, is negative exactly when the old optimum
+violates the constraint.
+
+Dual simplex pivots then restore optimality (Lemke, Naval Res. Logist. Q.
+1954): leave on the row with a negative right-hand side whose basic column
+has the smallest index, and enter on the column j with a_rj < 0 that has
+the least ratio cost_j / |a_rj|, the smallest j among ties.  The ratio test
+keeps every reduced cost nonnegative and the objective never decreases.
+The dual simplex method is the primal method run on the dual program, and
+these two choices are Bland's smallest-index rule there, with each dual
+variable named by the primal column it prices; so by Bland's argument
+(Math. Oper. Res. 1977) no basis repeats and the loop ends.  A row whose
+entries are all nonnegative while its right-hand side is negative proves
+the enlarged program infeasible.
 """
+
 
 from __future__ import annotations
 
@@ -63,6 +92,10 @@ def _pivot(
     """Pivot on (row, col) in place and return the new denominator, > 0."""
     pivot_row = rows[row]
     p = pivot_row[col]
+    if p < 0:
+        # Negating the pivot row and p negates every updated row as well.
+        pivot_row[:] = [-w for w in pivot_row]
+        p = -p
     for target in (*rows, cost):
         if target is pivot_row:
             continue
@@ -71,10 +104,6 @@ def _pivot(
             target[:] = [(p * v - factor * w) // d for v, w in zip(target, pivot_row)]
         elif p != d:
             target[:] = [p * v // d for v in target]
-    if p < 0:
-        for target in (*rows, cost):
-            target[:] = [-v for v in target]
-        p = -p
     basis[row] = col
     return p
 
@@ -103,13 +132,15 @@ def _bland_min(
         d = _pivot(rows, basis, cost, d, best_row, col)
 
 
-def linear_min(
+def _two_phase(
     c: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
-) -> Tuple[Fraction, List[Fraction]]:
-    """Solve min c.x s.t. A x = b, x >= 0 exactly.
+) -> Tuple[List[List[int]], List[int], List[int], int]:
+    """Solve min c.x s.t. A x = b, x >= 0 and return the optimal tableau.
 
-    Returns (optimal value, one optimal basic solution).  Raises
-    LPInfeasibleError / LPUnboundedError accordingly.
+    That is (rows, basis, cost, d): the rows over the columns of x and the
+    right-hand side, the basic column of each row, d L_c times the reduced
+    costs for the integer-scaled objective L_c c, and the denominator d.
+    Raises LPInfeasibleError / LPUnboundedError accordingly.
     """
     m = len(A)
     n = len(c)
@@ -170,9 +201,106 @@ def linear_min(
         if factor:
             cost = [v - factor * w for v, w in zip(cost, row)]
     d = _bland_min(rows, basis, cost, d, n)
+    return rows, basis, cost, d
 
-    solution = [_ZERO] * n
-    for row, j in zip(rows, basis):
-        solution[j] = Fraction(row[-1], d)
+
+class WarmLP:
+    """min c.x s.t. A x = b, x >= 0, kept optimal while rows are added.
+
+    The constructor solves the program cold by the two-phase method and
+    keeps its final tableau.  Each `add_row(a, beta)` then adds the
+    constraint a.x <= beta through a new slack column and restores
+    optimality by dual simplex pivots on the same integer tableau.
+    """
+
+    def __init__(
+        self, c: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+    ) -> None:
+        self.ncols = len(c)
+        self.rows, self.basis, self.cost, self.d = _two_phase(c, A, b)
+        #: Dual simplex pivots run by `add_row` so far.
+        self.pivots = 0
+
+    def add_row(self, a: Sequence[Fraction], beta: Fraction) -> None:
+        """Add a.x <= beta on the original columns and re-optimize.
+
+        Raises ValueError on a row of the wrong length and LPInfeasibleError
+        when the new constraint leaves no feasible point; the object is of no
+        further use after the latter.
+        """
+        n = self.ncols
+        if len(a) != n:
+            raise ValueError(f"row has {len(a)} entries, the program has {n} columns")
+        rows, basis, cost, d = self.rows, self.basis, self.cost, self.d
+        _, ints = _integer_scale([Fraction(v) for v in a] + [Fraction(beta)])
+        for row in rows:
+            row.insert(-1, 0)
+        cost.insert(-1, 0)
+        # The scaled row [s a | 0 .. 0 1 | s beta] has tableau row
+        # d [s a | 0 .. 0 1 | s beta] - sum_i (s a)_B(i) T_i; only the basic
+        # columns among the original ones can have a nonzero factor.
+        width = len(cost) - 1
+        new = [d * v for v in ints[:-1]] + [0] * (width - n)
+        new[-1] = d
+        new.append(d * ints[-1])
+        for row, j in zip(rows, basis):
+            if j < n and ints[j]:
+                factor = ints[j]
+                new = [v - factor * w for v, w in zip(new, row)]
+        rows.append(new)
+        basis.append(width - 1)
+        self.d = self._dual_bland()
+
+    def _dual_bland(self) -> int:
+        """Run dual simplex pivots until no right-hand side is negative."""
+        rows, basis, cost, d = self.rows, self.basis, self.cost, self.d
+        ncols = len(cost) - 1
+        while True:
+            leave = -1
+            for i, row in enumerate(rows):
+                if row[-1] < 0 and (leave < 0 or basis[i] < basis[leave]):
+                    leave = i
+            if leave < 0:
+                return d
+            # Enter on the least ratio cost_j / -a_j over a_j < 0, compared
+            # by cross-multiplication; the first j wins a tie.
+            pivot_row = rows[leave]
+            col = -1
+            for j in range(ncols):
+                a = pivot_row[j]
+                if a >= 0:
+                    continue
+                if col >= 0 and cost[j] * best_a <= best_cost * a:
+                    continue
+                col, best_a, best_cost = j, a, cost[j]
+            if col < 0:
+                raise LPInfeasibleError("an added row leaves no feasible point")
+            d = _pivot(rows, basis, cost, d, leave, col)
+            self.pivots += 1
+
+    def numerators(self) -> Tuple[List[int], int]:
+        """The basic solution over the original columns as (N, d), x = N / d."""
+        n = self.ncols
+        nums = [0] * n
+        for row, j in zip(self.rows, self.basis):
+            if j < n:
+                nums[j] = row[-1]
+        return nums, self.d
+
+    def solution(self) -> List[Fraction]:
+        """One optimal basic solution over the original columns."""
+        nums, d = self.numerators()
+        return [Fraction(v, d) for v in nums]
+
+
+def linear_min(
+    c: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+) -> Tuple[Fraction, List[Fraction]]:
+    """Solve min c.x s.t. A x = b, x >= 0 exactly.
+
+    Returns (optimal value, one optimal basic solution).  Raises
+    LPInfeasibleError / LPUnboundedError accordingly.
+    """
+    solution = WarmLP(c, A, b).solution()
     value = sum((ci * xi for ci, xi in zip(c, solution)), start=_ZERO)
     return value, solution

@@ -16,6 +16,7 @@ from skewbisub import (
     POS,
     ZERO,
     all_labelings,
+    generate_instance,
     join,
     less,
     meet0,
@@ -100,6 +101,19 @@ def boundary_shift(values, n, alpha, u, sign):
                 t = (rhs - lhs) / (-c * sign)
                 best = t if best is None else min(best, t)
     return best
+
+
+@pytest.fixture(scope="module")
+def pool_desk():
+    """100 generated instances with n <= 6, integer tables in [-10, 10]."""
+    pool = []
+    for k in range(100):
+        n = 1 + k % 6
+        alpha = ALPHA_GRID[k % 4]
+        pool.append(
+            generate_instance(n, alpha, num_terms=n, max_scope=2, seed=9200 + k)
+        )
+    return pool
 
 
 @pytest.fixture(scope="session")

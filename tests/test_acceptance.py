@@ -90,19 +90,6 @@ def pool_medium():
 
 
 @pytest.fixture(scope="module")
-def pool_desk():
-    """100 generated instances with n <= 6, integer tables in [-10, 10]."""
-    pool = []
-    for k in range(100):
-        n = 1 + k % 6
-        alpha = ALPHA_GRID[k % 4]
-        pool.append(
-            generate_instance(n, alpha, num_terms=n, max_scope=2, seed=9200 + k)
-        )
-    return pool
-
-
-@pytest.fixture(scope="module")
 def mixed_raw_tables():
     """Raw random tables, some accepted and some rejected by the checker."""
     rng = random.Random(424242)

@@ -191,6 +191,24 @@ class TestMinimize:
         assert "optimal if f is skew bisubmodular" in text
         assert "--step" not in text
 
+    def test_stats_go_to_stderr_only(self, good_path, capsys):
+        assert run(["minimize", good_path]) == 0
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        assert run(["minimize", good_path, "--stats"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain.out
+        assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+        stats = json.loads(captured.err)
+        assert set(stats) == {
+            "rounds", "cuts", "lp_pivots", "walk_s", "lp_s",
+            "oracle_calls", "distinct_points", "cache_hits",
+        }
+        report = json.loads(captured.out)
+        assert stats["rounds"] == report["iterations"] and stats["cuts"] == report["cuts"]
+        assert stats["oracle_calls"] == report["oracle_calls"]
+        assert stats["walk_s"] >= 0 and stats["lp_s"] >= 0 and stats["lp_pivots"] >= 0
+
 
 class TestVerifyClosure:
     def test_passes_on_generated(self, tmp_path, capsys):

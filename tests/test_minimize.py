@@ -1,5 +1,6 @@
 """The cutting-plane minimizer and its report contract."""
 
+import importlib
 import json
 import math
 import os
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from skewbisub import simplex
 from skewbisub import (
     Alpha,
     FractionalPoint,
@@ -23,12 +25,16 @@ from skewbisub import (
     format_labeling,
     generate_instance,
     instance_from_json,
+    linear_min,
     minimize,
     numeric,
     project_box,
     random_box_point,
 )
 from conftest import ALPHA_GRID, boundary_shift
+
+# The package exports the function `minimize` under the module's name.
+minimize_module = importlib.import_module("skewbisub.minimize")
 
 
 class TestProjectBox:
@@ -257,6 +263,118 @@ class TestGoldenReports:
                 above.append(index)
         assert len(above) == 9
         assert all("step" in _GOLDEN["runs"][i]["config"] for i in above)
+
+
+def _master(cuts, alpha):
+    """(t*, y*) of min t s.t. t >= g.y for every cut g, y in [-alpha, 1]^n.
+
+    The master LP solved cold, as the minimizer did each round before it
+    kept the LP warm.  Equality form over z = y + alpha >= 0: rows z_j + s_j
+    = 1 + alpha, and per cut t+ - t- - g.z - r = -alpha sum(g), minimizing
+    t+ - t-.
+    """
+    n = len(cuts[0])
+    k = len(cuts)
+    width = 2 * n + 2 + k
+    rows = []
+    rhs = []
+    for j in range(n):
+        row = [0] * width
+        row[j] = row[n + j] = 1
+        rows.append(row)
+        rhs.append(1 + alpha)
+    for i, g in enumerate(cuts):
+        row = [-gj for gj in g] + [0] * (n + 2 + k)
+        row[2 * n] = 1
+        row[2 * n + 1] = -1
+        row[2 * n + 2 + i] = -1
+        rows.append(row)
+        rhs.append(-alpha * sum(g))
+    cost = [0] * width
+    cost[2 * n] = 1
+    cost[2 * n + 1] = -1
+    t_star, solution = linear_min(cost, rows, rhs)
+    return t_star, tuple([z - alpha for z in solution[:n]])
+
+
+def _rounds(f, cfg, monkeypatch):
+    """Run minimize and log each round: [cut added or None, warm t*, pivots].
+
+    A round starts with its one chain walk (`chain_order`); the master LP
+    steps that follow record the cut they add and the t* they leave.
+    """
+    log = []
+    n = f.arity
+    order, pivot = minimize_module.chain_order, simplex._pivot
+    first, add = minimize_module._first_master, minimize_module._add_cut
+
+    def t_star(lp):
+        nums, d = lp.numerators()
+        return Fraction(nums[2 * n] - nums[2 * n + 1], d)
+
+    def chain_order(*args):
+        log.append([None, None, 0])
+        return order(*args)
+
+    def counting_pivot(*args):
+        log[-1][2] += 1
+        return pivot(*args)
+
+    def first_master(g, alpha):
+        lp = first(g, alpha)
+        log[-1][:2] = g, t_star(lp)
+        return lp
+
+    def add_cut(lp, g, alpha):
+        add(lp, g, alpha)
+        log[-1][:2] = g, t_star(lp)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(minimize_module, "chain_order", chain_order)
+        patch.setattr(simplex, "_pivot", counting_pivot)
+        patch.setattr(minimize_module, "_first_master", first_master)
+        patch.setattr(minimize_module, "_add_cut", add_cut)
+        return minimize(f, cfg), log
+
+
+def _golden_runs():
+    for run in _GOLDEN["runs"]:
+        f = instance_from_json(_GOLDEN["instances"][run["instance"]])
+        yield f, _golden_config(run["config"], f.alpha)
+
+
+class TestWarmMaster:
+    def test_each_round_bound_matches_the_cold_master(self, pool_desk, monkeypatch):
+        # Every pool_desk instance and every golden run: the warm bound of
+        # each round equals the cold LP on the same cuts, and a round whose
+        # cut is already stored does no LP work.
+        runs = [(f, MinimizeConfig()) for f in pool_desk] + list(_golden_runs())
+        repeats = 0
+        for f, cfg in runs:
+            report, log = _rounds(f, cfg, monkeypatch)
+            alpha = f.alpha.value
+            cuts = []
+            bound = None
+            for g, t, pivots in log:
+                if g is None:
+                    assert pivots == 0
+                    repeats += 1
+                    continue
+                cuts.append(g)
+                bound = t
+                assert t == _master(cuts, alpha)[0]
+            assert len(log) == report.iterations_used and len(cuts) == report.cuts
+            assert report.lower_bound == f.evaluate((ZERO,) * f.arity) + bound
+            assert report.lp_pivots == sum(p for _, _, p in log[1:])
+        assert repeats > 0
+
+    def test_a_repeated_cut_costs_no_pivots(self, monkeypatch):
+        # pool_desk's k = 83: n = 6, alpha = 1, 8 rounds and 7 cuts.
+        f = generate_instance(6, ALPHA_GRID[3], num_terms=6, max_scope=2, seed=9283)
+        report, log = _rounds(f, MinimizeConfig(), monkeypatch)
+        assert (report.iterations_used, report.cuts) == (8, 7)
+        assert log[-1][0] is None and log[-1][2] == 0
+        assert report.certified
 
 
 _NUDGE_ALPHAS = (Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(2, 7), Fraction(5, 9))

@@ -3,7 +3,9 @@
 `linear_min` runs a fraction-free integer tableau.  `reference_linear_min`
 below is the same two-phase Bland method on a tableau of Fractions, the
 solver's earlier form; the two must take the same pivots and so return the
-same optimum and basic solution, or raise the same exception.
+same optimum and basic solution, or raise the same exception.  `WarmLP`
+keeps that tableau and adds rows by dual simplex pivots; after every added
+row it must reach the optimum that both solve cold.
 """
 
 import json
@@ -25,6 +27,7 @@ from skewbisub import (
     linear_min,
     random_box_point,
 )
+from skewbisub.simplex import WarmLP
 from skewbisub import oracles, simplex
 
 
@@ -251,6 +254,172 @@ def test_convex_closure_matches_the_reference(document, monkeypatch):
     results = [convex_closure(f, x) for x in points]
     monkeypatch.setattr(oracles, "linear_min", reference_linear_min)
     assert results == [convex_closure(f, x) for x in points]
+
+
+_ALPHAS = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2, 7))
+
+
+@st.composite
+def _cut_sequences(draw):
+    """(n, alpha, cuts): a box [-alpha, 1]^n and a sequence of cuts g.
+
+    Cuts are drawn from a pool of at most four integer or rational vectors
+    plus the zero vector, so repeated cuts, zero cuts and ties in the dual
+    ratio test are common.
+    """
+    n = draw(st.integers(1, 4))
+    alpha = draw(st.sampled_from(_ALPHAS))
+    entries = st.one_of(st.integers(-3, 3).map(Fraction), _RATIONALS)
+    pool = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=4))
+    pool.append([_ZERO] * n)
+    return n, alpha, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7))
+
+
+def _master_program(n, alpha, g):
+    """min t s.t. t >= g.y, y in [-alpha, 1]^n, as the minimizer poses it.
+
+    Columns z = y + alpha, s (n each), t+, t- and r: rows z_j + s_j =
+    1 + alpha and t+ - t- - g.z - r = -alpha sum(g).
+    """
+    A = []
+    for j in range(n):
+        row = [_ZERO] * (2 * n + 3)
+        row[j] = row[n + j] = _ONE
+        A.append(row)
+    A.append([-v for v in g] + [_ZERO] * n + [_ONE, -_ONE, -_ONE])
+    b = [1 + alpha] * n + [-alpha * sum(g)]
+    c = [_ZERO] * (2 * n) + [_ONE, -_ONE, _ZERO]
+    return c, A, b
+
+
+def _cut_row(n, alpha, g):
+    """(a, beta) of t >= g.y: g.z - t+ + t- <= alpha sum(g)."""
+    return [*g, *[_ZERO] * n, -_ONE, _ONE, _ZERO], alpha * sum(g)
+
+
+def _with_slacks(c, A, b, added):
+    """The program with each added row a.x <= beta as a.x + r = beta."""
+    k = len(added)
+    rows = [list(row) + [_ZERO] * k for row in A]
+    for i, (a, beta) in enumerate(added):
+        slack = [_ZERO] * k
+        slack[i] = _ONE
+        rows.append(list(a) + slack)
+    return list(c) + [_ZERO] * k, rows, list(b) + [beta for _, beta in added]
+
+
+def _solve_fractions(B, M):
+    """(X, det B) with B X = M, by Gauss-Jordan elimination on Fractions."""
+    m = len(B)
+    aug = [[Fraction(v) for v in B[i]] + [Fraction(v) for v in M[i]] for i in range(m)]
+    det = _ONE
+    for col in range(m):
+        piv = next(i for i in range(col, m) if aug[i][col])
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+            det = -det
+        p = aug[col][col]
+        det *= p
+        aug[col] = [v / p for v in aug[col]]
+        for i in range(m):
+            if i != col and aug[i][col]:
+                factor = aug[i][col]
+                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[col])]
+    return [row[m:] for row in aug], det
+
+
+def _integer_rows(A, b, added):
+    """The integer matrix [M | rhs] the tableau is built from.
+
+    Each original row is scaled by the lcm of its denominators, each added
+    row too, with its slack's coefficient 1 after scaling.
+    """
+    k = len(added)
+    rows = []
+    for row, rhs in zip(A, b):
+        _, ints = simplex._integer_scale([Fraction(v) for v in row] + [Fraction(rhs)])
+        rows.append(ints[:-1] + [0] * k + ints[-1:])
+    for i, (a, beta) in enumerate(added):
+        _, ints = simplex._integer_scale([Fraction(v) for v in a] + [Fraction(beta)])
+        slack = [0] * k
+        slack[i] = 1
+        rows.append(ints[:-1] + slack + ints[-1:])
+    return rows
+
+
+def _assert_tableau_invariant(lp, c, A, b, added):
+    # T = d B^-1 M and d = |det B| for B the basic columns of the integer
+    # matrix M; the cost row is d L_c (c - c_B B^-1 M), and -d L_c c_B B^-1 b
+    # at the right-hand side.
+    M = _integer_rows(A, b, added)
+    B = [[row[j] for j in lp.basis] for row in M]
+    X, det = _solve_fractions(B, M)
+    assert lp.d == abs(det)
+    assert lp.rows == [[lp.d * v for v in row] for row in X]
+    scale, ints = simplex._integer_scale([Fraction(v) for v in c])
+    costs = ints + [0] * len(added) + [0]
+    basic = [costs[j] for j in lp.basis]
+    reduced = [costs[j] - sum(cb * row[j] for cb, row in zip(basic, X)) for j in range(len(costs))]
+    reduced[-1] = -sum(cb * row[-1] for cb, row in zip(basic, X))
+    assert lp.cost == [lp.d * v for v in reduced]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cut_sequences())
+def test_warm_rows_reach_the_cold_optimum(case):
+    n, alpha, cuts = case
+    c, A, b = _master_program(n, alpha, cuts[0])
+    lp = WarmLP(c, A, b)
+    added = []
+    for g in cuts[1:]:
+        added.append(_cut_row(n, alpha, g))
+        lp.add_row(*added[-1])
+        x = lp.solution()
+        assert len(x) == len(c) and all(v >= 0 for v in x)
+        for row, rhs in zip(A, b):
+            assert sum(a * v for a, v in zip(row, x)) == rhs
+        for a, beta in added:
+            assert sum(ai * v for ai, v in zip(a, x)) <= beta
+        value = sum(ci * v for ci, v in zip(c, x))
+        program = _with_slacks(c, A, b, added)
+        assert value == linear_min(*program)[0] == reference_linear_min(*program)[0]
+        if n <= 2 and len(added) <= 3:
+            _assert_tableau_invariant(lp, c, A, b, added)
+
+
+class TestWarmLP:
+    def test_added_row_moves_the_optimum(self):
+        # min -x on x + s = 2; then x <= 1/2 leaves the optimum -1/2
+        lp = WarmLP([F(-1), F(0)], [[F(1), F(1)]], [F(2)])
+        assert lp.solution() == [F(2), F(0)]
+        lp.add_row([F(1), F(0)], Fraction(1, 2))
+        assert lp.solution() == [Fraction(1, 2), Fraction(3, 2)]
+        assert lp.pivots == 1
+
+    def test_slack_row_takes_no_pivot(self):
+        lp = WarmLP([F(-1), F(0)], [[F(1), F(1)]], [F(2)])
+        lp.add_row([F(1), F(0)], F(3))
+        assert lp.pivots == 0 and lp.solution() == [F(2), F(0)]
+
+    def test_repeated_row_takes_no_pivots(self):
+        c, A, b = _master_program(2, Fraction(1, 2), [F(3), F(-1)])
+        lp = WarmLP(c, A, b)
+        row = _cut_row(2, Fraction(1, 2), [F(-2), F(5)])
+        lp.add_row(*row)
+        pivots, solution = lp.pivots, lp.solution()
+        assert pivots > 0
+        lp.add_row(*row)
+        assert lp.pivots == pivots and lp.solution() == solution
+
+    def test_infeasible_row(self):
+        lp = WarmLP([F(1)], [[F(1)]], [F(1)])
+        with pytest.raises(LPInfeasibleError):
+            lp.add_row([F(1)], F(0))
+
+    def test_row_length_validation(self):
+        lp = WarmLP([F(1)], [[F(1)]], [F(1)])
+        with pytest.raises(ValueError):
+            lp.add_row([F(1), F(1)], F(2))
 
 
 class TestLinearMin:
