@@ -7,6 +7,12 @@ of low-arity table terms), plus the skew-bisubmodularity checker, a
 rejection-sampling instance generator, and the JSON instance format used by
 the CLI.
 
+A sum is compiled once, when it is built: every term value is scaled to an
+integer numerator over one common denominator D, the lcm of all their
+denominators, and each term keeps its scope and a flat list of those
+numerators in the lex order of `all_labelings`.  An evaluation turns the
+labeling into base-3 digits once, adds plain ints and makes one Fraction.
+
 Oracle-call accounting: `evaluate` bumps `call_count` by exactly one per
 call.  The counter is a plain attribute with no locking; either confine an
 oracle to one thread or only trust the count after all evaluation has
@@ -162,6 +168,14 @@ class SumFunction(ValueOracle):
     input to the term's scope.  This is how large-arity test instances stay
     cheap to evaluate and provably skew bisubmodular (the property is closed
     under coordinate lifting and addition).
+
+    The terms are compiled in `__init__`.  D is the lcm of the denominators
+    of every term value, and each term becomes its scope plus a list of
+    integer numerators over D.  Entry k of the list is the k-th labeling of
+    `all_labelings(len(scope))`, i.e. the one whose lex digits ('-' -> 0,
+    '0' -> 1, '+' -> 2), read in scope order, spell k in base 3.  So
+    `evaluate` adds one list entry per term on plain ints and returns
+    Fraction(total, D), which equals the Fraction sum of the term values.
     """
 
     def __init__(self, arity: int, alpha: Alpha, terms: Sequence[Term]):
@@ -182,16 +196,28 @@ class SumFunction(ValueOracle):
             if term.table.alpha != alpha:
                 raise ValueError(f"term {pos}: table alpha differs from instance alpha")
         self._terms = tuple(terms)
+        values = [
+            [table[u] for u in all_labelings(len(scope))] for scope, table in self._terms
+        ]
+        self._denominator = math.lcm(*(v.denominator for row in values for v in row))
+        self._compiled = tuple(
+            (scope, [v.numerator * (self._denominator // v.denominator) for v in row])
+            for (scope, _), row in zip(self._terms, values)
+        )
 
     @property
     def terms(self) -> Tuple[Term, ...]:
         return self._terms
 
     def _value(self, labeling: Labeling) -> Fraction:
-        total = Fraction(0)
-        for scope, table in self._terms:
-            total += table[tuple(labeling[i] for i in scope)]
-        return total
+        digits = list(map(LEX_ORDER.index, labeling))
+        total = 0
+        for scope, numerators in self._compiled:
+            k = 0
+            for i in scope:
+                k = 3 * k + digits[i]
+            total += numerators[k]
+        return Fraction(total, self._denominator)
 
 
 @dataclass(frozen=True)

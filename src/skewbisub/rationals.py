@@ -30,6 +30,8 @@ def parse_rational(value: object, where: str = "value") -> Fraction:
             raise ValueError(
                 f"{where}: bad rational literal {value!r} (expected 'p' or 'p/q')"
             )
+        if "/" not in text:
+            return Fraction(int(text))
         return Fraction(text)
     if isinstance(value, float):
         raise ValueError(

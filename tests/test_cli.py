@@ -357,6 +357,24 @@ class TestMalformedInput:
         assert run(["check", str(path)]) == 2
         assert "'+-'" in capsys.readouterr().err
 
+    def test_oversized_literal_is_one_line(self, tmp_path, alpha_half, capsys):
+        doc = instance_to_json(
+            TableFunction(1, alpha_half, {u: 1 for u in all_labelings(1)})
+        )
+        doc["values"]["+"] = "1" * 5000
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert run(["check", str(path)]) == 2
+        finally:
+            sys.set_int_max_str_digits(before)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "Exceeds the limit (4300 digits)" in captured.err
+
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]) == 2
 

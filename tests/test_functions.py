@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewbisub import (
     Alpha,
@@ -12,6 +13,7 @@ from skewbisub import (
     CapExceededError,
     GenerationBudgetError,
     InstanceFormatError,
+    LEX_ORDER,
     POS,
     SumFunction,
     TableFunction,
@@ -29,6 +31,7 @@ from skewbisub import (
     numeric,
     parse_labeling,
 )
+from skewbisub.rationals import format_rational
 
 
 def inequality_sides(f, a, b):
@@ -81,6 +84,49 @@ class TestValueOracle:
         f = TableFunction(1, alpha_half, {"-": 1, "0": 2, "+": 3})
         assert f[(POS,)] == 3
         assert f.call_count == 0
+
+
+def reference_sum_value(f, labeling):
+    """The sum of the term values as Fractions, one Label tuple per term."""
+    total = Fraction(0)
+    for scope, table in f.terms:
+        total += table[tuple(labeling[i] for i in scope)]
+    return total
+
+
+_VALUES = st.one_of(
+    st.builds(Fraction, st.integers(-50, 50), st.sampled_from([1, 2, 3, 7])),
+    st.sampled_from([Fraction(10**400), Fraction(-(10**400)), Fraction(-(10**400), 7)]),
+)
+
+
+@st.composite
+def sum_documents(draw):
+    """A sum-form JSON document, n <= 7, with scopes in arbitrary order."""
+    n = draw(st.integers(1, 7))
+    alpha = draw(st.sampled_from(["1/3", "1/2", "1", "5/9"]))
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        scope = draw(st.permutations(range(n)))[: draw(st.integers(1, min(3, n)))]
+        values = {
+            format_labeling(u): format_rational(draw(_VALUES))
+            for u in all_labelings(len(scope))
+        }
+        terms.append({"scope": list(scope), "values": values})
+    points = draw(st.lists(st.tuples(*[st.sampled_from(LEX_ORDER)] * n), min_size=1, max_size=8))
+    return {"format": "sum", "n": n, "alpha": alpha, "terms": terms}, points
+
+
+@settings(max_examples=100, deadline=None)
+@given(sum_documents())
+def test_sum_evaluation_matches_the_fraction_reference(case):
+    doc, points = case
+    f = instance_from_json(doc)
+    for calls, u in enumerate(points, start=1):
+        value = f.evaluate(u)
+        assert type(value) is Fraction
+        assert value == reference_sum_value(f, u)
+        assert f.call_count == calls
 
 
 class TestSumFunction:
