@@ -199,7 +199,7 @@ class SumFunction(ValueOracle):
         values = [
             [table[u] for u in all_labelings(len(scope))] for scope, table in self._terms
         ]
-        self._denominator = math.lcm(*(v.denominator for row in values for v in row))
+        self._denominator = math.lcm(*[v.denominator for row in values for v in row])
         self._compiled = tuple(
             (scope, [v.numerator * (self._denominator // v.denominator) for v in row])
             for (scope, _), row in zip(self._terms, values)

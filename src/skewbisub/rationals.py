@@ -30,9 +30,8 @@ def parse_rational(value: object, where: str = "value") -> Fraction:
             raise ValueError(
                 f"{where}: bad rational literal {value!r} (expected 'p' or 'p/q')"
             )
-        if "/" not in text:
-            return Fraction(int(text))
-        return Fraction(text)
+        num, _, den = text.partition("/")
+        return Fraction(int(num), int(den or 1))
     if isinstance(value, float):
         raise ValueError(
             f"{where}: floats are not accepted (got {value!r}); use an exact 'p/q' string"

@@ -220,40 +220,6 @@ class TestOptimality:
         assert full.iterations_used > 1
 
 
-def _tilted_sum(n, alpha, seed):
-    base = generate_instance(n, alpha, num_terms=2 * n, max_scope=2, seed=seed)
-    rng = random.Random(seed)
-    tilts = [
-        Term((j,), TableFunction(1, alpha, {"-": -alpha.value * c, "0": 0, "+": c}))
-        for j, c in ((j, rng.randint(-20, 20)) for j in range(n))
-    ]
-    return SumFunction(n, alpha, list(base.terms) + tilts)
-
-
-class TestRationalScaling:
-    @pytest.mark.parametrize("k", range(8))
-    def test_dividing_every_term_by_6_scales_the_run(self, k):
-        # Every term value of the scaled sum has a denominator that divides
-        # 6q, so its oracle sums integers over that common denominator.
-        n, alpha = 3 + k % 4, ALPHA_GRID[k % 4]
-        f = _tilted_sum(n, alpha, seed=900 + k)
-        scaled = SumFunction(
-            n,
-            alpha,
-            [
-                Term(scope, TableFunction(t.arity, alpha, {u: t[u] / 6 for u in all_labelings(t.arity)}))
-                for scope, t in f.terms
-            ],
-        )
-        whole, sixth = minimize(f), minimize(scaled)
-        assert sixth.minimizer == whole.minimizer
-        assert sixth.oracle_calls == whole.oracle_calls
-        assert sixth.cuts == whole.cuts
-        assert sixth.stop_reason == whole.stop_reason == "certified"
-        assert sixth.value == whole.value / 6
-        assert sixth.lower_bound == whole.lower_bound / 6
-
-
 _GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "minimize_golden.json")
 with open(_GOLDEN_PATH, encoding="utf-8") as _handle:
     _GOLDEN = json.load(_handle)
@@ -267,6 +233,37 @@ def _golden_config(doc: dict, alpha: Alpha) -> MinimizeConfig:
         seed=doc.get("seed"),
         start=FractionalPoint.parse(start, alpha) if start else None,
     )
+
+
+class TestRationalScaling:
+    """Every term value of the recorded sum instances divided by 6.
+
+    The run goes through the sum oracle's common denominator end to end: it
+    must take the same path, and its value and bound must be exactly 1/6 of
+    the unscaled run's.
+    """
+
+    @pytest.mark.parametrize(
+        "index",
+        [i for i, doc in enumerate(_GOLDEN["instances"]) if "terms" in doc],
+    )
+    def test_dividing_every_term_by_6_scales_the_run(self, index):
+        f = instance_from_json(_GOLDEN["instances"][index])
+        scaled = SumFunction(
+            f.arity,
+            f.alpha,
+            [
+                Term(scope, TableFunction(t.arity, f.alpha, {u: t[u] / 6 for u in all_labelings(t.arity)}))
+                for scope, t in f.terms
+            ],
+        )
+        whole, sixth = minimize(f), minimize(scaled)
+        assert sixth.minimizer == whole.minimizer
+        assert sixth.oracle_calls == whole.oracle_calls
+        assert sixth.cuts == whole.cuts
+        assert sixth.stop_reason == whole.stop_reason == "certified"
+        assert sixth.value == whole.value / 6
+        assert sixth.lower_bound == whole.lower_bound / 6
 
 
 class TestGoldenReports:
