@@ -46,8 +46,9 @@ EXIT_BROKEN_PIPE = 128 + 13
 
 
 def _emit(payload: object) -> None:
-    json.dump(payload, sys.stdout, separators=(", ", ": "))
-    sys.stdout.write("\n")
+    # json.dumps runs the C encoder; json.dump streams through the Python
+    # one, whose closures leave reference cycles behind on every call.
+    sys.stdout.write(json.dumps(payload, separators=(", ", ": ")) + "\n")
 
 
 def _fail_usage(message: str) -> int:
@@ -158,7 +159,7 @@ def _verify_all_checks(f: ValueOracle, trials: int, seed: int) -> dict:
                 coords[j] += w * value
         point = FractionalPoint(tuple(coords), f.alpha)
         recovered = decompose(point).atoms
-        if recovered != tuple(zip(chain, weights)):
+        if list(recovered) != list(zip(chain, weights)):
             roundtrip_ok = False
             detail = {"point": str(point)}
             break
@@ -174,7 +175,7 @@ def _verify_all_checks(f: ValueOracle, trials: int, seed: int) -> dict:
         m + al * x + (1 - al) * y == p + q
         for a, b in pairs
         for m, x, y, p, q in zip(
-            *(numeric(u, f.alpha) for u in (meet0(a, b), join(a, b, ZERO), join(a, b, POS), a, b))
+            *[numeric(u, f.alpha) for u in (meet0(a, b), join(a, b, ZERO), join(a, b, POS), a, b)]
         )
     )
     checks["lattice_identity"] = {

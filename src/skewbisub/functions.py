@@ -33,6 +33,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 from .lattice import (
     Alpha,
     ArityMismatchError,
+    CHAR_TO_LABEL,
     LEX_ORDER,
     Label,
     Labeling,
@@ -106,7 +107,13 @@ def _normalize_table(
     table: Dict[Labeling, Fraction] = {}
     for key, raw in values.items():
         if isinstance(key, str):
-            labeling = parse_labeling(key)
+            try:
+                labeling = tuple([CHAR_TO_LABEL[ch] for ch in key])
+            except KeyError:
+                labeling = ()
+            if not labeling:
+                # A bad character or an empty key: parse_labeling says which.
+                parse_labeling(key)
         elif isinstance(key, tuple) and all(isinstance(l, Label) for l in key):
             labeling = key
         else:
@@ -123,9 +130,11 @@ def _normalize_table(
         if isinstance(raw, Fraction):
             table[labeling] = raw
         else:
-            table[labeling] = parse_rational(
-                raw, where=f"{where}[{format_labeling(labeling)!r}]"
-            )
+            try:
+                table[labeling] = parse_rational(raw)
+            except ValueError:
+                # Parse again to name the key in the message.
+                parse_rational(raw, where=f"{where}[{format_labeling(labeling)!r}]")
     if len(table) != 3**arity:
         for labeling in all_labelings(arity):
             if labeling not in table:
@@ -200,10 +209,14 @@ class SumFunction(ValueOracle):
             [table[u] for u in all_labelings(len(scope))] for scope, table in self._terms
         ]
         self._denominator = math.lcm(*[v.denominator for row in values for v in row])
-        self._compiled = tuple(
+        # A tuple of a list, not of a generator: CPython builds a tuple from
+        # a generator at a guessed size and resizes it, so each build would
+        # leave one more tuple on the free list of the final size, and only
+        # a full collection empties those lists.
+        self._compiled = tuple([
             (scope, [v.numerator * (self._denominator // v.denominator) for v in row])
             for (scope, _), row in zip(self._terms, values)
-        )
+        ])
 
     @property
     def terms(self) -> Tuple[Term, ...]:
@@ -287,7 +300,7 @@ def check_alpha_bisubmodular(
         raise CapExceededError(f"3^{n} points exceed the enumeration cap {cap}")
     labelings = list(all_labelings(n))
     values = [f.evaluate(a) for a in labelings]
-    scale = math.lcm(*(v.denominator for v in values))
+    scale = math.lcm(*[v.denominator for v in values])
     ints = [v.numerator * (scale // v.denominator) for v in values]
     p = f.alpha.value.numerator
     q = f.alpha.value.denominator
@@ -319,10 +332,10 @@ def _prefix_rows(m: int, rows=([0], [0], [0])):
     for digit in range(3):
         yield from _prefix_rows(
             m - 1,
-            tuple(
+            tuple([
                 [3 * r + e for r in row for e in table[digit]]
                 for row, table in zip(rows, _PAIR_OP_DIGITS)
-            ),
+            ]),
         )
 
 

@@ -33,6 +33,11 @@ class Label(enum.Enum):
     ZERO = "0"
     POS = "+"
 
+    # Members are singletons, so identity hashing is enough and runs in C;
+    # Enum's own __hash__ hashes the name in Python.  The hash differs from
+    # run to run, so no output may depend on the order of a set of labels.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:
         return f"Label.{self.name}"
 
@@ -46,7 +51,7 @@ POS = Label.POS
 # package refers to this order.
 LEX_ORDER = (NEG, ZERO, POS)
 
-_CHAR_TO_LABEL = {label.value: label for label in LEX_ORDER}
+CHAR_TO_LABEL = {label.value: label for label in LEX_ORDER}
 
 Labeling = Tuple[Label, ...]
 
@@ -78,7 +83,7 @@ def parse_labeling(text: str) -> Labeling:
     """Decode a '-','0','+' string such as "+0-" into a label vector."""
     labels = []
     for pos, ch in enumerate(text):
-        label = _CHAR_TO_LABEL.get(ch)
+        label = CHAR_TO_LABEL.get(ch)
         if label is None:
             raise ValueError(f"labeling {text!r}: bad character {ch!r} at position {pos}")
         labels.append(label)
@@ -144,7 +149,7 @@ def _join_label(a: Label, b: Label, tiebreak: Label) -> Label:
 def meet0(a: Sequence[Label], b: Sequence[Label]) -> Labeling:
     """Componentwise meet; the {Pos, Neg} clash resolves to Zero."""
     _require_same_arity(a, b)
-    return tuple(_meet0_label(x, y) for x, y in zip(a, b))
+    return tuple([_meet0_label(x, y) for x, y in zip(a, b)])
 
 
 def join(a: Sequence[Label], b: Sequence[Label], tiebreak: Label) -> Labeling:
@@ -156,7 +161,7 @@ def join(a: Sequence[Label], b: Sequence[Label], tiebreak: Label) -> Labeling:
     if tiebreak not in (ZERO, POS):
         raise ValueError(f"join tiebreak must be Zero or Pos, got {tiebreak!r}")
     _require_same_arity(a, b)
-    return tuple(_join_label(x, y, tiebreak) for x, y in zip(a, b))
+    return tuple([_join_label(x, y, tiebreak) for x, y in zip(a, b)])
 
 
 def numeric(a: Sequence[Label], alpha: Alpha) -> Tuple[Fraction, ...]:
@@ -164,4 +169,4 @@ def numeric(a: Sequence[Label], alpha: Alpha) -> Tuple[Fraction, ...]:
     neg = -alpha.value
     one = Fraction(1)
     zero = Fraction(0)
-    return tuple(one if x is POS else neg if x is NEG else zero for x in a)
+    return tuple([one if x is POS else neg if x is NEG else zero for x in a])

@@ -60,7 +60,7 @@ class FractionalPoint:
     alpha: Alpha
 
     def __post_init__(self) -> None:
-        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coords)
+        coords = tuple([c if type(c) is Fraction else Fraction(c) for c in self.coords])
         object.__setattr__(self, "coords", coords)
         if not coords:
             raise ValueError("a point needs at least one coordinate")
@@ -77,10 +77,10 @@ class FractionalPoint:
     def parse(cls, text: str, alpha: Alpha) -> "FractionalPoint":
         """Parse a comma-separated rational vector such as "3/5,-1/5"."""
         parts = text.split(",")
-        coords = tuple(
+        coords = tuple([
             parse_rational(part.strip(), where=f"coordinate {j}")
             for j, part in enumerate(parts)
-        )
+        ])
         return cls(coords, alpha)
 
     @classmethod
@@ -99,7 +99,7 @@ def midpoint(x: FractionalPoint, y: FractionalPoint) -> FractionalPoint:
         raise ArityMismatchError(f"arity mismatch: {len(x.coords)} vs {len(y.coords)}")
     half = Fraction(1, 2)
     return FractionalPoint(
-        tuple((a + b) * half for a, b in zip(x.coords, y.coords)), x.alpha
+        tuple([(a + b) * half for a, b in zip(x.coords, y.coords)]), x.alpha
     )
 
 
@@ -115,7 +115,7 @@ class ChainDecomposition:
     atoms: Tuple[Tuple[Labeling, Fraction], ...]
 
     def support(self) -> Tuple[Labeling, ...]:
-        return tuple(u for u, _ in self.atoms)
+        return tuple([u for u, _ in self.atoms])
 
     def to_json(self) -> dict:
         return {
@@ -150,7 +150,7 @@ def chain_order(nums: Sequence[int], p: int, q: int) -> Tuple[List[int], List[in
 def _walk(x: FractionalPoint) -> Tuple[List[int], List[int], int]:
     """chain_order at x over the lcm D of its denominators, and D * p."""
     alpha = x.alpha.value
-    denominator = math.lcm(*(c.denominator for c in x.coords))
+    denominator = math.lcm(*[c.denominator for c in x.coords])
     nums = [c.numerator * (denominator // c.denominator) for c in x.coords]
     order, keys = chain_order(nums, alpha.numerator, alpha.denominator)
     return order, keys, denominator * alpha.numerator

@@ -18,9 +18,13 @@ to a minimizer of the master LP
 which is Kelley's method (J. SIAM 1960).  Then f(0) + t* is a lower bound
 on f_L, and hence on the discrete minimum.
 
-The master LP is solved cold once, in the first round, and then kept warm
-as a `simplex.WarmLP`: its fraction-free tableau stays alive across rounds.
-A new cut enters as one row with its own slack column.  The old optimal
+The master LP needs no solve in the first round: with a single cut g its
+optimum sets y_j = -alpha where g_j > 0 and y_j = 1 where g_j <= 0, and
+that optimal basis is fixed by the signs of g, so `_first_master` writes
+down the fraction-free tableau the two-phase method would end on.  It is
+then kept warm as a `simplex.WarmLP`: its tableau stays alive across rounds.
+Each cut is scaled to integers once (`_scale_cut`), and a new cut enters as
+one integer row with its own slack column.  The old optimal
 basis, extended by that slack, keeps every reduced cost, so it stays dual
 feasible, and the slack's value t* - g.y* is negative exactly when the old
 minimizer violates the cut.  Dual simplex pivots then restore optimality
@@ -105,7 +109,7 @@ def project_box(
     p, q = alpha.value.numerator, alpha.value.denominator
     denominator = q * max_denominator
     nums = _snap(vec, max_denominator, q, -p * max_denominator)
-    return FractionalPoint(tuple(Fraction(num, denominator) for num in nums), alpha)
+    return FractionalPoint(tuple([Fraction(num, denominator) for num in nums]), alpha)
 
 
 @dataclass(frozen=True)
@@ -223,34 +227,77 @@ def _decode(code: int, n: int) -> Labeling:
     return tuple(labels)
 
 
-def _first_master(g: Tuple[Fraction, ...], alpha: Fraction) -> WarmLP:
-    """The master LP with its first cut g, solved cold.
+def _scale_cut(g: Tuple[Fraction, ...], p: int, q: int) -> Tuple[int, List[int], int]:
+    """The cut t >= g.y in integers: (s, s g, s beta) for beta = alpha sum(g).
+
+    With G the lcm of g's denominators, beta = p sum(G g) / (q G), and s is
+    the lcm of G and beta's denominator: the lcm of every denominator in the
+    cut's row, the scale `WarmLP.add_row` would give it.
+    """
+    big_g = math.lcm(*[gj.denominator for gj in g])
+    h = [gj.numerator * (big_g // gj.denominator) for gj in g]
+    beta = Fraction(p * sum(h), q * big_g)
+    s = math.lcm(big_g, beta.denominator)
+    k = s // big_g
+    return s, [k * hj for hj in h], beta.numerator * (s // beta.denominator)
+
+
+def _first_master(g: Tuple[Fraction, ...], p: int, q: int) -> WarmLP:
+    """The master LP with its first cut g, started at its optimal tableau.
 
     Equality form over z = y + alpha >= 0 with columns z, s (n each), t+,
     t- and r: rows z_j + s_j = 1 + alpha, and t+ - t- - g.z - r =
     -alpha sum(g), minimizing t+ - t-.  Later cuts come in by `_add_cut`.
+
+    The optimum puts y_j at -alpha (s_j basic) where g_j > 0 and at 1 (z_j
+    basic) where g_j <= 0, so t* = g.y* <= 0, with t- basic when t* < 0 and
+    t+ basic when t* = 0, which happens only for g = 0.  The basis matrix is
+    triangular with unit diagonal up to sign, so with the box rows scaled by
+    q and the cut row by s (`_scale_cut`), d = q^n s.  Box row j of the
+    tableau is d [e_j | e_j | 0 0 0 | 1 + alpha]; the cut row is the cut
+    with each basic z_j eliminated through its box row, times d and signed
+    so that the basic t column holds d; and the cost row is d times g_j on
+    z_j where g_j > 0, -g_j on s_j where g_j <= 0, 1 on r and -t* on the
+    right-hand side, all nonnegative.  This is the tableau the two-phase
+    solve ends on, so no pivot is needed.
     """
     n = len(g)
+    s, ints, _ = _scale_cut(g, p, q)
+    lead = q ** (n - 1)
+    d = lead * q * s
     width = 2 * n + 3
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
-    for j in range(n):
-        row = [0] * width
-        row[j] = row[n + j] = 1
+    rows: List[List[int]] = []
+    basis: List[int] = []
+    cut = [0] * (width + 1)
+    # d g_j = q^n (s g_j) and d alpha g_j = q^(n-1) p (s g_j).
+    neg = pos = 0
+    for j, v in enumerate(ints):
+        row = [0] * (width + 1)
+        row[j] = row[n + j] = d
+        row[-1] = lead * s * (p + q)
         rows.append(row)
-        rhs.append(1 + alpha)
-    rows.append([-gj for gj in g] + [0] * n + [1, -1, -1])
-    rhs.append(-alpha * sum(g))
-    cost = [0] * width
-    cost[2 * n] = 1
-    cost[2 * n + 1] = -1
-    return WarmLP(cost, rows, rhs)
+        if v > 0:
+            basis.append(n + j)
+            cut[j] = lead * q * v
+            pos += v
+        else:
+            basis.append(j)
+            cut[n + j] = -lead * q * v
+            neg += v
+    cut[-1] = -lead * (q * neg - p * pos)  # -d t*
+    cost = cut.copy()
+    cost[2 * n + 2] = d
+    sign = 1 if cut[-1] else -1
+    cut[2 * n], cut[2 * n + 1], cut[2 * n + 2] = -sign * d, sign * d, sign * d
+    rows.append(cut)
+    basis.append(2 * n + 1 if cut[-1] else 2 * n)
+    return WarmLP.from_tableau(rows, basis, cost, d)
 
 
-def _add_cut(lp: WarmLP, g: Tuple[Fraction, ...], alpha: Fraction) -> None:
+def _add_cut(lp: WarmLP, g: Tuple[Fraction, ...], p: int, q: int) -> None:
     """Add t >= g.y, which is g.z - t+ + t- <= alpha sum(g), to the master LP."""
-    n = len(g)
-    lp.add_row([*g, *[0] * n, -1, 1, 0], alpha * sum(g))
+    s, ints, beta = _scale_cut(g, p, q)
+    lp.add_integer_row([*ints, *[0] * len(g), -s, s, 0], beta)
 
 
 def _start(f: ValueOracle, cfg: MinimizeConfig) -> Tuple[Fraction, ...]:
@@ -347,9 +394,9 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
             clock = time.perf_counter()
             cuts.append(g)
             if lp is None:
-                lp = _first_master(g, alpha)
+                lp = _first_master(g, p, q)
             else:
-                _add_cut(lp, g, alpha)
+                _add_cut(lp, g, p, q)
             # z = N / d, so y = z - p/q = (q N - p d) / (q d) and t = t+ - t-.
             z_nums, d = lp.numerators()
             nums = [q * v - p * d for v in z_nums[:n]]

@@ -89,9 +89,9 @@ def random_box_point(
     included) fast.
     """
     lo = -(alpha.value.numerator * denominator // alpha.value.denominator)
-    coords = tuple(
+    coords = tuple([
         Fraction(rng.randint(lo, denominator), denominator) for _ in range(n)
-    )
+    ])
     return FractionalPoint(coords, alpha)
 
 

@@ -31,10 +31,14 @@ the sum of the artificials of the unscaled rows.  So the pivots, and with
 them the optimal basis returned, are those of the same method run on a
 tableau of Fractions.
 
-`WarmLP` keeps the final tableau of such a solve and adds constraints
-a.x <= beta to it.  The row a is scaled to integers by the lcm s of its
-denominators and gets a new slack column r' whose only nonzero entry, in
-that row, is 1: s a.x + r' = s beta.  With r' basic in the new row, the new
+`WarmLP` keeps the final tableau of such a solve, or starts from an
+optimal tableau its caller builds directly (`WarmLP.from_tableau`), and
+adds constraints a.x <= beta to it.  The entry point is
+`add_integer_row`, which takes the row already in integers; `add_row`
+takes a rational row, scales it to integers by the lcm s of its
+denominators and passes it on, so there is one implementation.  The
+integer row gets a new slack column r' whose only nonzero entry, in that
+row, is 1: s a.x + r' = s beta.  With r' basic in the new row, the new
 basis matrix is [[B, 0], [(s a)_B, 1]], block triangular with determinant
 det B, so d does not change; the new row of T = d B^-1 M is
 d [s a | 1 | s beta] - sum_i (s a)_B(i) T_i, and every other row only gains
@@ -208,22 +212,55 @@ class WarmLP:
     """min c.x s.t. A x = b, x >= 0, kept optimal while rows are added.
 
     The constructor solves the program cold by the two-phase method and
-    keeps its final tableau.  Each `add_row(a, beta)` then adds the
-    constraint a.x <= beta through a new slack column and restores
-    optimality by dual simplex pivots on the same integer tableau.
+    keeps its final tableau; `from_tableau` starts from an optimal tableau
+    the caller already knows.  Each `add_row(a, beta)` or
+    `add_integer_row(a, beta)` then adds the constraint a.x <= beta through
+    a new slack column and restores optimality by dual simplex pivots on the
+    same integer tableau.
     """
 
     def __init__(
         self, c: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
     ) -> None:
-        self.ncols = len(c)
-        self.rows, self.basis, self.cost, self.d = _two_phase(c, A, b)
-        #: Dual simplex pivots run by `add_row` so far.
+        self._start(*_two_phase(c, A, b))
+
+    @classmethod
+    def from_tableau(
+        cls, rows: List[List[int]], basis: List[int], cost: List[int], d: int
+    ) -> "WarmLP":
+        """Start from a known optimal fraction-free tableau, with no solve.
+
+        The arguments are what `_two_phase` returns: integer rows over the
+        columns and the right-hand side, the basic column of each row, the
+        cost row of d times the reduced costs, and d = |det B| > 0.  The
+        caller vouches that T = d B^-1 M for an integer M, that every
+        reduced cost and right-hand side is nonnegative, and that there are
+        no slack columns yet; the lists are taken over, not copied.
+        """
+        lp = cls.__new__(cls)
+        lp._start(rows, basis, cost, d)
+        return lp
+
+    def _start(self, rows: List[List[int]], basis: List[int], cost: List[int], d: int) -> None:
+        self.ncols = len(cost) - 1
+        self.rows, self.basis, self.cost, self.d = rows, basis, cost, d
+        #: Dual simplex pivots run by added rows so far.
         self.pivots = 0
 
     def add_row(self, a: Sequence[Fraction], beta: Fraction) -> None:
         """Add a.x <= beta on the original columns and re-optimize.
 
+        The row is scaled to integers by the lcm of its denominators and
+        passed to `add_integer_row`.
+        """
+        _, ints = _integer_scale([Fraction(v) for v in a] + [Fraction(beta)])
+        self.add_integer_row(ints[:-1], ints[-1])
+
+    def add_integer_row(self, a: Sequence[int], beta: int) -> None:
+        """Add a.x <= beta for integers a and beta and re-optimize.
+
+        The row is taken as it is: a caller that scales a rational row by
+        the lcm of its denominators gets the tableau `add_row` would.
         Raises ValueError on a row of the wrong length and LPInfeasibleError
         when the new constraint leaves no feasible point; the object is of no
         further use after the latter.
@@ -232,20 +269,19 @@ class WarmLP:
         if len(a) != n:
             raise ValueError(f"row has {len(a)} entries, the program has {n} columns")
         rows, basis, cost, d = self.rows, self.basis, self.cost, self.d
-        _, ints = _integer_scale([Fraction(v) for v in a] + [Fraction(beta)])
         for row in rows:
             row.insert(-1, 0)
         cost.insert(-1, 0)
-        # The scaled row [s a | 0 .. 0 1 | s beta] has tableau row
-        # d [s a | 0 .. 0 1 | s beta] - sum_i (s a)_B(i) T_i; only the basic
+        # The row [a | 0 .. 0 1 | beta] has tableau row
+        # d [a | 0 .. 0 1 | beta] - sum_i a_B(i) T_i; only the basic
         # columns among the original ones can have a nonzero factor.
         width = len(cost) - 1
-        new = [d * v for v in ints[:-1]] + [0] * (width - n)
+        new = [d * v for v in a] + [0] * (width - n)
         new[-1] = d
-        new.append(d * ints[-1])
+        new.append(d * beta)
         for row, j in zip(rows, basis):
-            if j < n and ints[j]:
-                factor = ints[j]
+            if j < n and a[j]:
+                factor = a[j]
                 new = [v - factor * w for v, w in zip(new, row)]
         rows.append(new)
         basis.append(width - 1)

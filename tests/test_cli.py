@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, JSON outputs, reproducibility."""
 
+import gc
 import json
 import os
 import subprocess
@@ -208,6 +209,25 @@ class TestMinimize:
         assert stats["rounds"] == report["iterations"] and stats["cuts"] == report["cuts"]
         assert stats["oracle_calls"] == report["oracle_calls"]
         assert stats["walk_s"] >= 0 and stats["lp_s"] >= 0 and stats["lp_pivots"] >= 0
+
+
+class TestGarbage:
+    @pytest.mark.parametrize(
+        "command", [["minimize"], ["check"], ["verify-all", "--trials", "1", "--seed", "3"]]
+    )
+    def test_calls_leave_no_cyclic_garbage(self, good_path, capsys, command):
+        # Everything a call allocates is freed by reference counting alone.
+        argv = [command[0], good_path, *command[1:]]
+        assert run(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(20):
+                assert run(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        capsys.readouterr()
 
 
 class TestVerifyClosure:

@@ -14,6 +14,7 @@ from skewbisub import (
     GenerationBudgetError,
     InstanceFormatError,
     LEX_ORDER,
+    NEG,
     POS,
     SumFunction,
     TableFunction,
@@ -330,6 +331,80 @@ class TestJson:
         mutate(doc)
         with pytest.raises(InstanceFormatError, match=message):
             instance_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"-": 0, "0": 0, "x": 0}, "labeling 'x': bad character 'x' at position 0"),
+            ({"-": 0, "0": 0, "+": 0, "+x": 0}, "labeling '+x': bad character 'x' at position 1"),
+            ({"": 0, "-": 0, "0": 0, "+": 0}, "labeling must have length >= 1"),
+            ({"-": 0, "0": 0, "+-": 0}, "values: key '+-' has length 2, expected 1"),
+            ({"-": 0, "+": 0}, "values: missing value for labeling '0'"),
+            (
+                {"-": "1.5", "0": 0, "+": 0},
+                "values['-']: bad rational literal '1.5' (expected 'p' or 'p/q')",
+            ),
+            (
+                {"-": 0, "0": 0.5, "+": 0},
+                "values['0']: floats are not accepted (got 0.5); use an exact 'p/q' string",
+            ),
+            ({"-": 0, "0": 0, "+": True}, "values['+']: expected a rational, got boolean True"),
+            ({"-": 0, "0": 0, "+": [1]}, "values['+']: expected a rational, got list"),
+        ],
+    )
+    def test_malformed_table_messages(self, values, message):
+        # The exact messages, word for word.
+        doc = {"format": "table", "n": 1, "alpha": "1/2", "values": values}
+        with pytest.raises(InstanceFormatError) as raised:
+            instance_from_json(doc)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("-x", 0, "terms[1]: labeling '-x': bad character 'x' at position 1"),
+            ("---", 0, "terms[1]: values: key '---' has length 3, expected 2"),
+            ("0+", None, "terms[1]: values: missing value for labeling '0+'"),
+            (
+                "+0",
+                "1/0",
+                "terms[1]: values['+0']: bad rational literal '1/0' (expected 'p' or 'p/q')",
+            ),
+        ],
+    )
+    def test_malformed_term_messages(self, key, value, message):
+        values = {format_labeling(u): 0 for u in all_labelings(2)}
+        if value is None:
+            del values[key]
+        else:
+            values[key] = value
+        doc = {
+            "format": "sum",
+            "n": 2,
+            "alpha": "1/2",
+            "terms": [
+                {"scope": [0], "values": {"-": 0, "0": 0, "+": 0}},
+                {"scope": [0, 1], "values": values},
+            ],
+        }
+        with pytest.raises(InstanceFormatError) as raised:
+            instance_from_json(doc)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"-": 0, (NEG,): 1, "0": 0, "+": 0}, "values: duplicate key '-'"),
+            ({(ZERO,): 0, "0": 1, "-": 0, "+": 0}, "values: duplicate key '0'"),
+            ({5: 0, "-": 0, "0": 0, "+": 0}, "values: bad labeling key 5"),
+            ({(NEG, "0"): 0}, "values: bad labeling key (Label.NEG, '0')"),
+            ({(NEG, NEG): 0}, "values: key '--' has length 2, expected 1"),
+        ],
+    )
+    def test_malformed_table_keys(self, alpha_half, values, message):
+        with pytest.raises(InstanceFormatError) as raised:
+            TableFunction(1, alpha_half, values)
+        assert str(raised.value) == message
 
     def test_malformed_sum_scope(self, alpha_half):
         doc = instance_to_json(generate_instance(3, alpha_half, num_terms=1, max_scope=2, seed=2))

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from skewbisub import simplex
 from skewbisub import (
@@ -330,6 +331,31 @@ def _master(cuts, alpha):
     return t_star, tuple([z - alpha for z in solution[:n]])
 
 
+def _cold_first_master(g, alpha):
+    """The master LP with its first cut g, solved cold by both simplex phases.
+
+    The reference for `minimize._first_master`, which builds the optimal
+    tableau directly.  Equality form over z = y + alpha >= 0 with columns
+    z, s (n each), t+, t- and r: rows z_j + s_j = 1 + alpha, and
+    t+ - t- - g.z - r = -alpha sum(g), minimizing t+ - t-.
+    """
+    n = len(g)
+    width = 2 * n + 3
+    rows = []
+    rhs = []
+    for j in range(n):
+        row = [0] * width
+        row[j] = row[n + j] = 1
+        rows.append(row)
+        rhs.append(1 + alpha)
+    rows.append([-gj for gj in g] + [0] * n + [1, -1, -1])
+    rhs.append(-alpha * sum(g))
+    cost = [0] * width
+    cost[2 * n] = 1
+    cost[2 * n + 1] = -1
+    return simplex.WarmLP(cost, rows, rhs)
+
+
 def _rounds(f, cfg, monkeypatch):
     """Run minimize and log each round: [cut added or None, warm t*, pivots].
 
@@ -353,13 +379,13 @@ def _rounds(f, cfg, monkeypatch):
         log[-1][2] += 1
         return pivot(*args)
 
-    def first_master(g, alpha):
-        lp = first(g, alpha)
+    def first_master(g, p, q):
+        lp = first(g, p, q)
         log[-1][:2] = g, t_star(lp)
         return lp
 
-    def add_cut(lp, g, alpha):
-        add(lp, g, alpha)
+    def add_cut(lp, g, p, q):
+        add(lp, g, p, q)
         log[-1][:2] = g, t_star(lp)
 
     with monkeypatch.context() as patch:
@@ -398,7 +424,9 @@ class TestWarmMaster:
                 assert t == _master(cuts, alpha)[0]
             assert len(log) == report.iterations_used and len(cuts) == report.cuts
             assert report.lower_bound == f.evaluate((ZERO,) * f.arity) + bound
-            assert report.lp_pivots == sum(p for _, _, p in log[1:])
+            # The first master LP starts at its optimal tableau.
+            assert log[0][2] == 0
+            assert report.lp_pivots == sum(p for _, _, p in log)
         assert repeats > 0
 
     def test_a_repeated_cut_costs_no_pivots(self, monkeypatch):
@@ -408,6 +436,63 @@ class TestWarmMaster:
         assert (report.iterations_used, report.cuts) == (8, 7)
         assert log[-1][0] is None and log[-1][2] == 0
         assert report.certified
+
+
+def _tableau(lp):
+    # Row order depends on the pivots taken; the basic column names a row.
+    return lp.d, dict(zip(lp.basis, lp.rows)), lp.cost
+
+
+_ALPHAS = st.integers(1, 9).flatmap(
+    lambda q: st.integers(1, q).map(lambda p: Fraction(p, q))
+)
+_CUT_ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_CUT_ENTRIES, min_size=1, max_size=7), _ALPHAS)
+@example([Fraction(0)] * 3, Fraction(1, 2))  # g = 0, so t* = 0 and t+ is basic
+@example([Fraction(0)], Fraction(1))
+@example([Fraction(2), Fraction(0), Fraction(-5, 6)], Fraction(1))
+@example([Fraction(1, 7), Fraction(-3, 4)], Fraction(8, 9))
+def test_first_master_is_the_cold_optimal_tableau(g, alpha):
+    # Same d, same row for each basic column and same cost row as the
+    # two-phase solve, so every later dual pivot is the same too.
+    warm = minimize_module._first_master(tuple(g), alpha.numerator, alpha.denominator)
+    cold = _cold_first_master(g, alpha)
+    assert _tableau(warm) == _tableau(cold)
+    assert warm.ncols == cold.ncols and warm.pivots == 0
+
+
+_REPORTS_PATH = os.path.join(os.path.dirname(__file__), "data", "minimize_reports.json")
+
+
+class TestRecordedReports:
+    """Whole reports, byte for byte.
+
+    tests/data/minimize_reports.json holds `to_json()` of the 56 golden runs
+    and of `minimize` with defaults on the 100 `pool_desk` instances, as the
+    cold-started master LP produced them.
+    """
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        with open(_REPORTS_PATH, encoding="utf-8") as handle:
+            return json.load(handle)
+
+    def test_golden_runs(self, recorded):
+        assert len(recorded["golden"]) == len(_GOLDEN["runs"])
+        for (f, cfg), doc in zip(_golden_runs(), recorded["golden"]):
+            assert json.dumps(minimize(f, cfg).to_json()) == json.dumps(doc)
+
+    def test_pool_desk(self, pool_desk, recorded):
+        assert len(recorded["pool_desk"]) == len(pool_desk)
+        for f, doc in zip(pool_desk, recorded["pool_desk"]):
+            assert json.dumps(minimize(f).to_json()) == json.dumps(doc)
 
 
 _NUDGE_ALPHAS = (Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(2, 7), Fraction(5, 9))

@@ -420,6 +420,33 @@ class TestWarmLP:
         lp = WarmLP([F(1)], [[F(1)]], [F(1)])
         with pytest.raises(ValueError):
             lp.add_row([F(1), F(1)], F(2))
+        with pytest.raises(ValueError):
+            lp.add_integer_row([1, 1], 2)
+
+    def test_integer_row_is_the_scaled_rational_row(self):
+        # -1/2 x0 + 5/3 x1 <= 1/4 scales by 12 to -6 x0 + 20 x1 <= 3.
+        c, A, b = _master_program(2, Fraction(1, 2), [F(3), F(-1)])
+        rational, integer = WarmLP(c, A, b), WarmLP(c, A, b)
+        a = [Fraction(-1, 2), Fraction(5, 3)] + [_ZERO] * 5
+        rational.add_row(a, Fraction(1, 4))
+        integer.add_integer_row([-6, 20, 0, 0, 0, 0, 0], 3)
+        assert (rational.rows, rational.basis, rational.cost, rational.d) == (
+            integer.rows, integer.basis, integer.cost, integer.d
+        )
+        assert rational.pivots == integer.pivots > 0
+
+    def test_from_tableau_continues_the_solve(self):
+        c, A, b = _master_program(2, Fraction(1, 3), [F(2), F(-1)])
+        solved = WarmLP(c, A, b)
+        started = WarmLP.from_tableau(
+            [row.copy() for row in solved.rows], solved.basis.copy(), solved.cost.copy(), solved.d
+        )
+        assert started.ncols == solved.ncols and started.pivots == 0
+        assert started.solution() == solved.solution()
+        row = _cut_row(2, Fraction(1, 3), [F(-2), F(5)])
+        solved.add_row(*row)
+        started.add_row(*row)
+        assert started.solution() == solved.solution() and started.pivots == solved.pivots
 
 
 class TestLinearMin:
