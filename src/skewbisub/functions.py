@@ -33,7 +33,6 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 from .lattice import (
     Alpha,
     ArityMismatchError,
-    CHAR_TO_LABEL,
     LEX_ORDER,
     Label,
     Labeling,
@@ -107,13 +106,7 @@ def _normalize_table(
     table: Dict[Labeling, Fraction] = {}
     for key, raw in values.items():
         if isinstance(key, str):
-            try:
-                labeling = tuple([CHAR_TO_LABEL[ch] for ch in key])
-            except KeyError:
-                labeling = ()
-            if not labeling:
-                # A bad character or an empty key: parse_labeling says which.
-                parse_labeling(key)
+            labeling = parse_labeling(key)
         elif isinstance(key, tuple) and all(isinstance(l, Label) for l in key):
             labeling = key
         else:
@@ -209,10 +202,7 @@ class SumFunction(ValueOracle):
             [table[u] for u in all_labelings(len(scope))] for scope, table in self._terms
         ]
         self._denominator = math.lcm(*[v.denominator for row in values for v in row])
-        # A tuple of a list, not of a generator: CPython builds a tuple from
-        # a generator at a guessed size and resizes it, so each build would
-        # leave one more tuple on the free list of the final size, and only
-        # a full collection empties those lists.
+        # A list, not a generator, as in simplex._integer_scale.
         self._compiled = tuple([
             (scope, [v.numerator * (self._denominator // v.denominator) for v in row])
             for (scope, _), row in zip(self._terms, values)

@@ -51,7 +51,7 @@ POS = Label.POS
 # package refers to this order.
 LEX_ORDER = (NEG, ZERO, POS)
 
-CHAR_TO_LABEL = {label.value: label for label in LEX_ORDER}
+_CHAR_TO_LABEL = {label.value: label for label in LEX_ORDER}
 
 Labeling = Tuple[Label, ...]
 
@@ -81,15 +81,17 @@ class Alpha:
 
 def parse_labeling(text: str) -> Labeling:
     """Decode a '-','0','+' string such as "+0-" into a label vector."""
-    labels = []
-    for pos, ch in enumerate(text):
-        label = CHAR_TO_LABEL.get(ch)
-        if label is None:
-            raise ValueError(f"labeling {text!r}: bad character {ch!r} at position {pos}")
-        labels.append(label)
+    try:
+        labels = tuple([_CHAR_TO_LABEL[ch] for ch in text])
+    except KeyError:
+        for pos, ch in enumerate(text):
+            if ch not in _CHAR_TO_LABEL:
+                raise ValueError(
+                    f"labeling {text!r}: bad character {ch!r} at position {pos}"
+                ) from None
     if not labels:
         raise ValueError("labeling must have length >= 1")
-    return tuple(labels)
+    return labels
 
 
 def format_labeling(a: Sequence[Label]) -> str:

@@ -77,10 +77,10 @@ class FractionalPoint:
     def parse(cls, text: str, alpha: Alpha) -> "FractionalPoint":
         """Parse a comma-separated rational vector such as "3/5,-1/5"."""
         parts = text.split(",")
-        coords = tuple([
+        coords = tuple(
             parse_rational(part.strip(), where=f"coordinate {j}")
             for j, part in enumerate(parts)
-        ])
+        )
         return cls(coords, alpha)
 
     @classmethod
@@ -99,7 +99,7 @@ def midpoint(x: FractionalPoint, y: FractionalPoint) -> FractionalPoint:
         raise ArityMismatchError(f"arity mismatch: {len(x.coords)} vs {len(y.coords)}")
     half = Fraction(1, 2)
     return FractionalPoint(
-        tuple([(a + b) * half for a, b in zip(x.coords, y.coords)]), x.alpha
+        tuple((a + b) * half for a, b in zip(x.coords, y.coords)), x.alpha
     )
 
 
@@ -115,7 +115,7 @@ class ChainDecomposition:
     atoms: Tuple[Tuple[Labeling, Fraction], ...]
 
     def support(self) -> Tuple[Labeling, ...]:
-        return tuple([u for u, _ in self.atoms])
+        return tuple(u for u, _ in self.atoms)
 
     def to_json(self) -> dict:
         return {

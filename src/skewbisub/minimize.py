@@ -109,7 +109,7 @@ def project_box(
     p, q = alpha.value.numerator, alpha.value.denominator
     denominator = q * max_denominator
     nums = _snap(vec, max_denominator, q, -p * max_denominator)
-    return FractionalPoint(tuple([Fraction(num, denominator) for num in nums]), alpha)
+    return FractionalPoint(tuple(Fraction(num, denominator) for num in nums), alpha)
 
 
 @dataclass(frozen=True)
