@@ -24,11 +24,12 @@ from __future__ import annotations
 import abc
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import add, sub
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .lattice import (
     Alpha,

@@ -23,16 +23,12 @@ optimum sets y_j = -alpha where g_j > 0 and y_j = 1 where g_j <= 0, and
 that optimal basis is fixed by the signs of g, so `_first_master` writes
 down the fraction-free tableau the two-phase method would end on.  It is
 then kept warm as a `simplex.WarmLP`: its tableau stays alive across rounds.
-Each cut is scaled to integers once (`_scale_cut`), and a new cut enters as
-one integer row with its own slack column.  The old optimal
-basis, extended by that slack, keeps every reduced cost, so it stays dual
-feasible, and the slack's value t* - g.y* is negative exactly when the old
-minimizer violates the cut.  Dual simplex pivots then restore optimality
-(Lemke, Naval Res. Logist. Q. 1954) under a dual Bland rule: leave on the
-negative row with the smallest basic index, enter on the least ratio
-reduced cost / |entry|, ties to the smallest column.  t* and y* are read off
-the tableau as integers over its denominator.  A round whose cut is already
-stored does no LP work.
+Each cut is scaled to integers once (`_scale_cut`) and enters as one
+integer row with its own slack column.  Dual simplex pivots then restore
+optimality; `simplex` shows why the old basis stays dual feasible and why
+its smallest-index rule cannot cycle.  t* and y* are read off the tableau
+as integers over its denominator.  A round whose cut is already stored
+does no LP work.
 
 The run stops with
 
@@ -232,7 +228,7 @@ def _scale_cut(g: Tuple[Fraction, ...], p: int, q: int) -> Tuple[int, List[int],
 
     With G the lcm of g's denominators, beta = p sum(G g) / (q G), and s is
     the lcm of G and beta's denominator: the lcm of every denominator in the
-    cut's row, the scale `WarmLP.add_row` would give it.
+    cut's row, the scale `simplex._integer_scale` would give it.
     """
     big_g = math.lcm(*[gj.denominator for gj in g])
     h = [gj.numerator * (big_g // gj.denominator) for gj in g]
@@ -291,7 +287,7 @@ def _first_master(g: Tuple[Fraction, ...], p: int, q: int) -> WarmLP:
     cut[2 * n], cut[2 * n + 1], cut[2 * n + 2] = -sign * d, sign * d, sign * d
     rows.append(cut)
     basis.append(2 * n + 1 if cut[-1] else 2 * n)
-    return WarmLP.from_tableau(rows, basis, cost, d)
+    return WarmLP(rows, basis, cost, d)
 
 
 def _add_cut(lp: WarmLP, g: Tuple[Fraction, ...], p: int, q: int) -> None:

@@ -31,23 +31,21 @@ the sum of the artificials of the unscaled rows.  So the pivots, and with
 them the optimal basis returned, are those of the same method run on a
 tableau of Fractions.
 
-`WarmLP` keeps the final tableau of such a solve, or starts from an
-optimal tableau its caller builds directly (`WarmLP.from_tableau`), and
-adds constraints a.x <= beta to it.  The entry point is
-`add_integer_row`, which takes the row already in integers; `add_row`
-takes a rational row, scales it to integers by the lcm s of its
-denominators and passes it on, so there is one implementation.  The
-integer row gets a new slack column r' whose only nonzero entry, in that
-row, is 1: s a.x + r' = s beta.  With r' basic in the new row, the new
-basis matrix is [[B, 0], [(s a)_B, 1]], block triangular with determinant
-det B, so d does not change; the new row of T = d B^-1 M is
-d [s a | 1 | s beta] - sum_i (s a)_B(i) T_i, and every other row only gains
-a 0 in the new column.  The new matrix is still integer, so T stays a
-matrix of bordered determinants and the pivot division stays exact.  The
-cost row gains a 0 in the new column and keeps every other entry, so the
-old optimal basis stays dual feasible, and the new row's right-hand side,
-d s times the slack's value, is negative exactly when the old optimum
-violates the constraint.
+`WarmLP` starts from an optimal tableau, the one `_two_phase` returns or
+one its caller builds directly, and adds constraints a.x <= beta to it.
+The only entry is `add_integer_row`, which takes the row already in
+integers; a rational row is first scaled by the lcm s of its denominators
+(`_integer_scale`).  The integer row gets a new slack column r' whose only
+nonzero entry, in that row, is 1: s a.x + r' = s beta.  With r' basic in
+the new row, the new basis matrix is [[B, 0], [(s a)_B, 1]], block
+triangular with determinant det B, so d does not change; the new row of
+T = d B^-1 M is d [s a | 1 | s beta] - sum_i (s a)_B(i) T_i, and every
+other row only gains a 0 in the new column.  The new matrix is still
+integer, so T stays a matrix of bordered determinants and the pivot
+division stays exact.  The cost row gains a 0 in the new column and keeps
+every other entry, so the old optimal basis stays dual feasible, and the
+new row's right-hand side, d s times the slack's value, is negative
+exactly when the old optimum violates the constraint.
 
 Dual simplex pivots then restore optimality (Lemke, Naval Res. Logist. Q.
 1954): leave on the row with a negative right-hand side whose basic column
@@ -209,25 +207,14 @@ def _two_phase(
 
 
 class WarmLP:
-    """min c.x s.t. A x = b, x >= 0, kept optimal while rows are added.
+    """The optimal tableau of min c.x s.t. A x = b, x >= 0, kept optimal as rows are added.
 
-    The constructor solves the program cold by the two-phase method and
-    keeps its final tableau; `from_tableau` starts from an optimal tableau
-    the caller already knows.  Each `add_row(a, beta)` or
-    `add_integer_row(a, beta)` then adds the constraint a.x <= beta through
+    Each `add_integer_row(a, beta)` adds the constraint a.x <= beta through
     a new slack column and restores optimality by dual simplex pivots on the
     same integer tableau.
     """
 
-    def __init__(
-        self, c: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
-    ) -> None:
-        self._start(*_two_phase(c, A, b))
-
-    @classmethod
-    def from_tableau(
-        cls, rows: List[List[int]], basis: List[int], cost: List[int], d: int
-    ) -> "WarmLP":
+    def __init__(self, rows: List[List[int]], basis: List[int], cost: List[int], d: int) -> None:
         """Start from a known optimal fraction-free tableau, with no solve.
 
         The arguments are what `_two_phase` returns: integer rows over the
@@ -237,30 +224,16 @@ class WarmLP:
         reduced cost and right-hand side is nonnegative, and that there are
         no slack columns yet; the lists are taken over, not copied.
         """
-        lp = cls.__new__(cls)
-        lp._start(rows, basis, cost, d)
-        return lp
-
-    def _start(self, rows: List[List[int]], basis: List[int], cost: List[int], d: int) -> None:
         self.ncols = len(cost) - 1
         self.rows, self.basis, self.cost, self.d = rows, basis, cost, d
         #: Dual simplex pivots run by added rows so far.
         self.pivots = 0
 
-    def add_row(self, a: Sequence[Fraction], beta: Fraction) -> None:
-        """Add a.x <= beta on the original columns and re-optimize.
-
-        The row is scaled to integers by the lcm of its denominators and
-        passed to `add_integer_row`.
-        """
-        _, ints = _integer_scale([Fraction(v) for v in a] + [Fraction(beta)])
-        self.add_integer_row(ints[:-1], ints[-1])
-
     def add_integer_row(self, a: Sequence[int], beta: int) -> None:
         """Add a.x <= beta for integers a and beta and re-optimize.
 
-        The row is taken as it is: a caller that scales a rational row by
-        the lcm of its denominators gets the tableau `add_row` would.
+        A caller with a rational row scales it by the lcm of its
+        denominators first (`_integer_scale`).
         Raises ValueError on a row of the wrong length and LPInfeasibleError
         when the new constraint leaves no feasible point; the object is of no
         further use after the latter.
@@ -337,6 +310,6 @@ def linear_min(
     Returns (optimal value, one optimal basic solution).  Raises
     LPInfeasibleError / LPUnboundedError accordingly.
     """
-    solution = WarmLP(c, A, b).solution()
+    solution = WarmLP(*_two_phase(c, A, b)).solution()
     value = sum((ci * xi for ci, xi in zip(c, solution)), start=_ZERO)
     return value, solution

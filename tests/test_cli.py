@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -312,6 +313,25 @@ class TestVerifyAll:
         entry = doc["checks"]["minimize_vs_brute_force"]
         assert entry["minimize"] == entry["brute_force"]
 
+    def test_arity_past_the_enumeration_cap_is_a_usage_error(self, tmp_path, capsys):
+        # The checker runs first and refuses 3^9 > 3^8 points, so verify-all
+        # has no partial bundle to print.
+        assert run(["generate", "--n", "9", "--alpha", "1/2", "--terms", "4", "--seed", "0"]) == 0
+        path = tmp_path / "nine.json"
+        path.write_text(capsys.readouterr().out)
+        assert run(["verify-all", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 3^9 points exceed the enumeration cap 6561\n"
+
+    def test_closure_gap_is_the_one_verify_closure_finds(self, spike_path, capsys):
+        # verify-all draws its closure points from seed + 1.
+        assert run(["verify-closure", spike_path, "--trials", "300", "--seed", "1"]) == 1
+        found = json.loads(capsys.readouterr().out)
+        assert run(["verify-all", spike_path, "--trials", "300", "--seed", "0"]) == 1
+        entry = json.loads(capsys.readouterr().out)["checks"]["closure_equality"]
+        assert entry == {"pass": False, "trials": 300, "point": found["point"]}
+
 
 class TestGenerate:
     def test_emits_parseable_reproducible_instance(self, capsys):
@@ -355,6 +375,20 @@ class TestGenerate:
     def test_bad_alpha(self, capsys):
         argv = ["generate", "--n", "2", "--alpha", "9/8", "--terms", "1", "--seed", "0"]
         assert run(argv) == 2
+
+
+_GENERATE_PATH = os.path.join(os.path.dirname(__file__), "data", "generate_outputs.json")
+with open(_GENERATE_PATH, encoding="utf-8") as _handle:
+    _GENERATE_OUTPUTS = json.load(_handle)
+
+
+@pytest.mark.parametrize("case", _GENERATE_OUTPUTS, ids=[c["args"] for c in _GENERATE_OUTPUTS])
+def test_generate_prints_the_recorded_bytes(case, capsys):
+    # tests/data/generate_outputs.json holds the stdout of `generate` for
+    # each argument set: the README's, CI's, a max-scope 1 set and alphas
+    # 2/7 and 5/9.  Any change to the generator or the JSON writer shows here.
+    assert run(["generate", *shlex.split(case["args"])]) == 0
+    assert capsys.readouterr().out == case["stdout"]
 
 
 class TestMalformedInput:

@@ -353,7 +353,7 @@ def _cold_first_master(g, alpha):
     cost = [0] * width
     cost[2 * n] = 1
     cost[2 * n + 1] = -1
-    return simplex.WarmLP(cost, rows, rhs)
+    return simplex.WarmLP(*simplex._two_phase(cost, rows, rhs))
 
 
 def _rounds(f, cfg, monkeypatch):

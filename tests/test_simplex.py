@@ -328,6 +328,17 @@ def _solve_fractions(B, M):
     return [row[m:] for row in aug], det
 
 
+def _solved(c, A, b):
+    """A WarmLP at the optimum of min c.x s.t. A x = b, x >= 0."""
+    return WarmLP(*simplex._two_phase(c, A, b))
+
+
+def _add_row(lp, a, beta):
+    """Add the rational row a.x <= beta, scaled to integers."""
+    _, ints = simplex._integer_scale([Fraction(v) for v in a] + [Fraction(beta)])
+    lp.add_integer_row(ints[:-1], ints[-1])
+
+
 def _integer_rows(A, b, added):
     """The integer matrix [M | rhs] the tableau is built from.
 
@@ -369,11 +380,11 @@ def _assert_tableau_invariant(lp, c, A, b, added):
 def test_warm_rows_reach_the_cold_optimum(case):
     n, alpha, cuts = case
     c, A, b = _master_program(n, alpha, cuts[0])
-    lp = WarmLP(c, A, b)
+    lp = _solved(c, A, b)
     added = []
     for g in cuts[1:]:
         added.append(_cut_row(n, alpha, g))
-        lp.add_row(*added[-1])
+        _add_row(lp, *added[-1])
         x = lp.solution()
         assert len(x) == len(c) and all(v >= 0 for v in x)
         for row, rhs in zip(A, b):
@@ -390,63 +401,36 @@ def test_warm_rows_reach_the_cold_optimum(case):
 class TestWarmLP:
     def test_added_row_moves_the_optimum(self):
         # min -x on x + s = 2; then x <= 1/2 leaves the optimum -1/2
-        lp = WarmLP([F(-1), F(0)], [[F(1), F(1)]], [F(2)])
+        lp = _solved([F(-1), F(0)], [[F(1), F(1)]], [F(2)])
         assert lp.solution() == [F(2), F(0)]
-        lp.add_row([F(1), F(0)], Fraction(1, 2))
+        _add_row(lp, [F(1), F(0)], Fraction(1, 2))
         assert lp.solution() == [Fraction(1, 2), Fraction(3, 2)]
         assert lp.pivots == 1
 
     def test_slack_row_takes_no_pivot(self):
-        lp = WarmLP([F(-1), F(0)], [[F(1), F(1)]], [F(2)])
-        lp.add_row([F(1), F(0)], F(3))
+        lp = _solved([F(-1), F(0)], [[F(1), F(1)]], [F(2)])
+        _add_row(lp, [F(1), F(0)], F(3))
         assert lp.pivots == 0 and lp.solution() == [F(2), F(0)]
 
     def test_repeated_row_takes_no_pivots(self):
         c, A, b = _master_program(2, Fraction(1, 2), [F(3), F(-1)])
-        lp = WarmLP(c, A, b)
+        lp = _solved(c, A, b)
         row = _cut_row(2, Fraction(1, 2), [F(-2), F(5)])
-        lp.add_row(*row)
+        _add_row(lp, *row)
         pivots, solution = lp.pivots, lp.solution()
         assert pivots > 0
-        lp.add_row(*row)
+        _add_row(lp, *row)
         assert lp.pivots == pivots and lp.solution() == solution
 
     def test_infeasible_row(self):
-        lp = WarmLP([F(1)], [[F(1)]], [F(1)])
+        lp = _solved([F(1)], [[F(1)]], [F(1)])
         with pytest.raises(LPInfeasibleError):
-            lp.add_row([F(1)], F(0))
+            _add_row(lp, [F(1)], F(0))
 
     def test_row_length_validation(self):
-        lp = WarmLP([F(1)], [[F(1)]], [F(1)])
-        with pytest.raises(ValueError):
-            lp.add_row([F(1), F(1)], F(2))
+        lp = _solved([F(1)], [[F(1)]], [F(1)])
         with pytest.raises(ValueError):
             lp.add_integer_row([1, 1], 2)
-
-    def test_integer_row_is_the_scaled_rational_row(self):
-        # -1/2 x0 + 5/3 x1 <= 1/4 scales by 12 to -6 x0 + 20 x1 <= 3.
-        c, A, b = _master_program(2, Fraction(1, 2), [F(3), F(-1)])
-        rational, integer = WarmLP(c, A, b), WarmLP(c, A, b)
-        a = [Fraction(-1, 2), Fraction(5, 3)] + [_ZERO] * 5
-        rational.add_row(a, Fraction(1, 4))
-        integer.add_integer_row([-6, 20, 0, 0, 0, 0, 0], 3)
-        assert (rational.rows, rational.basis, rational.cost, rational.d) == (
-            integer.rows, integer.basis, integer.cost, integer.d
-        )
-        assert rational.pivots == integer.pivots > 0
-
-    def test_from_tableau_continues_the_solve(self):
-        c, A, b = _master_program(2, Fraction(1, 3), [F(2), F(-1)])
-        solved = WarmLP(c, A, b)
-        started = WarmLP.from_tableau(
-            [row.copy() for row in solved.rows], solved.basis.copy(), solved.cost.copy(), solved.d
-        )
-        assert started.ncols == solved.ncols and started.pivots == 0
-        assert started.solution() == solved.solution()
-        row = _cut_row(2, Fraction(1, 3), [F(-2), F(5)])
-        solved.add_row(*row)
-        started.add_row(*row)
-        assert started.solution() == solved.solution() and started.pivots == solved.pivots
 
 
 class TestLinearMin:
