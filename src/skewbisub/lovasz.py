@@ -18,7 +18,8 @@ positive D * p keeps the order and the ties, so `chain_order` sorts plain
 ints; the prefix ending at order position k then has weight
 (key_k - key_{k+1}) / (D * p), with key_n = 0, and the all-Zero vector gets
 (D * p - max key) / (D * p).  Both are exact quotients of integers.
-`decompose`, `subgradient` and the minimizer all walk that one order.
+`decompose`, `maximal_chain` (and through it `subgradient`) and the
+minimizer all walk that one order.
 
 The extension of an oracle f is the expectation of f under that chain
 distribution.  It agrees with f on the 3^n vertices, is piecewise linear,
@@ -171,6 +172,24 @@ def decompose(x: FractionalPoint) -> ChainDecomposition:
     return ChainDecomposition(tuple(prefixes))
 
 
+def maximal_chain(x: FractionalPoint) -> Tuple[List[int], List[Labeling]]:
+    """The walk's order at x and the n + 1 labelings of its maximal chain.
+
+    The chain runs from all-Zero up: labeling k + 1 is labeling k with
+    coordinate order[k] set to its sign, zero coordinates on the Pos side.
+    Its points are affinely independent, x lies in their convex hull, and
+    the extension is linear there; the atoms of `decompose(x)` are the
+    labelings of the chain that carry positive weight.
+    """
+    order = _walk(x)[0]
+    current: List[Label] = [ZERO] * len(order)
+    chain: List[Labeling] = [tuple(current)]
+    for j in order:
+        current[j] = NEG if x.coords[j] < 0 else POS
+        chain.append(tuple(current))
+    return order, chain
+
+
 def _check_oracle_point(f: ValueOracle, x: FractionalPoint) -> None:
     if f.arity != len(x.coords):
         raise ArityMismatchError(
@@ -203,17 +222,13 @@ def subgradient(f: ValueOracle, x: FractionalPoint) -> Tuple[Fraction, ...]:
     no subgradient guarantee.
     """
     _check_oracle_point(f, x)
-    n = len(x.coords)
     alpha = x.alpha.value
-    order = _walk(x)[0]
-    gradient: List[Fraction] = [Fraction(0)] * n
-    current: List[Label] = [ZERO] * n
-    previous_value = f.evaluate(tuple(current))
-    for j in order:
-        positive = x.coords[j] >= 0
-        current[j] = POS if positive else NEG
-        value = f.evaluate(tuple(current))
+    order, chain = maximal_chain(x)
+    gradient: List[Fraction] = [Fraction(0)] * len(order)
+    previous_value = f.evaluate(chain[0])
+    for j, u in zip(order, chain[1:]):
+        value = f.evaluate(u)
         step = value - previous_value
-        gradient[j] = step if positive else -step / alpha
+        gradient[j] = step if u[j] == POS else -step / alpha
         previous_value = value
     return tuple(gradient)

@@ -19,17 +19,34 @@ divides exactly,
 
 and the cost rows, d times the reduced costs of an integer objective, are
 bordered determinants of the same kind and update by the same rule.  When
-d' < 0 (when an artificial is driven out on a negative entry, and on every
-dual simplex pivot below) the whole tableau is negated; `_pivot` does so in
-the same pass, by negating the pivot row and d' first.  Dropping a
-redundant row or the artificial columns changes no other entry, so the
-argument still holds after phase 1.
+d' < 0 (when an artificial is driven out or a start column, below, is
+pivoted in on a negative entry, and on every dual simplex pivot below) the
+whole tableau is negated; `_pivot` does so in the same pass, by negating
+the pivot row and d' first.  Dropping a redundant row or the artificial
+columns changes no other entry, so the argument still holds after phase 1.
 
 Row scaling by a positive factor moves no pivot: ratios, signs and ties are
 unchanged, and phase 1 weights artificial i by 1/s_i so that it minimizes
 the sum of the artificials of the unscaled rows.  So the pivots, and with
 them the optimal basis returned, are those of the same method run on a
 tableau of Fractions.
+
+Phase 1 normally starts from the artificial basis.  A caller that knows a
+feasible basis S of A x = b passes its columns as `start`, and each column
+of S is pivoted in, in the order given, on the first row whose basic column
+is still artificial and whose entry is nonzero.  These are m ordinary
+pivots on the same integer tableau, so the exact-division argument above
+holds after them.  A start column with no such row is linearly dependent
+on the columns before it, and a negative right-hand side afterwards means
+the basic solution of S is not nonnegative; either raises ValueError, with
+no fall back to the cold start.  After the start pivots no artificial is
+basic, so the phase-1 objective, the weighted sum of the artificials, is 0
+at the current basis: every real column prices out at 0 and every
+artificial at its positive weight, and Bland's rule makes no phase-1 pivot.
+Phase 2 then runs as it does from any other feasible basis.  Nothing here
+trusts S beyond its being a basis: the tableau checks its feasibility, and
+phase 2 prices every column, so the optimum found is the optimum of the
+program whatever S was.
 
 `WarmLP` starts from an optimal tableau, the one `_two_phase` returns or
 one its caller builds directly, and adds constraints a.x <= beta to it.
@@ -134,30 +151,42 @@ def _bland_min(
         d = _pivot(rows, basis, cost, d, best_row, col)
 
 
+def _fractions(values: Sequence[Fraction]) -> List[Fraction]:
+    """The values as Fractions, wrapping only those that are not one yet."""
+    return [v if type(v) is Fraction else Fraction(v) for v in values]
+
+
 def _two_phase(
-    c: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+    c: Sequence[Fraction],
+    A: Sequence[Sequence[Fraction]],
+    b: Sequence[Fraction],
+    start: Sequence[int] = (),
 ) -> Tuple[List[List[int]], List[int], List[int], int]:
     """Solve min c.x s.t. A x = b, x >= 0 and return the optimal tableau.
 
     That is (rows, basis, cost, d): the rows over the columns of x and the
     right-hand side, the basic column of each row, d L_c times the reduced
     costs for the integer-scaled objective L_c c, and the denominator d.
-    Raises LPInfeasibleError / LPUnboundedError accordingly.
+    A nonempty `start` names the m columns of a feasible basis, which is
+    pivoted in before phase 1 (see the module docstring).
+    Raises LPInfeasibleError / LPUnboundedError accordingly, and ValueError
+    on inconsistent dimensions or a start that is not a feasible basis.
     """
     m = len(A)
     n = len(c)
     if len(b) != m or any(len(row) != n for row in A):
         raise ValueError("inconsistent LP dimensions")
+    if start and (len(start) != m or not all(0 <= j < n for j in start)):
+        raise ValueError(f"a start basis needs {m} columns in range(0, {n}), got {list(start)}")
 
     # rows carry s_i [A_i | b_i] with b_i >= 0 and the artificial identity
     # in columns n..n+m-1; scales[i] = s_i.
     rows: List[List[int]] = []
     scales: List[int] = []
     for i in range(m):
-        row = [Fraction(v) for v in A[i]] + [Fraction(b[i])]
-        if row[-1] < 0:
-            row = [-v for v in row]
-        scale, ints = _integer_scale(row)
+        scale, ints = _integer_scale(_fractions([*A[i], b[i]]))
+        if ints[-1] < 0:
+            ints = [-v for v in ints]
         art = [0] * m
         art[i] = 1
         rows.append(ints[:-1] + art + [ints[-1]])
@@ -177,6 +206,13 @@ def _two_phase(
         for j in range(n):
             cost[j] -= w * row[j]
         cost[-1] -= w * row[-1]
+    for col in start:
+        target = next((i for i in range(m) if basis[i] >= n and rows[i][col]), None)
+        if target is None:
+            raise ValueError(f"start column {col} is dependent on the ones before it")
+        d = _pivot(rows, basis, cost, d, target, col)
+    if any(row[-1] < 0 for row in rows):
+        raise ValueError("the start basis is infeasible")
     d = _bland_min(rows, basis, cost, d, total)
     if cost[-1] != 0:
         raise LPInfeasibleError("phase 1 optimum is positive")
@@ -196,7 +232,7 @@ def _two_phase(
     # For integer costs c' = L_c c the row c'_k d - sum_i c'_B(i) T_ik is d
     # L_c times the reduced costs.
     rows = [row[:n] + [row[-1]] for row in rows]
-    _, scaled_c = _integer_scale([Fraction(v) for v in c])
+    _, scaled_c = _integer_scale(_fractions(c))
     cost = [ck * d for ck in scaled_c] + [0]
     for row, j in zip(rows, basis):
         factor = scaled_c[j]
@@ -299,17 +335,23 @@ class WarmLP:
     def solution(self) -> List[Fraction]:
         """One optimal basic solution over the original columns."""
         nums, d = self.numerators()
-        return [Fraction(v, d) for v in nums]
+        return [Fraction(v, d) if v else _ZERO for v in nums]
 
 
 def linear_min(
-    c: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+    c: Sequence[Fraction],
+    A: Sequence[Sequence[Fraction]],
+    b: Sequence[Fraction],
+    start: Sequence[int] = (),
 ) -> Tuple[Fraction, List[Fraction]]:
     """Solve min c.x s.t. A x = b, x >= 0 exactly.
 
-    Returns (optimal value, one optimal basic solution).  Raises
-    LPInfeasibleError / LPUnboundedError accordingly.
+    Returns (optimal value, one optimal basic solution).  `start`, when
+    given, lists the m columns of a feasible basis to start from; the
+    optimum does not depend on it, the basic solution returned may.
+    Raises LPInfeasibleError / LPUnboundedError accordingly, and ValueError
+    when `start` is not a feasible basis.
     """
-    solution = WarmLP(*_two_phase(c, A, b)).solution()
-    value = sum((ci * xi for ci, xi in zip(c, solution)), start=_ZERO)
+    solution = WarmLP(*_two_phase(c, A, b, start)).solution()
+    value = sum((c[j] * v for j, v in enumerate(solution) if v), start=_ZERO)
     return value, solution

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 from fractions import Fraction
 from typing import List
+from unittest import mock
 
 import pytest
 
+from skewbisub import simplex
 from skewbisub import (
     Alpha,
     ChainDecomposition,
@@ -30,6 +33,20 @@ ALPHA_GRID = (
     Alpha(Fraction(3, 4)),
     Alpha(Fraction(1)),
 )
+
+
+@contextlib.contextmanager
+def recorded_pivots():
+    """Yield a list that collects the (row, column) of every integer simplex pivot."""
+    pivots = []
+    pivot = simplex._pivot
+
+    def recording(rows, basis, cost, d, row, col):
+        pivots.append((row, col))
+        return pivot(rows, basis, cost, d, row, col)
+
+    with mock.patch.object(simplex, "_pivot", recording):
+        yield pivots
 
 
 def compose_marginals(

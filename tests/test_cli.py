@@ -313,6 +313,23 @@ class TestVerifyAll:
         entry = doc["checks"]["minimize_vs_brute_force"]
         assert entry["minimize"] == entry["brute_force"]
 
+    @pytest.mark.parametrize(
+        "n, trials, entry",
+        [
+            (6, "20", {"pass": True, "trials": 20}),
+            (7, "1", {"pass": True, "skipped": "3^7 LP variables exceed the cap 729"}),
+        ],
+    )
+    def test_closure_equality_runs_up_to_the_lp_cap(self, tmp_path, capsys, n, trials, entry):
+        # The closure LP starts at the chain basis, which makes n = 6 cheap
+        # enough to check; n = 7 stays past the cap.
+        generate = ["generate", "--n", str(n), "--alpha", "1/3", "--terms", str(2 * n)]
+        assert run([*generate, "--seed", "5"]) == 0
+        path = tmp_path / f"n{n}.json"
+        path.write_text(capsys.readouterr().out)
+        assert run(["verify-all", str(path), "--trials", trials]) == 0
+        assert json.loads(capsys.readouterr().out)["checks"]["closure_equality"] == entry
+
     def test_arity_past_the_enumeration_cap_is_a_usage_error(self, tmp_path, capsys):
         # The checker runs first and refuses 3^9 > 3^8 points, so verify-all
         # has no partial bundle to print.

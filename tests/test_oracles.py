@@ -22,7 +22,7 @@ from skewbisub import (
     numeric,
     random_box_point,
 )
-from conftest import ALPHA_GRID
+from conftest import ALPHA_GRID, recorded_pivots
 
 
 class TestBruteForce:
@@ -112,7 +112,8 @@ class TestConvexClosure:
 
     def test_strictly_below_extension_somewhere_for_rejected(self):
         # for a non-skew-bisubmodular f the LP dips under the extension at
-        # the witness midpoint
+        # the witness midpoint: a column prices out negative at the chain
+        # basis, and Bland's pivots run on past its n + 1 start pivots
         alpha = Alpha(Fraction(1, 2))
         f = TableFunction(1, alpha, {"-": 0, "0": 1, "+": 0})
         witness = check_alpha_bisubmodular(f)
@@ -124,7 +125,10 @@ class TestConvexClosure:
             ),
             alpha,
         )
-        assert convex_closure(f, mid).value < extension_value(f, mid)
+        with recorded_pivots() as pivots:
+            value = convex_closure(f, mid).value
+        assert len(pivots) > 1 + 1
+        assert value < extension_value(f, mid)
 
     def test_vertex_inputs(self, alpha_half):
         f = expand_to_table(

@@ -3,9 +3,11 @@
 `linear_min` runs a fraction-free integer tableau.  `reference_linear_min`
 below is the same two-phase Bland method on a tableau of Fractions, the
 solver's earlier form; the two must take the same pivots and so return the
-same optimum and basic solution, or raise the same exception.  `WarmLP`
-keeps that tableau and adds rows by dual simplex pivots; after every added
-row it must reach the optimum that both solve cold.
+same optimum and basic solution, or raise the same exception, from the
+artificial basis and from a given start basis alike.  A start basis must
+reach the cold start's optimum.  `WarmLP` keeps that tableau and adds rows
+by dual simplex pivots; after every added row it must reach the optimum
+that both solve cold.
 """
 
 import json
@@ -13,22 +15,28 @@ import random
 from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
-from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from skewbisub import (
+    FractionalPoint,
     LPInfeasibleError,
     LPUnboundedError,
+    check_alpha_bisubmodular,
     convex_closure,
+    decompose,
     expand_to_table,
+    extension_value,
     instance_from_json,
     linear_min,
+    numeric,
+    parse_labeling,
     random_box_point,
 )
 from skewbisub.simplex import WarmLP
 from skewbisub import oracles, simplex
+from conftest import recorded_pivots
 
 
 def F(x):
@@ -89,10 +97,13 @@ def reference_linear_min(
     A: Sequence[Sequence[Fraction]],
     b: Sequence[Fraction],
     pivots: Optional[List[Tuple[int, int]]] = None,
+    start: Sequence[int] = (),
 ) -> Tuple[Fraction, List[Fraction]]:
     """Two-phase simplex with Bland's rule on a dense tableau of Fractions.
 
-    Appends each pivot's (row, column) to `pivots` when one is given.
+    Appends each pivot's (row, column) to `pivots` when one is given.  A
+    nonempty `start` is pivoted in first, each column on the first row
+    whose basic column is still artificial and whose entry is nonzero.
     """
     if pivots is None:
         pivots = []
@@ -100,6 +111,8 @@ def reference_linear_min(
     n = len(c)
     if len(b) != m or any(len(row) != n for row in A):
         raise ValueError("inconsistent LP dimensions")
+    if start and (len(start) != m or not all(0 <= j < n for j in start)):
+        raise ValueError("a start basis needs one column per row")
 
     rows = []
     for i in range(m):
@@ -118,6 +131,13 @@ def reference_linear_min(
     for j in range(n):
         cost[j] = -sum(rows[i][j] for i in range(m))
     cost[-1] = -sum(rows[i][-1] for i in range(m))
+    for col in start:
+        row = next((i for i in range(m) if basis[i] >= n and rows[i][col]), None)
+        if row is None:
+            raise ValueError("singular start basis")
+        _reference_pivot(rows, basis, cost, row, col, pivots)
+    if any(row[-1] < 0 for row in rows):
+        raise ValueError("infeasible start basis")
     _reference_bland_min(rows, basis, cost, total, pivots)
     if -cost[-1] != 0:
         raise LPInfeasibleError("phase 1 optimum is positive")
@@ -155,17 +175,16 @@ def _outcome(solver, *program):
         return type(exc)
 
 
-def _integer_run(c, A, b):
+def _integer_run(c, A, b, start=()):
     """`linear_min`'s outcome and the (row, column) of each of its pivots."""
+    with recorded_pivots() as pivots:
+        return _outcome(linear_min, c, A, b, start), pivots
+
+
+def _reference_run(c, A, b, start=()):
+    """`reference_linear_min`'s outcome and its pivots."""
     pivots = []
-    pivot = simplex._pivot
-
-    def recording(rows, basis, cost, d, row, col):
-        pivots.append((row, col))
-        return pivot(rows, basis, cost, d, row, col)
-
-    with mock.patch.object(simplex, "_pivot", recording):
-        return _outcome(linear_min, c, A, b), pivots
+    return _outcome(reference_linear_min, c, A, b, pivots, start), pivots
 
 
 _DENOMINATORS = (1, 2, 3, 7)
@@ -226,13 +245,80 @@ _EXPECTED = {
 def test_integer_tableau_takes_the_reference_pivots(program):
     kind, c, A, b = program
     result, pivots = _integer_run(c, A, b)
-    reference_pivots = []
-    assert result == _outcome(reference_linear_min, c, A, b, reference_pivots)
-    assert pivots == reference_pivots
+    assert (result, pivots) == _reference_run(c, A, b)
     if kind in _EXPECTED:
         assert result is _EXPECTED[kind]
     elif kind != "free":
         assert result is not LPInfeasibleError
+
+
+@st.composite
+def _started_programs(draw):
+    """(c, A, b, start): a program with the feasible basis `start`.
+
+    The basis columns A_S are drawn with few zeros and kept when
+    nonsingular; x_S >= 0 is drawn with zeros often, so the start is often
+    degenerate, and b = A_S x_S.  The other columns and c are free, so the
+    program may be unbounded but is never infeasible.
+    """
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(m, 6))
+    start = draw(st.permutations(range(n)))[:m]
+    nonzero = st.builds(Fraction, st.integers(-6, 6), st.sampled_from(_DENOMINATORS))
+    A = [[draw(_RATIONALS) for _ in range(n)] for _ in range(m)]
+    for row in A:
+        for j in start:
+            row[j] = draw(nonzero)
+    basis_matrix = [[row[j] for j in start] for row in A]
+    assume(_solve_fractions(basis_matrix, basis_matrix)[1] != 0)
+    c = [draw(_RATIONALS) for _ in range(n)]
+    x = {j: abs(draw(_RATIONALS)) for j in start}
+    b = [sum((row[j] * v for j, v in x.items()), _ZERO) for row in A]
+    return c, A, b, start
+
+
+@settings(max_examples=300, deadline=None)
+@given(_started_programs())
+def test_start_basis_reaches_the_cold_optimum(program):
+    c, A, b, start = program
+    result, pivots = _integer_run(c, A, b, start)
+    assert (result, pivots) == _reference_run(c, A, b, start)
+    # The start pivots come first and leave phase 1 nothing to do.
+    assert [col for _, col in pivots[: len(start)]] == start
+    cold = _outcome(linear_min, c, A, b)
+    if cold is LPUnboundedError:
+        assert result is LPUnboundedError
+    else:
+        assert result[0] == cold[0]
+
+
+class TestStartBasis:
+    A = [[F(1), F(2), F(0)], [F(2), F(4), F(1)]]
+    c = [F(1), F(1), F(1)]
+
+    @pytest.mark.parametrize("solver", [linear_min, reference_linear_min])
+    @pytest.mark.parametrize(
+        "start, b",
+        [
+            ([0, 1], [F(1), F(2)]),  # column 1 is twice column 0 on the rows left
+            ([0, 0], [F(1), F(2)]),  # a column named twice
+            ([0, 2], [F(1), F(1)]),  # x_0 = 1, x_2 = -1
+            ([2], [F(1), F(2)]),  # one column for two rows
+            ([0, 3], [F(1), F(2)]),  # no column 3
+        ],
+        ids=["singular", "repeated", "infeasible", "short", "out-of-range"],
+    )
+    def test_raises_value_error(self, solver, start, b):
+        with pytest.raises(ValueError):
+            solver(self.c, self.A, b, start=start)
+
+    def test_feasible_start_pivots_on_to_the_optimum(self):
+        # The start x_0 = 1, x_2 = 0 is a degenerate basis of value 1; phase 2
+        # brings column 1 in, at x_1 = 1/2.
+        with recorded_pivots() as pivots:
+            value, solution = linear_min(self.c, self.A, [F(1), F(2)], start=[0, 2])
+        assert value == Fraction(1, 2) and solution == [F(0), Fraction(1, 2), F(0)]
+        assert [col for _, col in pivots] == [0, 2, 1]
 
 
 _GOLDEN = json.loads(
@@ -254,6 +340,34 @@ def test_convex_closure_matches_the_reference(document, monkeypatch):
     results = [convex_closure(f, x) for x in points]
     monkeypatch.setattr(oracles, "linear_min", reference_linear_min)
     assert results == [convex_closure(f, x) for x in points]
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        doc
+        for doc in _GOLDEN["instances"]
+        if doc["n"] == 4
+        and check_alpha_bisubmodular(expand_to_table(instance_from_json(doc))) is None
+    ],
+    ids=lambda doc: f"{doc['format']}-alpha{doc['alpha']}",
+)
+def test_closure_lp_stops_at_the_chain_basis(document):
+    # On a skew bisubmodular f the chain basis through x is optimal: the n + 1
+    # start pivots are all, and the distribution is the chain decomposition.
+    f = expand_to_table(instance_from_json(document))
+    rng = random.Random(5)
+    points = [random_box_point(4, f.alpha, rng) for _ in range(6)]
+    # A vertex and a point with tied and zero coordinates: degenerate bases.
+    points.append(FractionalPoint(numeric(parse_labeling("+-0+"), f.alpha), f.alpha))
+    half = Fraction(1, 2)
+    points.append(FractionalPoint((half, half, _ZERO, -f.alpha.value * half), f.alpha))
+    for x in points:
+        with recorded_pivots() as pivots:
+            result = convex_closure(f, x)
+        assert len(pivots) == 4 + 1
+        assert result.distribution == dict(decompose(x).atoms)
+        assert result.value == extension_value(f, x)
 
 
 _ALPHAS = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2, 7))
@@ -309,12 +423,17 @@ def _with_slacks(c, A, b, added):
 
 
 def _solve_fractions(B, M):
-    """(X, det B) with B X = M, by Gauss-Jordan elimination on Fractions."""
+    """(X, det B) with B X = M, by Gauss-Jordan elimination on Fractions.
+
+    A singular B gives (None, 0).
+    """
     m = len(B)
     aug = [[Fraction(v) for v in B[i]] + [Fraction(v) for v in M[i]] for i in range(m)]
     det = _ONE
     for col in range(m):
-        piv = next(i for i in range(col, m) if aug[i][col])
+        piv = next((i for i in range(col, m) if aug[i][col]), None)
+        if piv is None:
+            return None, _ZERO
         if piv != col:
             aug[col], aug[piv] = aug[piv], aug[col]
             det = -det
