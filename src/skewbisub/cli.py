@@ -63,6 +63,10 @@ def _load_instance(path: str) -> ValueOracle:
         raise InstanceFormatError(f"cannot read {path!r}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"{path!r} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(
+            f"{path!r} is not UTF-8 text: {exc.reason} at position {exc.start}"
+        ) from None
     return instance_from_json(document)
 
 

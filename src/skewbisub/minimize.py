@@ -21,7 +21,7 @@ on f_L, and hence on the discrete minimum.
 The master LP needs no solve in the first round: with a single cut g its
 optimum sets y_j = -alpha where g_j > 0 and y_j = 1 where g_j <= 0, and
 that optimal basis is fixed by the signs of g, so `_first_master` writes
-down the fraction-free tableau the two-phase method would end on.  It is
+down its fraction-free tableau, the one the simplex would end on.  It is
 then kept warm as a `simplex.WarmLP`: its tableau stays alive across rounds.
 Each cut is scaled to integers once (`_scale_cut`) and enters as one
 integer row with its own slack column.  Dual simplex pivots then restore
@@ -254,8 +254,8 @@ def _first_master(g: Tuple[Fraction, ...], p: int, q: int) -> WarmLP:
     with each basic z_j eliminated through its box row, times d and signed
     so that the basic t column holds d; and the cost row is d times g_j on
     z_j where g_j > 0, -g_j on s_j where g_j <= 0, 1 on r and -t* on the
-    right-hand side, all nonnegative.  This is the tableau the two-phase
-    solve ends on, so no pivot is needed.
+    right-hand side, all nonnegative.  This is the tableau that
+    `simplex._optimal_tableau` builds from this basis, so no pivot is needed.
     """
     n = len(g)
     s, ints, _ = _scale_cut(g, p, q)

@@ -66,17 +66,17 @@ def convex_closure(
     (`lovasz.maximal_chain`): all-Zero and the n prefixes of the walk's
     order.  Those n + 1 points are affinely independent and the chain
     weights are a nonnegative solution on them, so they are a feasible
-    basis whatever f is, and the n + 1 start pivots leave phase 1 nothing
-    to do.  For a skew bisubmodular f that basis is already optimal: the
-    extension is convex and affine on the chain's simplex, so the basis's
-    duals (f at all-Zero and the chain's telescoping differences) give an
-    affine minorant of f on every vertex, no column prices out negative,
-    and the distribution returned is the chain decomposition of x.  For
+    basis whatever f is.  For a skew bisubmodular f that basis is already
+    optimal: the extension is convex and affine on the chain's simplex, so
+    the basis's duals (f at all-Zero and the chain's telescoping
+    differences) give an affine minorant of f on every vertex, no column
+    prices out negative, and the distribution returned is the chain
+    decomposition of x.  For
     any other f some column may price out negative, and Bland's pivots run
     from there to the optimum, which can then lie below the extension.
     The value never rests on the chain being computed right: the tableau
-    checks that the start is a feasible basis, and phase 2 certifies the
-    optimum by pricing all 3^n columns.
+    checks that the start is a feasible basis, and Bland's rule certifies
+    the optimum by pricing all 3^n columns.
     """
     n = f.arity
     if 3**n > cap:

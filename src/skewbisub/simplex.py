@@ -1,55 +1,49 @@
 """Exact dense-tableau simplex for small equality-form linear programs.
 
-Minimizes c.x subject to A x = b, x >= 0 over exact rationals, via the
-two-phase method with Bland's anti-cycling rule.  Built for desk-scale
-problems (a handful of rows, a few hundred columns) where exact optima are
-the whole point; no attempt at sparse or revised tricks.
+Minimizes c.x subject to A x = b, x >= 0 over exact rationals, from a
+feasible basis the caller names, with Bland's anti-cycling rule.  Built for
+desk-scale problems (a handful of rows, a few hundred columns) where exact
+optima are the whole point; no attempt at sparse or revised tricks.
 
 The tableau is fraction-free (Edmonds, J. Res. NBS 1967; Bareiss, Math.
 Comp. 1968): plain integers T over one shared denominator d > 0, the
 rational tableau being T / d.  Each row [A_i | b_i] is scaled to integers by
-the lcm of its denominators and the artificial identity appended, giving an
-integer matrix M whose starting basis is the identity, so d starts at 1.
-With B the current basis matrix of M, d = |det B| and T = d B^-1 M, so by
-Cramer's rule every entry of T is, up to sign, a determinant of B with one
-column replaced by a column of M: an integer.  A pivot on (r, c) therefore
-divides exactly,
+the lcm of its denominators, giving an integer matrix M, and the first
+tableau is M itself with d = 1.  With B the columns of M pivoted in so far,
+completed by unit columns for the rows that have no basic column yet,
+d = |det B| and T = d B^-1 M, so by Cramer's rule every entry of T is, up
+to sign, a determinant of B with one column replaced by a column of M: an
+integer.  A pivot on (r, c) therefore divides exactly,
 
     T'_ij = (T_rc T_ij - T_ic T_rj) // d   (i != r),   T'_r = T_r,   d' = T_rc,
 
-and the cost rows, d times the reduced costs of an integer objective, are
-bordered determinants of the same kind and update by the same rule.  When
-d' < 0 (when an artificial is driven out or a start column, below, is
-pivoted in on a negative entry, and on every dual simplex pivot below) the
-whole tableau is negated; `_pivot` does so in the same pass, by negating
-the pivot row and d' first.  Dropping a redundant row or the artificial
-columns changes no other entry, so the argument still holds after phase 1.
+and the cost row, d times the reduced costs of an integer objective, is a
+bordered determinant of the same kind and updates by the same rule.  When
+d' < 0 (when a start column, below, is pivoted in on a negative entry, and
+on every dual simplex pivot below) the whole tableau is negated; `_pivot`
+does so in the same pass, by negating the pivot row and d' first.
 
 Row scaling by a positive factor moves no pivot: ratios, signs and ties are
-unchanged, and phase 1 weights artificial i by 1/s_i so that it minimizes
-the sum of the artificials of the unscaled rows.  So the pivots, and with
-them the optimal basis returned, are those of the same method run on a
-tableau of Fractions.
+unchanged.  So the pivots, and with them the optimal basis returned, are
+those of the same method run on a tableau of Fractions.
 
-Phase 1 normally starts from the artificial basis.  A caller that knows a
-feasible basis S of A x = b passes its columns as `start`, and each column
-of S is pivoted in, in the order given, on the first row whose basic column
-is still artificial and whose entry is nonzero.  These are m ordinary
-pivots on the same integer tableau, so the exact-division argument above
-holds after them.  A start column with no such row is linearly dependent
+The caller names the m columns of a feasible basis S of A x = b as
+`start`, and each column of S is pivoted in, in the order given, on the
+first row that has no basic column yet and whose entry is nonzero.  These
+are m ordinary pivots on the same integer tableau, so the exact-division
+argument above holds after them.  The cost row starts as the integer-scaled
+objective L_c c, which is d L_c times the reduced costs while d = 1 and no
+column is basic; carried through the start pivots, it is d L_c times the
+reduced costs at S.  A start column with no such row is linearly dependent
 on the columns before it, and a negative right-hand side afterwards means
-the basic solution of S is not nonnegative; either raises ValueError, with
-no fall back to the cold start.  After the start pivots no artificial is
-basic, so the phase-1 objective, the weighted sum of the artificials, is 0
-at the current basis: every real column prices out at 0 and every
-artificial at its positive weight, and Bland's rule makes no phase-1 pivot.
-Phase 2 then runs as it does from any other feasible basis.  Nothing here
-trusts S beyond its being a basis: the tableau checks its feasibility, and
-phase 2 prices every column, so the optimum found is the optimum of the
-program whatever S was.
+the basic solution of S is not nonnegative; either raises ValueError.
+Bland's rule then runs from S as from any other feasible basis.  Nothing
+here trusts S beyond its being a basis: the tableau checks its
+feasibility, and Bland's rule prices every column, so the optimum found is
+the optimum of the program whatever S was.
 
-`WarmLP` starts from an optimal tableau, the one `_two_phase` returns or
-one its caller builds directly, and adds constraints a.x <= beta to it.
+`WarmLP` starts from an optimal tableau, the one `_optimal_tableau` returns
+or one its caller builds directly, and adds constraints a.x <= beta to it.
 The only entry is `add_integer_row`, which takes the row already in
 integers; a rational row is first scaled by the lcm s of its denominators
 (`_integer_scale`).  The integer row gets a new slack column r' whose only
@@ -86,7 +80,7 @@ from typing import List, Sequence, Tuple
 
 
 class LPInfeasibleError(RuntimeError):
-    """The equality system has no nonnegative solution."""
+    """A row added to a `WarmLP` leaves its program no feasible point."""
 
 
 class LPUnboundedError(RuntimeError):
@@ -127,10 +121,9 @@ def _pivot(
     return p
 
 
-def _bland_min(
-    rows: List[List[int]], basis: List[int], cost: List[int], d: int, ncols: int
-) -> int:
+def _bland_min(rows: List[List[int]], basis: List[int], cost: List[int], d: int) -> int:
     """Run Bland pivots until no reduced cost is negative; return the new d."""
+    ncols = len(cost) - 1
     while True:
         col = next((j for j in range(ncols) if cost[j] < 0), None)
         if col is None:
@@ -156,90 +149,40 @@ def _fractions(values: Sequence[Fraction]) -> List[Fraction]:
     return [v if type(v) is Fraction else Fraction(v) for v in values]
 
 
-def _two_phase(
+def _optimal_tableau(
     c: Sequence[Fraction],
     A: Sequence[Sequence[Fraction]],
     b: Sequence[Fraction],
-    start: Sequence[int] = (),
+    start: Sequence[int],
 ) -> Tuple[List[List[int]], List[int], List[int], int]:
-    """Solve min c.x s.t. A x = b, x >= 0 and return the optimal tableau.
+    """Solve min c.x s.t. A x = b, x >= 0 from the basis `start`.
 
-    That is (rows, basis, cost, d): the rows over the columns of x and the
-    right-hand side, the basic column of each row, d L_c times the reduced
-    costs for the integer-scaled objective L_c c, and the denominator d.
-    A nonempty `start` names the m columns of a feasible basis, which is
-    pivoted in before phase 1 (see the module docstring).
-    Raises LPInfeasibleError / LPUnboundedError accordingly, and ValueError
-    on inconsistent dimensions or a start that is not a feasible basis.
+    Returns the optimal tableau (rows, basis, cost, d): the rows over the
+    columns of x and the right-hand side, the basic column of each row, d
+    L_c times the reduced costs for the integer-scaled objective L_c c, and
+    the denominator d.  Raises LPUnboundedError, and ValueError on
+    inconsistent dimensions or a start that is not a feasible basis.
     """
     m = len(A)
     n = len(c)
     if len(b) != m or any(len(row) != n for row in A):
         raise ValueError("inconsistent LP dimensions")
-    if start and (len(start) != m or not all(0 <= j < n for j in start)):
+    if len(start) != m or not all(0 <= j < n for j in start):
         raise ValueError(f"a start basis needs {m} columns in range(0, {n}), got {list(start)}")
-
-    # rows carry s_i [A_i | b_i] with b_i >= 0 and the artificial identity
-    # in columns n..n+m-1; scales[i] = s_i.
-    rows: List[List[int]] = []
-    scales: List[int] = []
-    for i in range(m):
-        scale, ints = _integer_scale(_fractions([*A[i], b[i]]))
-        if ints[-1] < 0:
-            ints = [-v for v in ints]
-        art = [0] * m
-        art[i] = 1
-        rows.append(ints[:-1] + art + [ints[-1]])
-        scales.append(scale)
-    basis = [n + i for i in range(m)]
+    rows = [_integer_scale(_fractions([*row, rhs]))[1] for row, rhs in zip(A, b)]
+    _, cost = _integer_scale(_fractions(c))
+    cost.append(0)
+    # -1 marks a row with no basic column yet.
+    basis = [-1] * m
     d = 1
-
-    # Phase 1: minimize the sum of the unscaled rows' artificials, which is
-    # sum_i art_i / s_i for the scaled rows; times L = lcm(s_i) the weights
-    # L / s_i are integers.  Every artificial is basic, so the reduced costs
-    # start as the weighted column sums, negated, and 0 on the artificials.
-    total = n + m
-    big = lcm(*scales)
-    weights = [big // s for s in scales]
-    cost = [0] * (total + 1)
-    for w, row in zip(weights, rows):
-        for j in range(n):
-            cost[j] -= w * row[j]
-        cost[-1] -= w * row[-1]
     for col in start:
-        target = next((i for i in range(m) if basis[i] >= n and rows[i][col]), None)
+        target = next((i for i in range(m) if basis[i] < 0 and rows[i][col]), None)
         if target is None:
             raise ValueError(f"start column {col} is dependent on the ones before it")
         d = _pivot(rows, basis, cost, d, target, col)
     if any(row[-1] < 0 for row in rows):
         raise ValueError("the start basis is infeasible")
-    d = _bland_min(rows, basis, cost, d, total)
-    if cost[-1] != 0:
-        raise LPInfeasibleError("phase 1 optimum is positive")
-
-    # Drive any degenerate artificials out of the basis; a row with no real
-    # nonzero entry is redundant and dropped.
-    for i in reversed(range(len(rows))):
-        if basis[i] >= n:
-            col = next((j for j in range(n) if rows[i][j]), None)
-            if col is None:
-                del rows[i]
-                del basis[i]
-            else:
-                d = _pivot(rows, basis, cost, d, i, col)
-
-    # Phase 2 on the real objective with the artificial columns dropped.
-    # For integer costs c' = L_c c the row c'_k d - sum_i c'_B(i) T_ik is d
-    # L_c times the reduced costs.
-    rows = [row[:n] + [row[-1]] for row in rows]
-    _, scaled_c = _integer_scale(_fractions(c))
-    cost = [ck * d for ck in scaled_c] + [0]
-    for row, j in zip(rows, basis):
-        factor = scaled_c[j]
-        if factor:
-            cost = [v - factor * w for v, w in zip(cost, row)]
-    d = _bland_min(rows, basis, cost, d, n)
-    return rows, basis, cost, d
+    return rows, basis, cost, _bland_min(rows, basis, cost, d)
 
 
 class WarmLP:
@@ -253,9 +196,9 @@ class WarmLP:
     def __init__(self, rows: List[List[int]], basis: List[int], cost: List[int], d: int) -> None:
         """Start from a known optimal fraction-free tableau, with no solve.
 
-        The arguments are what `_two_phase` returns: integer rows over the
-        columns and the right-hand side, the basic column of each row, the
-        cost row of d times the reduced costs, and d = |det B| > 0.  The
+        The arguments are what `_optimal_tableau` returns: integer rows over
+        the columns and the right-hand side, the basic column of each row,
+        the cost row of d times the reduced costs, and d = |det B| > 0.  The
         caller vouches that T = d B^-1 M for an integer M, that every
         reduced cost and right-hand side is nonnegative, and that there are
         no slack columns yet; the lists are taken over, not copied.
@@ -342,16 +285,16 @@ def linear_min(
     c: Sequence[Fraction],
     A: Sequence[Sequence[Fraction]],
     b: Sequence[Fraction],
-    start: Sequence[int] = (),
+    start: Sequence[int],
 ) -> Tuple[Fraction, List[Fraction]]:
-    """Solve min c.x s.t. A x = b, x >= 0 exactly.
+    """Solve min c.x s.t. A x = b, x >= 0 exactly from a feasible basis.
 
-    Returns (optimal value, one optimal basic solution).  `start`, when
-    given, lists the m columns of a feasible basis to start from; the
-    optimum does not depend on it, the basic solution returned may.
-    Raises LPInfeasibleError / LPUnboundedError accordingly, and ValueError
-    when `start` is not a feasible basis.
+    `start` lists the m columns of a feasible basis of A x = b.  Returns
+    (optimal value, one optimal basic solution); the optimum does not
+    depend on `start`, the basic solution returned may.  Raises
+    LPUnboundedError when the objective is unbounded below, and ValueError
+    on inconsistent dimensions or when `start` is not a feasible basis.
     """
-    solution = WarmLP(*_two_phase(c, A, b, start)).solution()
+    solution = WarmLP(*_optimal_tableau(c, A, b, start)).solution()
     value = sum((c[j] * v for j, v in enumerate(solution) if v), start=_ZERO)
     return value, solution

@@ -1,10 +1,11 @@
-"""Shared helpers for the test suite: the alpha grid and exact validators."""
+"""Shared helpers for the test suite: the alpha grid, exact validators and
+the Fraction reference simplex."""
 
 from __future__ import annotations
 
 import contextlib
 from fractions import Fraction
-from typing import List
+from typing import List, Optional, Sequence, Tuple
 from unittest import mock
 
 import pytest
@@ -14,6 +15,8 @@ from skewbisub import (
     Alpha,
     ChainDecomposition,
     FractionalPoint,
+    LPInfeasibleError,
+    LPUnboundedError,
     Labeling,
     NEG,
     POS,
@@ -33,6 +36,145 @@ ALPHA_GRID = (
     Alpha(Fraction(3, 4)),
     Alpha(Fraction(1)),
 )
+
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _reference_pivot(rows, basis, cost, row, col, pivots):
+    pivots.append((row, col))
+    pivot_row = rows[row]
+    inv = _ONE / pivot_row[col]
+    if inv != 1:
+        rows[row] = pivot_row = [v * inv for v in pivot_row]
+    for other in rows:
+        if other is pivot_row:
+            continue
+        factor = other[col]
+        if factor:
+            for k, v in enumerate(pivot_row):
+                if v:
+                    other[k] -= factor * v
+    factor = cost[col]
+    if factor:
+        for k, v in enumerate(pivot_row):
+            if v:
+                cost[k] -= factor * v
+    basis[row] = col
+
+
+def _reference_bland_min(rows, basis, cost, ncols, pivots):
+    while True:
+        col = next((j for j in range(ncols) if cost[j] < 0), None)
+        if col is None:
+            return
+        best_row = -1
+        best_ratio = None
+        for i, r in enumerate(rows):
+            a = r[col]
+            if a > 0:
+                ratio = r[-1] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[best_row])
+                ):
+                    best_ratio = ratio
+                    best_row = i
+        if best_row < 0:
+            raise LPUnboundedError("no leaving row: objective unbounded below")
+        _reference_pivot(rows, basis, cost, best_row, col, pivots)
+
+
+def _reference_solve(c, A, b, pivots, start):
+    """The optimal (rows, basis) of the two-phase method on Fractions."""
+    m = len(A)
+    n = len(c)
+    if len(b) != m or any(len(row) != n for row in A):
+        raise ValueError("inconsistent LP dimensions")
+    if start and (len(start) != m or not all(0 <= j < n for j in start)):
+        raise ValueError("a start basis needs one column per row")
+
+    rows = []
+    for i in range(m):
+        row = [Fraction(v) for v in A[i]]
+        rhs = Fraction(b[i])
+        if rhs < 0:
+            row = [-v for v in row]
+            rhs = -rhs
+        art = [_ZERO] * m
+        art[i] = _ONE
+        rows.append(row + art + [rhs])
+    basis = [n + i for i in range(m)]
+
+    total = n + m
+    cost = [_ZERO] * (total + 1)
+    for j in range(n):
+        cost[j] = -sum(rows[i][j] for i in range(m))
+    cost[-1] = -sum(rows[i][-1] for i in range(m))
+    for col in start:
+        row = next((i for i in range(m) if basis[i] >= n and rows[i][col]), None)
+        if row is None:
+            raise ValueError("singular start basis")
+        _reference_pivot(rows, basis, cost, row, col, pivots)
+    if any(row[-1] < 0 for row in rows):
+        raise ValueError("infeasible start basis")
+    _reference_bland_min(rows, basis, cost, total, pivots)
+    if -cost[-1] != 0:
+        raise LPInfeasibleError("phase 1 optimum is positive")
+
+    for i in reversed(range(len(rows))):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if rows[i][j]), None)
+            if col is None:
+                del rows[i]
+                del basis[i]
+            else:
+                _reference_pivot(rows, basis, cost, i, col, pivots)
+
+    cost = [Fraction(v) for v in c] + [_ZERO] * m + [_ZERO]
+    for i, j in enumerate(basis):
+        factor = cost[j]
+        if factor:
+            for k, v in enumerate(rows[i]):
+                if v:
+                    cost[k] -= factor * v
+    _reference_bland_min(rows, basis, cost, n, pivots)
+    return rows, basis
+
+
+def reference_linear_min(
+    c: Sequence[Fraction],
+    A: Sequence[Sequence[Fraction]],
+    b: Sequence[Fraction],
+    pivots: Optional[List[Tuple[int, int]]] = None,
+    start: Sequence[int] = (),
+) -> Tuple[Fraction, List[Fraction]]:
+    """Two-phase simplex with Bland's rule on a dense tableau of Fractions.
+
+    It solves cold, from the artificial basis, unless `start` is given; then
+    it pivots the start columns in first, each on the first row whose basic
+    column is still artificial and whose entry is nonzero.  Appends each
+    pivot's (row, column) to `pivots` when one is given.
+    """
+    rows, basis = _reference_solve(c, A, b, [] if pivots is None else pivots, start)
+    solution = [_ZERO] * len(c)
+    for i, j in enumerate(basis):
+        if j < len(c):
+            solution[j] = rows[i][-1]
+    value = sum((ci * xi for ci, xi in zip(c, solution)), start=_ZERO)
+    return value, solution
+
+
+def reference_basis(
+    c: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+) -> List[int]:
+    """The basis that `reference_linear_min` ends on when it solves cold.
+
+    One column per row that the reference keeps; it drops redundant rows.
+    """
+    return _reference_solve(c, A, b, [], ())[1]
 
 
 @contextlib.contextmanager

@@ -418,6 +418,16 @@ class TestMalformedInput:
         assert run(["check", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe")
+        assert run(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {str(path)!r} is not UTF-8 text: invalid start byte at position 0\n"
+        )
+
     def test_missing_table_key(self, tmp_path, alpha_half, capsys):
         doc = instance_to_json(
             TableFunction(2, alpha_half, {u: 1 for u in all_labelings(2)})

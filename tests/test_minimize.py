@@ -34,7 +34,7 @@ from skewbisub import (
     project_box,
     random_box_point,
 )
-from conftest import ALPHA_GRID, boundary_shift
+from conftest import ALPHA_GRID, boundary_shift, reference_basis
 
 # The package exports the function `minimize` under the module's name.
 minimize_module = importlib.import_module("skewbisub.minimize")
@@ -302,10 +302,12 @@ class TestGoldenReports:
 def _master(cuts, alpha):
     """(t*, y*) of min t s.t. t >= g.y for every cut g, y in [-alpha, 1]^n.
 
-    The master LP solved cold, as the minimizer did each round before it
+    The master LP solved afresh, as the minimizer did each round before it
     kept the LP warm.  Equality form over z = y + alpha >= 0: rows z_j + s_j
     = 1 + alpha, and per cut t+ - t- - g.z - r = -alpha sum(g), minimizing
-    t+ - t-.
+    t+ - t-.  The start basis is the box corner z = 0: every s_j, and t =
+    max(-alpha sum(g)) over the cuts, in t+ when it is >= 0 and in t- when
+    not, with the slack r of every other cut basic.
     """
     n = len(cuts[0])
     k = len(cuts)
@@ -327,12 +329,17 @@ def _master(cuts, alpha):
     cost = [0] * width
     cost[2 * n] = 1
     cost[2 * n + 1] = -1
-    t_star, solution = linear_min(cost, rows, rhs)
+    top = max(range(k), key=lambda i: rhs[n + i])
+    start = [n + j for j in range(n)]
+    start.append(2 * n if rhs[n + top] >= 0 else 2 * n + 1)
+    start.extend(2 * n + 2 + i for i in range(k) if i != top)
+    t_star, solution = linear_min(cost, rows, rhs, start)
     return t_star, tuple([z - alpha for z in solution[:n]])
 
 
 def _cold_first_master(g, alpha):
-    """The master LP with its first cut g, solved cold by both simplex phases.
+    """The master LP with its first cut g, pivoted to the basis the Fraction
+    reference reaches cold.
 
     The reference for `minimize._first_master`, which builds the optimal
     tableau directly.  Equality form over z = y + alpha >= 0 with columns
@@ -353,7 +360,8 @@ def _cold_first_master(g, alpha):
     cost = [0] * width
     cost[2 * n] = 1
     cost[2 * n + 1] = -1
-    return simplex.WarmLP(*simplex._two_phase(cost, rows, rhs))
+    start = reference_basis(cost, rows, rhs)
+    return simplex.WarmLP(*simplex._optimal_tableau(cost, rows, rhs, start))
 
 
 def _rounds(f, cfg, monkeypatch):
@@ -461,7 +469,8 @@ _CUT_ENTRIES = st.one_of(
 @example([Fraction(1, 7), Fraction(-3, 4)], Fraction(8, 9))
 def test_first_master_is_the_cold_optimal_tableau(g, alpha):
     # Same d, same row for each basic column and same cost row as the
-    # two-phase solve, so every later dual pivot is the same too.
+    # tableau of the reference's cold optimal basis, so every later dual
+    # pivot is the same too.
     warm = minimize_module._first_master(tuple(g), alpha.numerator, alpha.denominator)
     cold = _cold_first_master(g, alpha)
     assert _tableau(warm) == _tableau(cold)
