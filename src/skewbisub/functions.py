@@ -22,12 +22,12 @@ quiesced.
 from __future__ import annotations
 
 import abc
-import math
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
+from itertools import islice
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .lattice import (
@@ -41,16 +41,28 @@ from .lattice import (
     all_labelings,
     format_labeling,
     join,
+    lex_index,
     meet0,
     parse_labeling,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import common_denominator, format_rational, parse_rational
 
 #: Enumeration guard: operations that touch all 3^n points refuse to run
 #: past this many, so a fat-fingered arity fails loudly instead of hanging.
 #: At 3^8 points `check_alpha_bisubmodular` accepts in about 0.5 s on a
 #: 2-vCPU VM.
 DEFAULT_ENUM_CAP = 3**8
+
+#: `generate_instance` draws its integer term values uniformly from here.
+_VALUE_RANGE = (-10, 10)
+
+
+def exceeds_cap(n: int, cap: int) -> bool:
+    """Whether 3^n > cap, without computing 3^n when n alone settles it.
+
+    3^n >= 2^n > cap once n >= cap.bit_length(), so a huge n costs nothing.
+    """
+    return n >= cap.bit_length() or 3**n > cap
 
 
 class CapExceededError(ValueError):
@@ -130,7 +142,8 @@ def _normalize_table(
             except ValueError:
                 # Parse again to name the key in the message.
                 parse_rational(raw, where=f"{where}[{format_labeling(labeling)!r}]")
-    if len(table) != 3**arity:
+    # Distinct keys of length `arity` number at most 3^arity.
+    if exceeds_cap(arity, len(table)):
         for labeling in all_labelings(arity):
             if labeling not in table:
                 raise InstanceFormatError(
@@ -200,14 +213,12 @@ class SumFunction(ValueOracle):
             if term.table.alpha != alpha:
                 raise ValueError(f"term {pos}: table alpha differs from instance alpha")
         self._terms = tuple(terms)
-        values = [
-            [table[u] for u in all_labelings(len(scope))] for scope, table in self._terms
-        ]
-        self._denominator = math.lcm(*[v.denominator for row in values for v in row])
-        # A list, not a generator, as in simplex._integer_scale.
+        self._denominator, numerators = common_denominator(
+            [table[u] for scope, table in self._terms for u in all_labelings(len(scope))]
+        )
+        rows = iter(numerators)
         self._compiled = tuple([
-            (scope, [v.numerator * (self._denominator // v.denominator) for v in row])
-            for (scope, _), row in zip(self._terms, values)
+            (scope, list(islice(rows, 3 ** len(scope)))) for scope, _ in self._terms
         ])
 
     @property
@@ -313,12 +324,11 @@ def check_alpha_bisubmodular(
     top bits and the lowest set bit give the least violating b >= a.
     """
     n = f.arity
-    if 3**n > cap:
+    if exceeds_cap(n, cap):
         raise CapExceededError(f"3^{n} points exceed the enumeration cap {cap}")
     labelings = list(all_labelings(n))
     values = [f.evaluate(a) for a in labelings]
-    scale = math.lcm(*[v.denominator for v in values])
-    ints = [v.numerator * (scale // v.denominator) for v in values]
+    _, ints = common_denominator(values)
     p = f.alpha.value.numerator
     q = f.alpha.value.denominator
     peak = max(map(abs, ints))
@@ -335,19 +345,12 @@ def check_alpha_bisubmodular(
             j = i + ((hits & -hits).bit_length() - 1) // width
             a, b = labelings[i], labelings[j]
             meet, join0, join1 = (
-                values[_lex_index(u)] for u in (meet0(a, b), join(a, b, ZERO), join(a, b, POS))
+                values[lex_index(u)] for u in (meet0(a, b), join(a, b, ZERO), join(a, b, POS))
             )
             al = f.alpha.value
             lhs = meet + al * join0 + (1 - al) * join1
             return ViolationWitness(a, b, lhs, values[i] + values[j])
     return None
-
-
-def _lex_index(labeling: Labeling) -> int:
-    k = 0
-    for label in labeling:
-        k = 3 * k + LEX_ORDER.index(label)
-    return k
 
 
 def _pack(fields: List[int], width: int) -> int:
@@ -433,7 +436,7 @@ def _prefix_rows(m: int, rows=([0], [0], [0])):
 
 def expand_to_table(f: ValueOracle, cap: int = DEFAULT_ENUM_CAP) -> TableFunction:
     """Materialize any oracle into an explicit complete table."""
-    if 3**f.arity > cap:
+    if exceeds_cap(f.arity, cap):
         raise CapExceededError(f"3^{f.arity} points exceed the enumeration cap {cap}")
     values = {a: f.evaluate(a) for a in all_labelings(f.arity)}
     return TableFunction(f.arity, f.alpha, values)
@@ -461,12 +464,10 @@ def _fast_integer_accept(
     return True
 
 
+@cache
 def _pair_op_indices(arity: int):
     meets, joins0, joins1 = zip(*_prefix_rows(arity))
     return list(all_labelings(arity)), meets, joins0, joins1
-
-
-_PAIR_OPS_CACHE: Dict[int, tuple] = {}
 
 
 def generate_instance(
@@ -475,14 +476,13 @@ def generate_instance(
     num_terms: int,
     max_scope: int,
     seed: int,
-    value_range: Tuple[int, int] = (-10, 10),
     max_rejections: int = 10000,
 ) -> SumFunction:
     """Draw a random skew-bisubmodular sum-of-terms instance, deterministically.
 
     Each term's scope is drawn uniformly without replacement, its size
     uniform in {1, ..., max_scope}; integer value tables are drawn uniformly
-    over `value_range` and rejection-sampled until the checker accepts.
+    over `_VALUE_RANGE` and rejection-sampled until the checker accepts.
     """
     if n < 1:
         raise ValueError(f"arity must be >= 1, got {n}")
@@ -490,9 +490,7 @@ def generate_instance(
         raise ValueError(f"num_terms must be >= 1, got {num_terms}")
     if max_scope not in (1, 2):
         raise ValueError(f"max_scope must be 1 or 2, got {max_scope}")
-    lo, hi = value_range
-    if lo > hi:
-        raise ValueError(f"empty value range {value_range}")
+    lo, hi = _VALUE_RANGE
     rng = random.Random(seed)
     p = alpha.value.numerator
     q = alpha.value.denominator
@@ -500,9 +498,7 @@ def generate_instance(
     for pos in range(num_terms):
         k = rng.randint(1, min(max_scope, n))
         scope = tuple(sorted(rng.sample(range(n), k)))
-        if k not in _PAIR_OPS_CACHE:
-            _PAIR_OPS_CACHE[k] = _pair_op_indices(k)
-        labelings, meets, joins0, joins1 = _PAIR_OPS_CACHE[k]
+        labelings, meets, joins0, joins1 = _pair_op_indices(k)
         for _ in range(max_rejections):
             int_values = [rng.randint(lo, hi) for _ in labelings]
             if not _fast_integer_accept(int_values, meets, joins0, joins1, p, q):

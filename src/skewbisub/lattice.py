@@ -52,6 +52,7 @@ POS = Label.POS
 LEX_ORDER = (NEG, ZERO, POS)
 
 _CHAR_TO_LABEL = {label.value: label for label in LEX_ORDER}
+_LEX_DIGIT = {label: digit for digit, label in enumerate(LEX_ORDER)}
 
 Labeling = Tuple[Label, ...]
 
@@ -104,6 +105,25 @@ def all_labelings(n: int) -> Iterator[Labeling]:
     if n < 1:
         raise ValueError(f"arity must be >= 1, got {n}")
     return itertools.product(LEX_ORDER, repeat=n)
+
+
+def lex_index(u: Sequence[Label]) -> int:
+    """The position of u in `all_labelings(len(u))`: its lex digits in base 3."""
+    k = 0
+    for label in u:
+        k = 3 * k + _LEX_DIGIT[label]
+    return k
+
+
+def labeling_at(k: int, n: int) -> Labeling:
+    """The labeling at position k of `all_labelings(n)`, inverting `lex_index`."""
+    labels = []
+    for _ in range(n):
+        k, digit = divmod(k, 3)
+        labels.append(LEX_ORDER[digit])
+    if k:  # k was negative or at least 3^n
+        raise ValueError(f"lex index out of range for arity {n}")
+    return tuple(labels[::-1])
 
 
 def _require_same_arity(a: Sequence[Label], b: Sequence[Label]) -> None:

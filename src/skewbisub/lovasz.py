@@ -34,7 +34,6 @@ tolerances would only mask bugs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -50,7 +49,7 @@ from .lattice import (
     ZERO,
     format_labeling,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import common_denominator, format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -151,8 +150,7 @@ def chain_order(nums: Sequence[int], p: int, q: int) -> Tuple[List[int], List[in
 def _walk(x: FractionalPoint) -> Tuple[List[int], List[int], int]:
     """chain_order at x over the lcm D of its denominators, and D * p."""
     alpha = x.alpha.value
-    denominator = math.lcm(*[c.denominator for c in x.coords])
-    nums = [c.numerator * (denominator // c.denominator) for c in x.coords]
+    denominator, nums = common_denominator(x.coords)
     order, keys = chain_order(nums, alpha.numerator, alpha.denominator)
     return order, keys, denominator * alpha.numerator
 
@@ -191,6 +189,7 @@ def maximal_chain(x: FractionalPoint) -> Tuple[List[int], List[Labeling]]:
 
 
 def _check_oracle_point(f: ValueOracle, x: FractionalPoint) -> None:
+    """Raise unless x has f's arity and skew parameter."""
     if f.arity != len(x.coords):
         raise ArityMismatchError(
             f"oracle arity {f.arity} != point dimension {len(x.coords)}"

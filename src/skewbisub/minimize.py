@@ -42,14 +42,13 @@ The run stops with
 A round whose cut is already stored adds no constraint, and then the next
 check stops the run, so the loop ends on its own: f_L has finitely many
 cells and so finitely many cuts.  Everything is an exact int or Fraction;
-labelings are coded in base 3 (Zero 0, Neg 1, Pos 2), so each chain step
-updates the memo key with one addition.  Runs are deterministic given the
+the memo is keyed by `lattice.lex_index`, so each chain step updates the
+key with one addition of +-3^(n-1-j).  Runs are deterministic given the
 configuration.
 """
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass
@@ -57,13 +56,13 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .functions import ValueOracle
-from .lattice import Alpha, ArityMismatchError, Labeling, NEG, POS, ZERO, format_labeling, numeric
-from .lovasz import FractionalPoint, chain_order
+from .lattice import Alpha, Labeling, format_labeling, labeling_at, numeric
+from .lovasz import FractionalPoint, _check_oracle_point, chain_order
 
 # Not used here; bench/tracing.py wraps these names on this module.
 from .lovasz import extension_value, subgradient  # noqa: F401
 from .oracles import random_box_point
-from .rationals import format_rational
+from .rationals import common_denominator, format_rational
 from .simplex import WarmLP
 
 #: Default denominator bound of `project_box`'s snapping grid.
@@ -211,31 +210,15 @@ class MinimizeReport:
         }
 
 
-_DIGIT_LABELS = (ZERO, NEG, POS)
-
-
-def _decode(code: int, n: int) -> Labeling:
-    """The labeling with base-3 code sum_j digit_j 3^j (Zero 0, Neg 1, Pos 2)."""
-    labels = []
-    for _ in range(n):
-        code, digit = divmod(code, 3)
-        labels.append(_DIGIT_LABELS[digit])
-    return tuple(labels)
-
-
 def _scale_cut(g: Tuple[Fraction, ...], p: int, q: int) -> Tuple[int, List[int], int]:
     """The cut t >= g.y in integers: (s, s g, s beta) for beta = alpha sum(g).
 
     With G the lcm of g's denominators, beta = p sum(G g) / (q G), and s is
-    the lcm of G and beta's denominator: the lcm of every denominator in the
-    cut's row, the scale `simplex._integer_scale` would give it.
+    the lcm of every denominator in the cut's row.
     """
-    big_g = math.lcm(*[gj.denominator for gj in g])
-    h = [gj.numerator * (big_g // gj.denominator) for gj in g]
-    beta = Fraction(p * sum(h), q * big_g)
-    s = math.lcm(big_g, beta.denominator)
-    k = s // big_g
-    return s, [k * hj for hj in h], beta.numerator * (s // beta.denominator)
+    big_g, h = common_denominator(g)
+    s, ints = common_denominator([*g, Fraction(p * sum(h), q * big_g)])
+    return s, ints[:-1], ints[-1]
 
 
 def _first_master(g: Tuple[Fraction, ...], p: int, q: int) -> WarmLP:
@@ -297,18 +280,12 @@ def _add_cut(lp: WarmLP, g: Tuple[Fraction, ...], p: int, q: int) -> None:
 
 
 def _start(f: ValueOracle, cfg: MinimizeConfig) -> Tuple[Fraction, ...]:
-    n = f.arity
     if cfg.start is not None:
-        if len(cfg.start.coords) != n:
-            raise ArityMismatchError(
-                f"start point dimension {len(cfg.start.coords)} != oracle arity {n}"
-            )
-        if cfg.start.alpha != f.alpha:
-            raise ValueError("start point alpha differs from the oracle's")
+        _check_oracle_point(f, cfg.start)
         return cfg.start.coords
     if cfg.seed is not None:
-        return random_box_point(n, f.alpha, random.Random(cfg.seed)).coords
-    return (Fraction(0),) * n
+        return random_box_point(f.arity, f.alpha, random.Random(cfg.seed)).coords
+    return (Fraction(0),) * f.arity
 
 
 def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> MinimizeReport:
@@ -322,8 +299,9 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
     alpha = f.alpha.value
     p, q = alpha.numerator, alpha.denominator
     neg_scale = Fraction(-q, p)
-    pos_codes = [2 * 3**j for j in range(n)]
-    neg_codes = [3**j for j in range(n)]
+    # Coordinate j going from Zero to Pos (Neg) adds (subtracts) 3^(n-1-j).
+    steps = [3 ** (n - 1 - j) for j in range(n)]
+    zero_code = (3**n - 1) // 2
     max_iters = cfg.max_iters if cfg.max_iters is not None else 200 * n * n
     y = _start(f, cfg)
 
@@ -335,14 +313,14 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
         nonlocal cache_hits
         hit = cache.get(code)
         if hit is None:
-            hit = cache[code] = f.evaluate(_decode(code, n))
+            hit = cache[code] = f.evaluate(labeling_at(code, n))
         else:
             cache_hits += 1
         return hit
 
-    zero = value(0)
+    zero = value(zero_code)
     best_value: Optional[Fraction] = None
-    best_code = 0
+    best_code = zero_code
     trajectory: List[Tuple[int, Fraction]] = []
 
     def consider(code: int, candidate: Fraction, t: int) -> None:
@@ -357,12 +335,12 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
         # drops, and all-Zero when mass is left below magnitude 1) and
         # returns the cut's gradient.
         order, keys = chain_order(nums, p, q)
-        code = 0
+        code = zero_code
         previous = zero
         g: List[Fraction] = [Fraction(0)] * n
         for k, j in enumerate(order):
             positive = nums[j] >= 0
-            code += pos_codes[j] if positive else neg_codes[j]
+            code += steps[j] if positive else -steps[j]
             current = value(code)
             step = current - previous
             g[j] = step if positive else step * neg_scale
@@ -370,13 +348,10 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
             if keys[k] != keys[k + 1]:
                 consider(code, current, t)
         if keys[0] != denominator * p:
-            consider(0, zero, t)
+            consider(zero_code, zero, t)
         return tuple(g)
 
-    # The first point over the lcm of its denominators; a list, not a
-    # generator, as in simplex._integer_scale.
-    denominator = math.lcm(*[c.denominator for c in y])
-    nums = [c.numerator * (denominator // c.denominator) for c in y]
+    denominator, nums = common_denominator(y)
     cuts: List[Tuple[Fraction, ...]] = []
     lp: Optional[WarmLP] = None
     stop_reason = CUT_CAP
@@ -405,7 +380,7 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
         if best_value < lower_bound:
             # t* <= max_k g_k.u at the box point u, so some cut lies above f(u).
             stop_reason = NOT_CONVEX
-            u = _decode(best_code, n)
+            u = labeling_at(best_code, n)
             point = numeric(u, f.alpha)
             heights = [sum(gj * uj for gj, uj in zip(cut, point)) for cut in cuts]
             k = max(range(len(cuts)), key=heights.__getitem__)
@@ -413,7 +388,7 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
             break
 
     return MinimizeReport(
-        minimizer=_decode(best_code, n),
+        minimizer=labeling_at(best_code, n),
         value=best_value,
         iterations_used=t,
         oracle_calls=f.call_count - calls_before,

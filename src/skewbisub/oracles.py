@@ -16,9 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .functions import CapExceededError, DEFAULT_ENUM_CAP, ValueOracle
-from .lattice import Alpha, Labeling, all_labelings, numeric
-from .lovasz import FractionalPoint, extension_value, maximal_chain, midpoint
+from .functions import CapExceededError, DEFAULT_ENUM_CAP, ValueOracle, exceeds_cap
+from .lattice import Alpha, Labeling, all_labelings, lex_index, numeric
+from .lovasz import (
+    FractionalPoint,
+    _check_oracle_point,
+    extension_value,
+    maximal_chain,
+    midpoint,
+)
 from .simplex import linear_min
 
 #: The closure LP has one variable per domain point.  Started at the chain
@@ -27,6 +33,9 @@ from .simplex import linear_min
 #: random tables, where Bland's pivots run on from it (four LPs each, on a
 #: 2-vCPU VM).  At 3^7 the random tables took 0.9-2.3 s per LP.
 DEFAULT_LP_CAP = 3**6
+
+#: `random_box_point` draws on the grid of multiples of 1/BOX_GRID.
+BOX_GRID = 1024
 
 
 @dataclass(frozen=True)
@@ -41,7 +50,7 @@ def brute_force_min(
     f: ValueOracle, cap: int = DEFAULT_ENUM_CAP
 ) -> Tuple[Labeling, Fraction]:
     """Scan all 3^n points; ties go to the lexicographically first labeling."""
-    if 3**f.arity > cap:
+    if exceeds_cap(f.arity, cap):
         raise CapExceededError(f"3^{f.arity} points exceed the enumeration cap {cap}")
     best_labeling: Optional[Labeling] = None
     best_value: Optional[Fraction] = None
@@ -51,6 +60,12 @@ def brute_force_min(
             best_labeling, best_value = a, v
     assert best_labeling is not None and best_value is not None
     return best_labeling, best_value
+
+
+def check_lp_cap(n: int, cap: int = DEFAULT_LP_CAP) -> None:
+    """Refuse a closure LP at arity n, one column per point, past `cap` columns."""
+    if exceeds_cap(n, cap):
+        raise CapExceededError(f"3^{n} LP variables exceed the cap {cap}")
 
 
 def convex_closure(
@@ -79,12 +94,8 @@ def convex_closure(
     the optimum by pricing all 3^n columns.
     """
     n = f.arity
-    if 3**n > cap:
-        raise CapExceededError(f"3^{n} LP variables exceed the cap {cap}")
-    if len(x.coords) != n:
-        raise ValueError(f"point dimension {len(x.coords)} != oracle arity {n}")
-    if x.alpha != f.alpha:
-        raise ValueError(f"point alpha {x.alpha} != oracle alpha {f.alpha}")
+    check_lp_cap(n, cap)
+    _check_oracle_point(f, x)
     labelings = list(all_labelings(n))
     columns = [numeric(a, f.alpha) for a in labelings]
     costs = [f.evaluate(a) for a in labelings]
@@ -92,8 +103,7 @@ def convex_closure(
     rows = [[one] * len(labelings)]
     rows.extend([col[j] for col in columns] for j in range(n))
     rhs = [one] + list(x.coords)
-    index = {a: k for k, a in enumerate(labelings)}
-    start = [index[u] for u in maximal_chain(x)[1]]
+    start = [lex_index(u) for u in maximal_chain(x)[1]]
     value, weights = linear_min(costs, rows, rhs, start=start)
     distribution = {
         a: w for a, w in zip(labelings, weights) if w
@@ -101,18 +111,14 @@ def convex_closure(
     return ClosureResult(value, distribution)
 
 
-def random_box_point(
-    n: int, alpha: Alpha, rng: random.Random, denominator: int = 1024
-) -> FractionalPoint:
-    """Uniform rational point on the denominator grid inside [-alpha, 1]^n.
+def random_box_point(n: int, alpha: Alpha, rng: random.Random) -> FractionalPoint:
+    """Uniform rational point on the `BOX_GRID` grid inside [-alpha, 1]^n.
 
     Bounded-bit-size rationals keep downstream exact arithmetic (simplex
     included) fast.
     """
-    lo = -(alpha.value.numerator * denominator // alpha.value.denominator)
-    coords = tuple([
-        Fraction(rng.randint(lo, denominator), denominator) for _ in range(n)
-    ])
+    lo = -(alpha.value.numerator * BOX_GRID // alpha.value.denominator)
+    coords = tuple([Fraction(rng.randint(lo, BOX_GRID), BOX_GRID) for _ in range(n)])
     return FractionalPoint(coords, alpha)
 
 

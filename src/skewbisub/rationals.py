@@ -7,8 +7,10 @@ float in an input file is almost always an upstream mistake.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
+from typing import List, Sequence, Tuple, Union
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?\Z")
 
@@ -44,3 +46,16 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def common_denominator(values: Sequence[Union[int, Fraction]]) -> Tuple[int, List[int]]:
+    """The lcm D of the values' denominators and the integer numerators D * v.
+
+    Ints and Fractions both carry `numerator` and `denominator`, so either
+    may appear, mixed; the scaled values are exact integers.
+    """
+    # Unpack a list, not a generator: CPython builds a tuple from a generator
+    # at a guessed size and resizes it, so every call moves one tuple to
+    # another size's free list, and those lists grow to thousands of tuples.
+    denominator = math.lcm(*[v.denominator for v in values])
+    return denominator, [v.numerator * (denominator // v.denominator) for v in values]

@@ -46,7 +46,7 @@ the optimum of the program whatever S was.
 or one its caller builds directly, and adds constraints a.x <= beta to it.
 The only entry is `add_integer_row`, which takes the row already in
 integers; a rational row is first scaled by the lcm s of its denominators
-(`_integer_scale`).  The integer row gets a new slack column r' whose only
+(`rationals.common_denominator`).  The integer row gets a new slack column r' whose only
 nonzero entry, in that row, is 1: s a.x + r' = s beta.  With r' basic in
 the new row, the new basis matrix is [[B, 0], [(s a)_B, 1]], block
 triangular with determinant det B, so d does not change; the new row of
@@ -75,8 +75,9 @@ the enlarged program infeasible.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import List, Sequence, Tuple
+
+from .rationals import common_denominator
 
 
 class LPInfeasibleError(RuntimeError):
@@ -88,15 +89,6 @@ class LPUnboundedError(RuntimeError):
 
 
 _ZERO = Fraction(0)
-
-
-def _integer_scale(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
-    """The lcm s of the denominators and the integers s * v."""
-    # Unpack a list, not a generator: CPython builds a tuple from a generator
-    # at a guessed size and resizes it, so every call moves one tuple to
-    # another size's free list, and those lists grow to thousands of tuples.
-    scale = lcm(*[v.denominator for v in values])
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _pivot(
@@ -144,11 +136,6 @@ def _bland_min(rows: List[List[int]], basis: List[int], cost: List[int], d: int)
         d = _pivot(rows, basis, cost, d, best_row, col)
 
 
-def _fractions(values: Sequence[Fraction]) -> List[Fraction]:
-    """The values as Fractions, wrapping only those that are not one yet."""
-    return [v if type(v) is Fraction else Fraction(v) for v in values]
-
-
 def _optimal_tableau(
     c: Sequence[Fraction],
     A: Sequence[Sequence[Fraction]],
@@ -169,8 +156,8 @@ def _optimal_tableau(
         raise ValueError("inconsistent LP dimensions")
     if len(start) != m or not all(0 <= j < n for j in start):
         raise ValueError(f"a start basis needs {m} columns in range(0, {n}), got {list(start)}")
-    rows = [_integer_scale(_fractions([*row, rhs]))[1] for row, rhs in zip(A, b)]
-    _, cost = _integer_scale(_fractions(c))
+    rows = [common_denominator([*row, rhs])[1] for row, rhs in zip(A, b)]
+    _, cost = common_denominator(c)
     cost.append(0)
     # -1 marks a row with no basic column yet.
     basis = [-1] * m
@@ -212,7 +199,7 @@ class WarmLP:
         """Add a.x <= beta for integers a and beta and re-optimize.
 
         A caller with a rational row scales it by the lcm of its
-        denominators first (`_integer_scale`).
+        denominators first (`rationals.common_denominator`).
         Raises ValueError on a row of the wrong length and LPInfeasibleError
         when the new constraint leaves no feasible point; the object is of no
         further use after the latter.

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -348,6 +349,36 @@ class TestVerifyAll:
         assert run(["verify-all", spike_path, "--trials", "300", "--seed", "0"]) == 1
         entry = json.loads(capsys.readouterr().out)["checks"]["closure_equality"]
         assert entry == {"pass": False, "trials": 300, "point": found["point"]}
+
+
+class TestCapsComeFirst:
+    """Commands past their cap refuse before they draw, walk or enumerate.
+
+    A one-term sum document is cheap to load at any n, so only the cap
+    check stands between these commands and O(n^2) chain walks
+    (`verify-closure`) or a 3^n computation (`check`, `verify-all`).
+    """
+
+    @pytest.mark.parametrize(
+        "command, n, message",
+        [
+            ("verify-closure", 10**6, "3^1000000 LP variables exceed the cap 729"),
+            ("check", 10**7, "3^10000000 points exceed the enumeration cap 6561"),
+            ("verify-all", 10**7, "3^10000000 points exceed the enumeration cap 6561"),
+        ],
+    )
+    def test_refused_at_once(self, tmp_path, capsys, command, n, message):
+        path = tmp_path / "wide.json"
+        doc = {"format": "sum", "n": n, "alpha": "1/2",
+               "terms": [{"scope": [0], "values": {"-": "1", "0": "0", "+": "2"}}]}
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert run([command, str(path)]) == 2
+        # About 0.1 s; computing 3^(10^7) alone takes seconds.
+        assert time.perf_counter() - start < 2.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestGenerate:

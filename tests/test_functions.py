@@ -11,6 +11,7 @@ from skewbisub import (
     Alpha,
     ArityMismatchError,
     CapExceededError,
+    DEFAULT_ENUM_CAP,
     GenerationBudgetError,
     InstanceFormatError,
     LEX_ORDER,
@@ -32,6 +33,7 @@ from skewbisub import (
     numeric,
     parse_labeling,
 )
+from skewbisub.functions import exceeds_cap
 from skewbisub.rationals import format_rational
 
 
@@ -289,6 +291,22 @@ class TestExpand:
         f = TableFunction(2, alpha_half, {u: 0 for u in all_labelings(2)})
         with pytest.raises(CapExceededError):
             expand_to_table(f, cap=3)
+
+
+class TestExceedsCap:
+    CAPS = sorted(
+        {0, 1, 2, 3, 8, 9, 10, 26, 27, 28, 3**6, 3**8, 3**8 + 1, 2**63, 3**40 - 1, 3**40, 3**40 + 1}
+        | {3**k + d for k in range(1, 41, 3) for d in (-1, 0, 1)}
+    )
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_equals_the_power_comparison(self, cap):
+        assert [exceeds_cap(n, cap) for n in range(1, 41)] == [3**n > cap for n in range(1, 41)]
+
+    def test_huge_arity_returns_at_once(self):
+        # 3^(10^18) has about 1.6e18 bits, so only a short cut can answer.
+        assert exceeds_cap(10**18, DEFAULT_ENUM_CAP)
+        assert exceeds_cap(10**18, 10**100)
 
 
 class TestJson:

@@ -21,7 +21,7 @@ from skewbisub import (
     numeric,
     parse_labeling,
 )
-from skewbisub.lattice import label_leq, label_less
+from skewbisub.lattice import label_leq, label_less, labeling_at, lex_index
 
 ALPHAS = [Alpha(Fraction(1, 4)), Alpha(Fraction(1, 2)), Alpha(Fraction(3, 4)), Alpha(Fraction(1)), Alpha(Fraction(2, 7))]
 
@@ -184,6 +184,26 @@ class TestEncoding:
     def test_lex_order_starts_all_neg(self):
         first = next(iter(all_labelings(3)))
         assert format_labeling(first) == "---"
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_lex_index_numbers_all_labelings_in_order(self, n):
+        labelings = list(all_labelings(n))
+        assert [lex_index(u) for u in labelings] == list(range(3**n))
+        assert [labeling_at(k, n) for k in range(3**n)] == labelings
+
+    def test_all_zero_and_unit_steps(self):
+        n = 5
+        zero = (ZERO,) * n
+        assert lex_index(zero) == (3**n - 1) // 2
+        for j in range(n):
+            for label, sign in ((POS, 1), (NEG, -1)):
+                u = zero[:j] + (label,) + zero[j + 1 :]
+                assert lex_index(u) == lex_index(zero) + sign * 3 ** (n - 1 - j)
+
+    @pytest.mark.parametrize("k, n", [(-1, 2), (9, 2), (3**40, 39)])
+    def test_labeling_at_rejects_an_index_out_of_range(self, k, n):
+        with pytest.raises(ValueError, match="out of range"):
+            labeling_at(k, n)
 
     def test_bad_characters(self):
         with pytest.raises(ValueError):

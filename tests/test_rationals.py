@@ -1,12 +1,13 @@
-"""Parsing of exact rationals."""
+"""Parsing of exact rationals, and scaling them to one common denominator."""
 
+import math
 import re
 import sys
 from fractions import Fraction
 
 import pytest
 
-from skewbisub.rationals import parse_rational
+from skewbisub.rationals import common_denominator, parse_rational
 
 _FRACTION_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?\Z")
 
@@ -114,3 +115,24 @@ def test_same_result_or_message_as_the_fraction_parser(value, int_digit_limit):
 )
 def test_accepted_literals(text, expected):
     assert parse_rational(text) == expected
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [7],
+        [Fraction(-3, 8)],
+        [0, 5, -12],
+        [Fraction(1, 6), Fraction(-5, 4), Fraction(2, 9)],
+        [3, Fraction(1, 10), -2, Fraction(7, 15), Fraction(0)],
+        [Fraction(10**40, 7), Fraction(-1, 7 * 10**9), 10**30],
+    ],
+    ids=["one int", "one fraction", "ints", "fractions", "mixed", "huge"],
+)
+def test_common_denominator_matches_fraction_arithmetic(values):
+    denominator, nums = common_denominator(values)
+    assert all(type(v) is int for v in nums)
+    assert [Fraction(v, denominator) for v in nums] == [Fraction(v) for v in values]
+    # A common factor c > 1 of D and every numerator would make D / c a
+    # common denominator too; the least one leaves none.
+    assert math.gcd(denominator, *nums) == 1

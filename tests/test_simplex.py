@@ -34,6 +34,7 @@ from skewbisub import (
     parse_labeling,
     random_box_point,
 )
+from skewbisub.rationals import common_denominator
 from skewbisub.simplex import WarmLP
 from skewbisub import oracles, simplex
 from conftest import recorded_pivots, reference_basis, reference_linear_min
@@ -291,7 +292,7 @@ def _solved(c, A, b):
 
 def _add_row(lp, a, beta):
     """Add the rational row a.x <= beta, scaled to integers."""
-    _, ints = simplex._integer_scale([Fraction(v) for v in a] + [Fraction(beta)])
+    _, ints = common_denominator([Fraction(v) for v in a] + [Fraction(beta)])
     lp.add_integer_row(ints[:-1], ints[-1])
 
 
@@ -304,10 +305,10 @@ def _integer_rows(A, b, added):
     k = len(added)
     rows = []
     for row, rhs in zip(A, b):
-        _, ints = simplex._integer_scale([Fraction(v) for v in row] + [Fraction(rhs)])
+        _, ints = common_denominator([Fraction(v) for v in row] + [Fraction(rhs)])
         rows.append(ints[:-1] + [0] * k + ints[-1:])
     for i, (a, beta) in enumerate(added):
-        _, ints = simplex._integer_scale([Fraction(v) for v in a] + [Fraction(beta)])
+        _, ints = common_denominator([Fraction(v) for v in a] + [Fraction(beta)])
         slack = [0] * k
         slack[i] = 1
         rows.append(ints[:-1] + slack + ints[-1:])
@@ -323,7 +324,7 @@ def _assert_tableau_invariant(lp, c, A, b, added):
     X, det = _solve_fractions(B, M)
     assert lp.d == abs(det)
     assert lp.rows == [[lp.d * v for v in row] for row in X]
-    scale, ints = simplex._integer_scale([Fraction(v) for v in c])
+    scale, ints = common_denominator([Fraction(v) for v in c])
     costs = ints + [0] * len(added) + [0]
     basic = [costs[j] for j in lp.basis]
     reduced = [costs[j] - sum(cb * row[j] for cb, row in zip(basic, X)) for j in range(len(costs))]
