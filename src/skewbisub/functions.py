@@ -26,7 +26,7 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import lru_cache, partial
 from itertools import islice
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -134,7 +134,9 @@ def _normalize_table(
             raise InstanceFormatError(
                 f"{where}: duplicate key {format_labeling(labeling)!r}"
             )
-        if isinstance(raw, Fraction):
+        # Strings first: a str is never a Fraction, and isinstance against
+        # Fraction, an abstract base class, makes a Python-level call.
+        if not isinstance(raw, str) and isinstance(raw, Fraction):
             table[labeling] = raw
         else:
             try:
@@ -364,7 +366,21 @@ def _pack(fields: List[int], width: int) -> int:
     return fields[0]
 
 
+#: `_digit_moves` keeps its results for the (n, B) whose masks, of 3^n B
+#: bits each, fit in this many bits.  A result holds, for each of the n
+#: digits of a, one mask per digit set in `_SHIFT_DIGITS` (7 sets), and
+#: 3^8 * 2 bits are too many, so a kept result has n <= 7 and at most 49
+#: masks of 1 KiB: the 16 kept results hold at most 784 KiB of masks.
+_KEPT_MASK_BITS = 2**13
+
+
 def _digit_moves(n: int, width: int):
+    if 3**n * width > _KEPT_MASK_BITS:
+        return _build_digit_moves(n, width)
+    return _kept_digit_moves(n, width)
+
+
+def _build_digit_moves(n: int, width: int):
     # For each lex digit t of a, most significant first, and each value x of
     # it: the moves of meet0, join0 and join1 along digit t.  Field k of a
     # gather is field k' of its source, where k' is k with its digit t, say
@@ -393,7 +409,10 @@ def _digit_moves(n: int, width: int):
             ])
             for x in range(3)
         ]))
-    return levels
+    return tuple(levels)
+
+
+_kept_digit_moves = lru_cache(maxsize=16)(_build_digit_moves)
 
 
 def _gather(v: int, moves: Tuple[Tuple[int, int], ...]) -> int:
@@ -442,32 +461,61 @@ def expand_to_table(f: ValueOracle, cap: int = DEFAULT_ENUM_CAP) -> TableFunctio
     return TableFunction(f.arity, f.alpha, values)
 
 
-def _fast_integer_accept(
-    int_values: List[int],
-    meets: List[List[int]],
-    joins0: List[List[int]],
-    joins1: List[List[int]],
-    p: int,
-    q: int,
+@lru_cache(maxsize=64)
+def _pair_tests(arity: int, p: int, q: int) -> Tuple[Tuple[int, int, int, int, int], ...]:
+    # The lex indices (a, b, meet0, join0, join1) of every pair a <lex b
+    # whose inequality, scaled by q for alpha = p/q, can fail.  The pairs
+    # with b <lex a and a = b are left out by the checker's symmetry
+    # argument.  A pair is left out too when each f(u) has the same weight
+    # on both sides of q f(meet) + p f(join0) + (q - p) f(join1) <= q (f(a) + f(b)),
+    # as when every coordinate of one of a, b is 0 or the other's (meet0 is
+    # then that one and both joins the other): both sides are then one
+    # linear form, so the pair holds with equality on every table and
+    # cannot reject one.  arity <= 2, so an entry is at most 36 tuples.
+    meets, joins0, joins1 = zip(*_prefix_rows(arity))
+    pairs = []
+    for a in range(3**arity):
+        for b in range(a + 1, 3**arity):
+            ops = (meets[a][b], joins0[a][b], joins1[a][b])
+            weights = dict.fromkeys((a, b, *ops), 0)
+            for u, w in zip((a, b, *ops), (-q, -q, q, p, q - p)):
+                weights[u] += w
+            if any(weights.values()):
+                pairs.append((a, b, *ops))
+    return tuple(pairs)
+
+
+def _accepts(
+    values: List[int], pairs: Tuple[Tuple[int, int, int, int, int], ...], p: int, q: int
 ) -> bool:
-    # Same inequality scaled by q (alpha = p/q), over plain ints: the
-    # generator's hot rejection path.  Accepted tables are re-confirmed by
-    # check_alpha_bisubmodular before use.
+    # The inequality scaled by q (alpha = p/q) at each pair of `_pair_tests`,
+    # on plain ints: the generator's hot rejection path.  Accepted tables
+    # are re-confirmed by check_alpha_bisubmodular before use.
     qp = q - p
-    for i, fa in enumerate(int_values):
-        mi = meets[i]
-        j0 = joins0[i]
-        j1 = joins1[i]
-        for j, fb in enumerate(int_values):
-            if q * int_values[mi[j]] + p * int_values[j0[j]] + qp * int_values[j1[j]] > q * (fa + fb):
-                return False
+    for a, b, meet, join0, join1 in pairs:
+        if q * values[meet] + p * values[join0] + qp * values[join1] > q * (values[a] + values[b]):
+            return False
     return True
 
 
-@cache
-def _pair_op_indices(arity: int):
-    meets, joins0, joins1 = zip(*_prefix_rows(arity))
-    return list(all_labelings(arity)), meets, joins0, joins1
+def _randints(rng: random.Random, lo: int, hi: int, count: int) -> List[int]:
+    # `count` values of rng.randint(lo, hi), drawn as CPython draws them:
+    # randint(lo, hi) is randrange(lo, hi + 1), which returns lo + r for
+    # r = _randbelow(w), w = hi - lo + 1, and _randbelow takes r from
+    # getrandbits(w.bit_length()), drawing again while r >= w.  Spelled out,
+    # the draws consume the same Mersenne Twister words and give the same
+    # values without three Python calls per value, and the stream no longer
+    # depends on how a later Python implements randint.
+    width = hi - lo + 1
+    bits = width.bit_length()
+    getrandbits = rng.getrandbits
+    values = []
+    for _ in range(count):
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        values.append(lo + r)
+    return values
 
 
 def generate_instance(
@@ -483,6 +531,18 @@ def generate_instance(
     Each term's scope is drawn uniformly without replacement, its size
     uniform in {1, ..., max_scope}; integer value tables are drawn uniformly
     over `_VALUE_RANGE` and rejection-sampled until the checker accepts.
+
+    A table's 3^k values are drawn by `_randints`, which spells out
+    CPython's `randint` -> `_randbelow` path on `getrandbits`: it takes the
+    same words of the seeded stream and gives the same values as `randint`,
+    and no longer depends on how a later Python implements `randint` (the
+    scope draws still call `randint` and `sample`).  A draw is rejected at
+    the first pair of `_pair_tests` that violates the inequality: the pairs
+    a <lex b, less those that hold with equality on every table.  That
+    rejects exactly the tables that a scan of all ordered pairs rejects.
+    So every accepted table, and the stream after it, is the one that
+    `randint` draws and the full scan give, and the instances are those
+    the generator made when it drew that way.
     """
     if n < 1:
         raise ValueError(f"arity must be >= 1, got {n}")
@@ -498,13 +558,13 @@ def generate_instance(
     for pos in range(num_terms):
         k = rng.randint(1, min(max_scope, n))
         scope = tuple(sorted(rng.sample(range(n), k)))
-        labelings, meets, joins0, joins1 = _pair_op_indices(k)
+        pairs = _pair_tests(k, p, q)
         for _ in range(max_rejections):
-            int_values = [rng.randint(lo, hi) for _ in labelings]
-            if not _fast_integer_accept(int_values, meets, joins0, joins1, p, q):
+            int_values = _randints(rng, lo, hi, 3**k)
+            if not _accepts(int_values, pairs, p, q):
                 continue
             table = TableFunction(
-                k, alpha, {u: Fraction(v) for u, v in zip(labelings, int_values)}
+                k, alpha, {u: Fraction(v) for u, v in zip(all_labelings(k), int_values)}
             )
             witness = check_alpha_bisubmodular(table)
             if witness is not None:  # pragma: no cover - guards the fast path

@@ -8,11 +8,8 @@ float in an input file is almost always an upstream mistake.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
-
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?\Z")
 
 
 def parse_rational(value: object, where: str = "value") -> Fraction:
@@ -28,12 +25,18 @@ def parse_rational(value: object, where: str = "value") -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
-        if not _RATIONAL_RE.match(text):
-            raise ValueError(
-                f"{where}: bad rational literal {value!r} (expected 'p' or 'p/q')"
-            )
-        num, _, den = text.partition("/")
-        return Fraction(int(num), int(den or 1))
+        # p is an optional sign and decimal digits (Unicode category Nd,
+        # which int() reads), q decimal digits after an ASCII 1-9.  A plain
+        # integer skips the gcd of Fraction(p, q).
+        num, slash, den = text.partition("/")
+        if (num[1:] if num[:1] in ("+", "-") else num).isdecimal():
+            if not slash:
+                return Fraction(int(num))
+            if "1" <= den[:1] <= "9" and den.isdecimal():
+                return Fraction(int(num), int(den))
+        raise ValueError(
+            f"{where}: bad rational literal {value!r} (expected 'p' or 'p/q')"
+        )
     if isinstance(value, float):
         raise ValueError(
             f"{where}: floats are not accepted (got {value!r}); use an exact 'p/q' string"

@@ -56,6 +56,21 @@ LITERALS = [
     "٣/٤",  # the denominator's first digit must be ASCII 1-9
     "3/1٣",
     "1_0",
+    "+",
+    "-",
+    " - 3",
+    "-٣",
+    "²",  # SUPERSCRIPT TWO: a digit, but not a decimal one
+    "−3",  # MINUS SIGN, not '-'
+    "3/",
+    "/3",
+    "3/ 4",
+    "3 /4",
+    "3/4/5",
+    "3//4",
+    "+3/4",
+    "-3/+4",
+    "-3/-4",
     "1.5",
     "1e3",
     "",
