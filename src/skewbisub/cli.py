@@ -184,14 +184,16 @@ def _verify_all_checks(f: ValueOracle, trials: int, seed: int) -> dict:
 
     # Meet/join recombination identity.  It is componentwise and does not
     # depend on f, so the 9 single-label pairs prove it at every arity.
+    # With alpha = p/q and each label scaled by q to -p, 0 or q, it reads
+    # q meet0 + p join_0 + (q - p) join_+ = q (a + b) in integers.
     pairs = [(a, b) for a in all_labelings(1) for b in all_labelings(1)]
-    al = f.alpha.value
+    p, q = f.alpha.value.numerator, f.alpha.value.denominator
+    scaled = {NEG: -p, ZERO: 0, POS: q}
     identity_ok = all(
-        m + al * x + (1 - al) * y == p + q
+        q * scaled[meet0(a, b)[0]] + p * scaled[join(a, b, ZERO)[0]]
+        + (q - p) * scaled[join(a, b, POS)[0]]
+        == q * (scaled[a[0]] + scaled[b[0]])
         for a, b in pairs
-        for m, x, y, p, q in zip(
-            *[numeric(u, f.alpha) for u in (meet0(a, b), join(a, b, ZERO), join(a, b, POS), a, b)]
-        )
     )
     checks["lattice_identity"] = {
         "pass": identity_ok,

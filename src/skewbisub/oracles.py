@@ -4,20 +4,22 @@ Everything here exists to be compared against: brute-force minimization by
 full enumeration, the convex closure as an explicit exact linear program
 over all 3^n vertex distributions, and a randomized midpoint-convexity
 probe.  The chain-decomposition path they check gives the closure LP only
-its starting basis, the maximal chain through x; the LP itself checks that
-basis, for feasibility in its tableau and for optimality by pricing all
-3^n columns, so no value here rests on the chain code being right.
+its starting basis, the maximal chain through x; the LP solver itself checks
+that basis, for feasibility on its right-hand side and for optimality by
+pricing all 3^n columns, so no value here rests on the chain code being
+right.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .functions import CapExceededError, DEFAULT_ENUM_CAP, ValueOracle, exceeds_cap
-from .lattice import Alpha, Labeling, all_labelings, lex_index, numeric
+from .lattice import Alpha, Labeling, NEG, POS, all_labelings, lex_index
 from .lovasz import (
     FractionalPoint,
     _check_oracle_point,
@@ -25,13 +27,15 @@ from .lovasz import (
     maximal_chain,
     midpoint,
 )
+from .rationals import common_denominator
 from .simplex import linear_min
 
 #: The closure LP has one variable per domain point.  Started at the chain
-#: basis, one exact solve at 3^6 = 729 columns takes 18-22 ms on generated
-#: skew bisubmodular tables, where the start is optimal, and 0.10-0.34 s on
-#: random tables, where Bland's pivots run on from it (four LPs each, on a
-#: 2-vCPU VM).  At 3^7 the random tables took 0.9-2.3 s per LP.
+#: basis, one exact solve at 3^6 = 729 columns takes 1.6-2.4 ms on a
+#: generated skew bisubmodular table, where the start is optimal, and
+#: 18-102 ms on a random table, where Bland's pivots run on from it (four
+#: LPs each, Python 3.11 on a 2-vCPU VM).  At 3^7 the random table took
+#: 0.25-0.49 s per LP.
 DEFAULT_LP_CAP = 3**6
 
 #: `random_box_point` draws on the grid of multiples of 1/BOX_GRID.
@@ -68,6 +72,21 @@ def check_lp_cap(n: int, cap: int = DEFAULT_LP_CAP) -> None:
         raise CapExceededError(f"3^{n} LP variables exceed the cap {cap}")
 
 
+@functools.lru_cache(maxsize=8)
+def _closure_rows(n: int, p: int, q: int) -> Tuple[Tuple[int, ...], ...]:
+    """The closure LP's rows over all 3^n labelings in lex order, in integers.
+
+    Row 0 is the normalization row of ones; row 1 + j holds q u_j, the j-th
+    coordinate of each point u of {-p/q, 0, 1}^n scaled by q: -p, 0 or q.
+    A run meets only a few (n, alpha); at n = 6 one entry is 7 x 729 ints.
+    """
+    entry = {NEG: -p, POS: q}
+    labelings = list(all_labelings(n))
+    rows = [(1,) * len(labelings)]
+    rows.extend(tuple([entry.get(u[j], 0) for u in labelings]) for j in range(n))
+    return tuple(rows)
+
+
 def convex_closure(
     f: ValueOracle, x: FractionalPoint, cap: int = DEFAULT_LP_CAP
 ) -> ClosureResult:
@@ -89,26 +108,27 @@ def convex_closure(
     decomposition of x.  For
     any other f some column may price out negative, and Bland's pivots run
     from there to the optimum, which can then lie below the extension.
-    The value never rests on the chain being computed right: the tableau
+    The value never rests on the chain being computed right: the solver
     checks that the start is a feasible basis, and Bland's rule certifies
     the optimum by pricing all 3^n columns.
     """
     n = f.arity
     check_lp_cap(n, cap)
     _check_oracle_point(f, x)
+    q = f.alpha.value.denominator
     labelings = list(all_labelings(n))
-    columns = [numeric(a, f.alpha) for a in labelings]
     costs = [f.evaluate(a) for a in labelings]
-    one = Fraction(1)
-    rows = [[one] * len(labelings)]
-    rows.extend([col[j] for col in columns] for j in range(n))
-    rhs = [one] + list(x.coords)
+    # Row 0 asks for total weight 1 and row 1 + j for the mean q x_j.  With
+    # x = N / X, X = scale, the weights times X solve the same rows with the
+    # integer right-hand side (X, q N), so weights and value come back
+    # divided by X.
+    scale, nums = common_denominator(x.coords)
+    rhs = [scale, *[q * v for v in nums]]
     start = [lex_index(u) for u in maximal_chain(x)[1]]
+    rows = _closure_rows(n, f.alpha.value.numerator, q)
     value, weights = linear_min(costs, rows, rhs, start=start)
-    distribution = {
-        a: w for a, w in zip(labelings, weights) if w
-    }
-    return ClosureResult(value, distribution)
+    distribution = {a: w / scale for a, w in zip(labelings, weights) if w}
+    return ClosureResult(value / scale, distribution)
 
 
 def random_box_point(n: int, alpha: Alpha, rng: random.Random) -> FractionalPoint:

@@ -1,46 +1,64 @@
-"""Exact dense-tableau simplex for small equality-form linear programs.
+"""Exact revised simplex for small equality-form linear programs.
 
 Minimizes c.x subject to A x = b, x >= 0 over exact rationals, from a
 feasible basis the caller names, with Bland's anti-cycling rule.  Built for
-desk-scale problems (a handful of rows, a few hundred columns) where exact
-optima are the whole point; no attempt at sparse or revised tricks.
+desk-scale problems (a handful of rows, up to a few thousand columns) where
+exact optima are the whole point.
 
-The tableau is fraction-free (Edmonds, J. Res. NBS 1967; Bareiss, Math.
-Comp. 1968): plain integers T over one shared denominator d > 0, the
-rational tableau being T / d.  Each row [A_i | b_i] is scaled to integers by
-the lcm of its denominators, giving an integer matrix M, and the first
-tableau is M itself with d = 1.  With B the columns of M pivoted in so far,
-completed by unit columns for the rows that have no basic column yet,
-d = |det B| and T = d B^-1 M, so by Cramer's rule every entry of T is, up
-to sign, a determinant of B with one column replaced by a column of M: an
-integer.  A pivot on (r, c) therefore divides exactly,
+The arithmetic is fraction-free (Edmonds, J. Res. NBS 1967; Bareiss, Math.
+Comp. 1968): plain integers over one shared denominator d > 0.  Each row
+[A_i | b_i] is scaled to integers by the lcm of its denominators, giving an
+integer matrix M and right-hand side r, and the objective by the lcm L_c of
+its denominators, giving C = L_c c; rows already in integers are taken as
+they are.  Scaling by a positive factor moves no pivot: ratios, signs and
+ties are unchanged.  So the pivots, and with them the optimal basis
+returned, are those of the same method run on a tableau of Fractions.
 
-    T'_ij = (T_rc T_ij - T_ic T_rj) // d   (i != r),   T'_r = T_r,   d' = T_rc,
+The method is the revised one (Dantzig and Orchard-Hays, 1954).  With B the
+columns of M pivoted in so far, completed by unit columns for the rows that
+have no basic column yet, and d = |det B|, the solver keeps only the m x m
+integer matrix R = d B^-1 and the column d B^-1 r, never the m x N tableau
+d B^-1 M.  [R | d B^-1 r] is the part of the fraction-free tableau
+T = d B^-1 [M | I | r] over its last m + 1 columns, with d = 1 and T the
+matrix itself before any pivot.  By Cramer's rule every entry of T is, up to
+sign, a determinant of B with one column replaced by a column of the integer
+matrix [M | I | r]: an integer.  A pivot on (s, j), with w = T_j = R M_j the
+entering column, therefore divides exactly,
 
-and the cost row, d times the reduced costs of an integer objective, is a
-bordered determinant of the same kind and updates by the same rule.  When
-d' < 0 (when a start column, below, is pivoted in on a negative entry, and
-on every dual simplex pivot below) the whole tableau is negated; `_pivot`
-does so in the same pass, by negating the pivot row and d' first.
+    T'_i = (w_s T_i - w_i T_s) // d   (i != s),   T'_s = T_s,   d' = w_s,
 
-Row scaling by a positive factor moves no pivot: ratios, signs and ties are
-unchanged.  So the pivots, and with them the optimal basis returned, are
-those of the same method run on a tableau of Fractions.
+and each column of T moves by its own entries and w alone, so the columns
+of M are left out and formed on demand as R M_j.  When w_s < 0 (when a start
+column, below, is pivoted in on a negative entry, and on every dual simplex
+pivot below) the whole of T is negated; `_eliminate` does so in the same
+pass, by negating the pivot row and d' first, while every other w_i keeps its
+sign.
+
+Pricing needs no tableau either.  With pi = C_B R, the integer d C_j - pi M_j
+is d times the reduced cost of column j, the entry that a cost row carried
+through the pivots would hold: d (C_j - C_B B^-1 M_j).  A pricing pass
+costs m N multiplications, as one tableau pivot would, but a pivot now
+touches m (m + 1) entries, not m N; from a start that is already optimal
+the solve is m small pivots and one pricing pass.  Bland's rule enters the
+smallest j with a negative price, forms w = R M_j, and leaves on the row
+with the least ratio (d B^-1 r)_i / w_i over w_i > 0, the smallest basic
+column among ties; ratios of integers over the same d compare by
+cross-multiplication.
 
 The caller names the m columns of a feasible basis S of A x = b as
 `start`, and each column of S is pivoted in, in the order given, on the
-first row that has no basic column yet and whose entry is nonzero.  These
-are m ordinary pivots on the same integer tableau, so the exact-division
-argument above holds after them.  The cost row starts as the integer-scaled
-objective L_c c, which is d L_c times the reduced costs while d = 1 and no
-column is basic; carried through the start pivots, it is d L_c times the
-reduced costs at S.  A start column with no such row is linearly dependent
-on the columns before it, and a negative right-hand side afterwards means
-the basic solution of S is not nonnegative; either raises ValueError.
-Bland's rule then runs from S as from any other feasible basis.  Nothing
-here trusts S beyond its being a basis: the tableau checks its
-feasibility, and Bland's rule prices every column, so the optimum found is
-the optimum of the program whatever S was.
+first row that has no basic column yet and whose entry in w is nonzero.
+These are m ordinary pivots from R = I and d = 1, so the exact-division
+argument above holds after them.  A start column with no such row is
+linearly dependent on the columns before it, and a negative right-hand side
+afterwards means the basic solution of S is not nonnegative; either raises
+ValueError.  Bland's rule then runs from S as from any other feasible basis.
+Nothing here trusts S beyond its being a basis: R checks its feasibility,
+and Bland's rule prices every column, so the optimum found is the optimum of
+the program whatever S was.
+
+`_optimal_tableau` multiplies out the optimal tableau, T = R M beside
+d B^-1 r and the cost row d C - pi M beside -C_B d B^-1 r, for a `WarmLP`.
 
 `WarmLP` starts from an optimal tableau, the one `_optimal_tableau` returns
 or one its caller builds directly, and adds constraints a.x <= beta to it.
@@ -75,6 +93,7 @@ the enlarged program infeasible.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from .rationals import common_denominator
@@ -91,20 +110,23 @@ class LPUnboundedError(RuntimeError):
 _ZERO = Fraction(0)
 
 
-def _pivot(
-    rows: List[List[int]], basis: List[int], cost: List[int], d: int, row: int, col: int
+def _eliminate(
+    rows: List[List[int]], column: Sequence[int], basis: List[int], d: int, row: int, col: int
 ) -> int:
-    """Pivot on (row, col) in place and return the new denominator, > 0."""
+    """Pivot `rows` in place on `row`, entering column `col`; return the new d, > 0.
+
+    `column` holds col's entry in each of `rows`, whose first len(basis)
+    rows are the constraint rows and any further row a cost row.
+    """
     pivot_row = rows[row]
-    p = pivot_row[col]
+    p = column[row]
     if p < 0:
         # Negating the pivot row and p negates every updated row as well.
         pivot_row[:] = [-w for w in pivot_row]
         p = -p
-    for target in (*rows, cost):
-        if target is pivot_row:
+    for i, (target, factor) in enumerate(zip(rows, column)):
+        if i == row:
             continue
-        factor = target[col]
         if factor:
             target[:] = [(p * v - factor * w) // d for v, w in zip(target, pivot_row)]
         elif p != d:
@@ -113,27 +135,107 @@ def _pivot(
     return p
 
 
-def _bland_min(rows: List[List[int]], basis: List[int], cost: List[int], d: int) -> int:
-    """Run Bland pivots until no reduced cost is negative; return the new d."""
-    ncols = len(cost) - 1
+def _pivot(
+    rows: List[List[int]], basis: List[int], cost: List[int], d: int, row: int, col: int
+) -> int:
+    """Pivot a full tableau and its cost row in place on (row, col); return the new d."""
+    column = [r[col] for r in rows]
+    column.append(cost[col])
+    return _eliminate([*rows, cost], column, basis, d, row, col)
+
+
+def _integer_program(
+    c: Sequence[Fraction],
+    A: Sequence[Sequence[Fraction]],
+    b: Sequence[Fraction],
+    start: Sequence[int],
+) -> Tuple[Sequence[int], List[Sequence[int]], List[int]]:
+    """(C, M, r): the objective and each row [A_i | b_i] scaled to integers.
+
+    Raises ValueError on inconsistent dimensions or a start of the wrong
+    size or out of range.
+    """
+    m = len(A)
+    n = len(c)
+    if len(b) != m or any(len(row) != n for row in A):
+        raise ValueError("inconsistent LP dimensions")
+    if len(start) != m or not all(0 <= j < n for j in start):
+        raise ValueError(f"a start basis needs {m} columns in range(0, {n}), got {list(start)}")
+    M: List[Sequence[int]] = []
+    r: List[int] = []
+    for row, rhs in zip(A, b):
+        if type(rhs) is not int or not set(map(type, row)) <= {int}:
+            _, ints = common_denominator([*row, rhs])
+            row, rhs = ints[:-1], ints[-1]
+        M.append(row)
+        r.append(rhs)
+    cost = c if set(map(type, c)) <= {int} else common_denominator(c)[1]
+    return cost, M, r
+
+
+def _entering(inverse: List[List[int]], M: Sequence[Sequence[int]], col: int) -> List[int]:
+    """w = R M_col, the tableau column of `col`."""
+    a = [row[col] for row in M]
+    # map stops at the end of a, before the right-hand side closing each row.
+    return [sum(map(mul, r, a)) for r in inverse]
+
+
+def _duals(inverse: List[List[int]], basis: List[int], cost: Sequence[int]) -> List[int]:
+    """pi = C_B R."""
+    pi = [0] * len(inverse)
+    for j, r in zip(basis, inverse):
+        cb = cost[j]
+        if cb:
+            # zip stops at the end of pi, before the right-hand side.
+            pi = [v + cb * w for v, w in zip(pi, r)]
+    return pi
+
+
+def _revised_min(
+    cost: Sequence[int], M: Sequence[Sequence[int]], r: Sequence[int], start: Sequence[int]
+) -> Tuple[List[List[int]], List[int], int]:
+    """Bland's rule from `start` on min C.x s.t. M x = r, x >= 0, all integers.
+
+    Returns ([R | d B^-1 r], basis, d) at the optimum.  Raises ValueError
+    when `start` is not a feasible basis and LPUnboundedError when the
+    objective is unbounded below.
+    """
+    m = len(M)
+    inverse = [[int(i == k) for k in range(m)] + [r[i]] for i in range(m)]
+    # -1 marks a row with no basic column yet.
+    basis = [-1] * m
+    d = 1
+    for col in start:
+        w = _entering(inverse, M, col)
+        target = next((i for i in range(m) if basis[i] < 0 and w[i]), None)
+        if target is None:
+            raise ValueError(f"start column {col} is dependent on the ones before it")
+        d = _eliminate(inverse, w, basis, d, target, col)
+    if any(row[-1] < 0 for row in inverse):
+        raise ValueError("the start basis is infeasible")
     while True:
-        col = next((j for j in range(ncols) if cost[j] < 0), None)
+        prices = [d * cj for cj in cost]
+        for pk, row in zip(_duals(inverse, basis, cost), M):
+            if pk:
+                prices = [v - pk * a for v, a in zip(prices, row)]
+        col = next((j for j, v in enumerate(prices) if v < 0), None)
         if col is None:
-            return d
-        # With d > 0, ratio rhs_i / a_i compares by cross-multiplication.
+            return inverse, basis, d
+        w = _entering(inverse, M, col)
+        # With d > 0, ratio rhs_i / w_i compares by cross-multiplication.
         best_row = -1
-        for i, r in enumerate(rows):
-            a = r[col]
+        for i, a in enumerate(w):
             if a <= 0:
                 continue
+            rhs = inverse[i][-1]
             if best_row >= 0:
-                lhs, rhs = r[-1] * best_a, best_rhs * a
-                if not (lhs < rhs or (lhs == rhs and basis[i] < basis[best_row])):
+                lhs, right = rhs * best_a, best_rhs * a
+                if not (lhs < right or (lhs == right and basis[i] < basis[best_row])):
                     continue
-            best_row, best_a, best_rhs = i, a, r[-1]
+            best_row, best_a, best_rhs = i, a, rhs
         if best_row < 0:
             raise LPUnboundedError("no leaving row: objective unbounded below")
-        d = _pivot(rows, basis, cost, d, best_row, col)
+        d = _eliminate(inverse, w, basis, d, best_row, col)
 
 
 def _optimal_tableau(
@@ -150,26 +252,14 @@ def _optimal_tableau(
     the denominator d.  Raises LPUnboundedError, and ValueError on
     inconsistent dimensions or a start that is not a feasible basis.
     """
-    m = len(A)
-    n = len(c)
-    if len(b) != m or any(len(row) != n for row in A):
-        raise ValueError("inconsistent LP dimensions")
-    if len(start) != m or not all(0 <= j < n for j in start):
-        raise ValueError(f"a start basis needs {m} columns in range(0, {n}), got {list(start)}")
-    rows = [common_denominator([*row, rhs])[1] for row, rhs in zip(A, b)]
-    _, cost = common_denominator(c)
-    cost.append(0)
-    # -1 marks a row with no basic column yet.
-    basis = [-1] * m
-    d = 1
-    for col in start:
-        target = next((i for i in range(m) if basis[i] < 0 and rows[i][col]), None)
-        if target is None:
-            raise ValueError(f"start column {col} is dependent on the ones before it")
-        d = _pivot(rows, basis, cost, d, target, col)
-    if any(row[-1] < 0 for row in rows):
-        raise ValueError("the start basis is infeasible")
-    return rows, basis, cost, _bland_min(rows, basis, cost, d)
+    C, M, r = _integer_program(c, A, b, start)
+    inverse, basis, d = _revised_min(C, M, r, start)
+    columns = [[row[j] for row in M] for j in range(len(C))]
+    rows = [[sum(map(mul, ri, a)) for a in columns] + [ri[-1]] for ri in inverse]
+    pi = _duals(inverse, basis, C)
+    cost = [d * cj - sum(map(mul, pi, a)) for cj, a in zip(C, columns)]
+    cost.append(-sum(C[j] * ri[-1] for j, ri in zip(basis, inverse)))
+    return rows, basis, cost, d
 
 
 class WarmLP:
@@ -282,6 +372,11 @@ def linear_min(
     LPUnboundedError when the objective is unbounded below, and ValueError
     on inconsistent dimensions or when `start` is not a feasible basis.
     """
-    solution = WarmLP(*_optimal_tableau(c, A, b, start)).solution()
-    value = sum((c[j] * v for j, v in enumerate(solution) if v), start=_ZERO)
+    C, M, r = _integer_program(c, A, b, start)
+    inverse, basis, d = _revised_min(C, M, r, start)
+    solution = [_ZERO] * len(c)
+    for j, row in zip(basis, inverse):
+        if row[-1]:
+            solution[j] = Fraction(row[-1], d)
+    value = sum((c[j] * solution[j] for j in basis), start=_ZERO)
     return value, solution

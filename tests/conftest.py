@@ -179,15 +179,19 @@ def reference_basis(
 
 @contextlib.contextmanager
 def recorded_pivots():
-    """Yield a list that collects the (row, column) of every integer simplex pivot."""
+    """Yield a list that collects the (row, column) of every integer simplex pivot.
+
+    Every pivot, of the revised solver and of a `WarmLP`'s tableau alike,
+    goes through `simplex._eliminate`.
+    """
     pivots = []
-    pivot = simplex._pivot
+    eliminate = simplex._eliminate
 
-    def recording(rows, basis, cost, d, row, col):
+    def recording(rows, column, basis, d, row, col):
         pivots.append((row, col))
-        return pivot(rows, basis, cost, d, row, col)
+        return eliminate(rows, column, basis, d, row, col)
 
-    with mock.patch.object(simplex, "_pivot", recording):
+    with mock.patch.object(simplex, "_eliminate", recording):
         yield pivots
 
 

@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -14,9 +15,12 @@ import pytest
 from skewbisub import (
     TableFunction,
     all_labelings,
+    decompose,
     generate_instance,
     instance_to_json,
+    random_box_point,
 )
+from skewbisub import cli
 from skewbisub.cli import run
 from skewbisub.lattice import Alpha
 
@@ -256,6 +260,28 @@ class TestVerifyClosure:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --trials must be >= 1, got {trials}\n"
+
+    def test_oracle_calls_per_trial(self, tmp_path, capsys, monkeypatch):
+        # The paper's cost model: each trial's closure LP evaluates f at all
+        # 3^n points, and its extension value at the atoms of the point's
+        # chain decomposition.
+        f = generate_instance(3, Alpha(Fraction(1, 3)), num_terms=3, max_scope=2, seed=14)
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(instance_to_json(f)))
+        loaded = []
+        load = cli._load_instance
+
+        def loading(name):
+            loaded.append(load(name))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "_load_instance", loading)
+        assert run(["verify-closure", str(path), "--trials", "5", "--seed", "3"]) == 0
+        capsys.readouterr()
+        rng = random.Random(3)
+        points = [random_box_point(3, f.alpha, rng) for _ in range(5)]
+        atoms = sum(len(decompose(x).atoms) for x in points)
+        assert loaded[0].call_count == 5 * 3**3 + atoms
 
     def test_detects_gap_on_spike(self, spike_path, capsys):
         assert run(["verify-closure", spike_path, "--trials", "300", "--seed", "0"]) == 1

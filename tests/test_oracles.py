@@ -145,6 +145,27 @@ class TestConvexClosure:
         with pytest.raises(CapExceededError):
             convex_closure(f, FractionalPoint.zero(3, alpha_half), cap=9)
 
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_oracle_calls_per_solve(self, n):
+        # The paper's cost model counts oracle calls.  One closure LP prices
+        # every point, so it evaluates f exactly 3^n times, whether the
+        # chain start is optimal (a generated f) or Bland's pivots run on
+        # from it (a random table).
+        rng = random.Random(60 + n)
+        alpha = ALPHA_GRID[n % 4]
+        skew = expand_to_table(
+            generate_instance(n, alpha, num_terms=n, max_scope=2, seed=60 + n)
+        )
+        rough = TableFunction(
+            n, alpha, {u: Fraction(rng.randint(-10, 10)) for u in all_labelings(n)}
+        )
+        for f in (skew, rough):
+            for _ in range(3):
+                x = random_box_point(n, alpha, rng)
+                before = f.call_count
+                convex_closure(f, x)
+                assert f.call_count - before == 3**n
+
 
 class TestMidpointProbe:
     def test_accepted_instance_clean(self, alpha_half):

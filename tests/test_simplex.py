@@ -1,8 +1,9 @@
 """The exact LP solver on hand-checkable programs and against a Fraction reference.
 
-`linear_min` runs a fraction-free integer tableau from a given start basis.
-`reference_linear_min` (in conftest) is the two-phase Bland method on a
-tableau of Fractions, the solver's earlier form; from the same start basis
+`linear_min` runs a fraction-free revised simplex, on the integer matrix
+d B^-1, from a given start basis.  `reference_linear_min` (in conftest) is
+the two-phase Bland method on a tableau of Fractions, the solver's earlier
+form; from the same start basis
 the two must take the same pivots and so return the same optimum and basic
 solution, or raise the same exception.  The optimum reached from a start
 basis must be the one the reference reaches cold, from its artificial
@@ -11,6 +12,7 @@ after every added row it must reach the optimum that the reference
 reaches cold.
 """
 
+import functools
 import json
 import random
 from fractions import Fraction
@@ -20,9 +22,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from skewbisub import (
+    Alpha,
     FractionalPoint,
     LPInfeasibleError,
     LPUnboundedError,
+    TableFunction,
+    all_labelings,
     check_alpha_bisubmodular,
     convex_closure,
     decompose,
@@ -164,16 +169,69 @@ def test_convex_closure_matches_the_reference(document, monkeypatch):
     rng = random.Random(4)
     points = [random_box_point(4, f.alpha, rng) for _ in range(2)]
     results = [convex_closure(f, x) for x in points]
-    monkeypatch.setattr(oracles, "linear_min", reference_linear_min)
+    # Each patched-in solver counts its calls, so a closure that stopped
+    # calling `oracles.linear_min` could not pass unnoticed.
+    calls = []
+
+    def started(c, A, b, start):
+        calls.append(start)
+        return reference_linear_min(c, A, b, start=start)
+
+    monkeypatch.setattr(oracles, "linear_min", started)
     assert results == [convex_closure(f, x) for x in points]
+    assert len(calls) == len(points)
 
     # The chain start does not move the optimum: the reference solving cold
     # reaches the same value.
     def cold(c, A, b, start):
+        calls.append(None)
         return reference_linear_min(c, A, b)
 
     monkeypatch.setattr(oracles, "linear_min", cold)
     assert [r.value for r in results] == [convex_closure(f, x).value for x in points]
+    assert len(calls) == 2 * len(points)
+
+
+#: ALPHA_GRID and the warm-LP tests' alphas below: six skew parameters.
+_CLOSURE_ALPHAS = tuple(
+    Fraction(*v) for v in ((1, 4), (2, 7), (1, 3), (1, 2), (3, 4), (1, 1))
+)
+
+
+@pytest.mark.parametrize("alpha", _CLOSURE_ALPHAS, ids=str)
+@pytest.mark.parametrize("n", range(1, 6))
+def test_closure_pivots_match_the_reference_on_random_tables(n, alpha, monkeypatch):
+    # Random tables are seldom skew bisubmodular, so Bland's pivots run on
+    # from the chain start.  From that same start the reference must take
+    # the same (row, column) pivots to the same value and distribution.
+    rng = random.Random(100 * n + 10 * alpha.numerator + alpha.denominator)
+    box = Alpha(alpha)
+    f = TableFunction(
+        n,
+        box,
+        {u: Fraction(rng.randint(-10, 10), rng.choice((1, 2, 3))) for u in all_labelings(n)},
+    )
+    points = [random_box_point(n, box, rng) for _ in range(2)]
+    # A vertex, and a point with tied and zero coordinates: degenerate bases.
+    vertex = rng.choice(list(all_labelings(n)))
+    points.append(FractionalPoint(numeric(vertex, box), box))
+    half = Fraction(1, 2)
+    tied = (half, half, _ZERO, -alpha * half, -alpha * half)
+    points.append(FractionalPoint(tied[:n], box))
+    runs = []
+    for x in points:
+        with recorded_pivots() as pivots:
+            runs.append((convex_closure(f, x), pivots))
+    if n > 1:
+        # A one-coordinate table is often convex; past n = 1 these draws are
+        # not, and some point pivots on past the n + 1 start columns.
+        assert any(len(pivots) > n + 1 for _, pivots in runs)
+    for x, run in zip(points, runs):
+        pivots = []
+        monkeypatch.setattr(
+            oracles, "linear_min", functools.partial(reference_linear_min, pivots=pivots)
+        )
+        assert (convex_closure(f, x), pivots) == run
 
 
 @pytest.mark.parametrize(
