@@ -32,7 +32,9 @@ of M are left out and formed on demand as R M_j.  When w_s < 0 (when a start
 column, below, is pivoted in on a negative entry, and on every dual simplex
 pivot below) the whole of T is negated; `_eliminate` does so in the same
 pass, by negating the pivot row and d' first, while every other w_i keeps its
-sign.
+sign.  `_pivot` makes the same update, negation included, on a full tableau
+and its cost row, reading each factor from the tableau's own column; it
+serves `WarmLP`, whose tableau holds that column already.
 
 Pricing needs no tableau either.  With pi = C_B R, the integer d C_j - pi M_j
 is d times the reduced cost of column j, the entry that a cost row carried
@@ -113,10 +115,9 @@ _ZERO = Fraction(0)
 def _eliminate(
     rows: List[List[int]], column: Sequence[int], basis: List[int], d: int, row: int, col: int
 ) -> int:
-    """Pivot `rows` in place on `row`, entering column `col`; return the new d, > 0.
+    """Pivot [R | d B^-1 r] in place on `row`, entering column `col`; return the new d.
 
-    `column` holds col's entry in each of `rows`, whose first len(basis)
-    rows are the constraint rows and any further row a cost row.
+    `column` is w = R M_col, col's entry in each of `rows`.
     """
     pivot_row = rows[row]
     p = column[row]
@@ -124,8 +125,8 @@ def _eliminate(
         # Negating the pivot row and p negates every updated row as well.
         pivot_row[:] = [-w for w in pivot_row]
         p = -p
-    for i, (target, factor) in enumerate(zip(rows, column)):
-        if i == row:
+    for target, factor in zip(rows, column):
+        if target is pivot_row:
             continue
         if factor:
             target[:] = [(p * v - factor * w) // d for v, w in zip(target, pivot_row)]
@@ -138,10 +139,23 @@ def _eliminate(
 def _pivot(
     rows: List[List[int]], basis: List[int], cost: List[int], d: int, row: int, col: int
 ) -> int:
-    """Pivot a full tableau and its cost row in place on (row, col); return the new d."""
-    column = [r[col] for r in rows]
-    column.append(cost[col])
-    return _eliminate([*rows, cost], column, basis, d, row, col)
+    """Pivot on (row, col) in place and return the new denominator, > 0."""
+    pivot_row = rows[row]
+    p = pivot_row[col]
+    if p < 0:
+        # Negating the pivot row and p negates every updated row as well.
+        pivot_row[:] = [-w for w in pivot_row]
+        p = -p
+    for target in (*rows, cost):
+        if target is pivot_row:
+            continue
+        factor = target[col]
+        if factor:
+            target[:] = [(p * v - factor * w) // d for v, w in zip(target, pivot_row)]
+        elif p != d:
+            target[:] = [p * v // d for v in target]
+    basis[row] = col
+    return p
 
 
 def _integer_program(
@@ -169,8 +183,7 @@ def _integer_program(
             row, rhs = ints[:-1], ints[-1]
         M.append(row)
         r.append(rhs)
-    cost = c if set(map(type, c)) <= {int} else common_denominator(c)[1]
-    return cost, M, r
+    return common_denominator(c)[1], M, r
 
 
 def _entering(inverse: List[List[int]], M: Sequence[Sequence[int]], col: int) -> List[int]:

@@ -181,17 +181,23 @@ def reference_basis(
 def recorded_pivots():
     """Yield a list that collects the (row, column) of every integer simplex pivot.
 
-    Every pivot, of the revised solver and of a `WarmLP`'s tableau alike,
-    goes through `simplex._eliminate`.
+    The revised solver pivots through `simplex._eliminate` and a `WarmLP`'s
+    tableau through `simplex._pivot`.
     """
     pivots = []
-    eliminate = simplex._eliminate
+    eliminate, pivot = simplex._eliminate, simplex._pivot
 
-    def recording(rows, column, basis, d, row, col):
+    def recording_eliminate(rows, column, basis, d, row, col):
         pivots.append((row, col))
         return eliminate(rows, column, basis, d, row, col)
 
-    with mock.patch.object(simplex, "_eliminate", recording):
+    def recording_pivot(rows, basis, cost, d, row, col):
+        pivots.append((row, col))
+        return pivot(rows, basis, cost, d, row, col)
+
+    with mock.patch.object(simplex, "_eliminate", recording_eliminate), mock.patch.object(
+        simplex, "_pivot", recording_pivot
+    ):
         yield pivots
 
 
