@@ -65,7 +65,7 @@ from .minimize import (
     minimize,
     project_box,
 )
-from .simplex import LPInfeasibleError, LPUnboundedError, linear_min
+from .simplex import LPUnboundedError, linear_min
 
 __version__ = "0.1.0"
 
@@ -82,7 +82,6 @@ __all__ = [
     "GenerationBudgetError",
     "InstanceFormatError",
     "LEX_ORDER",
-    "LPInfeasibleError",
     "LPUnboundedError",
     "Label",
     "Labeling",

@@ -18,17 +18,50 @@ to a minimizer of the master LP
 which is Kelley's method (J. SIAM 1960).  Then f(0) + t* is a lower bound
 on f_L, and hence on the discrete minimum.
 
-The master LP needs no solve in the first round: with a single cut g its
-optimum sets y_j = -alpha where g_j > 0 and y_j = 1 where g_j <= 0, and
-that optimal basis is fixed by the signs of g, so `_first_master` writes
-down its fraction-free tableau, the one the simplex would end on.  It is
-then kept warm as a `simplex.WarmLP`: its tableau stays alive across rounds.
-Each cut is scaled to integers once (`_scale_cut`) and enters as one
-integer row with its own slack column.  Dual simplex pivots then restore
-optimality; `simplex` shows why the old basis stays dual feasible and why
-its smallest-index rule cannot cycle.  t* and y* are read off the tableau
-as integers over its denominator.  A round whose cut is already stored
-does no LP work.
+The master LP is solved in its dual form, Dantzig and Wolfe's view of
+Kelley's method (Oper. Res. 1960):
+
+    min sum_j (alpha u_j + v_j)
+    s.t. sum_k lambda_k g_kj - u_j + v_j = 0  (j < n),  sum_k lambda_k = 1,
+         lambda, u, v >= 0.
+
+Its optimum is -t*, and the duals pi of its n + 1 rows are y* = pi[:n] and
+t* = -pi[n].  It has a fixed n + 1 integer rows and one column per cut.
+Scaled by q for alpha = p/q the objective is (p, q, 0), and cut k enters as
+the integer column (s_k g_k, s_k), with s_k the lcm of g_k's denominators; a
+column scaled by a positive factor moves no pivot.  `_DualMaster` keeps the
+revised solver's state (R = d B^-1 | d B^-1 r, basis, d) alive across
+rounds: a new cut appends one column and resumes Bland's rule from the old
+optimum, which stays a feasible basis.  With pi = C_B R for the integer
+costs C, y* = pi[:n] / (q d) and t* = -pi[n] / (q d).  The first round
+starts from the triangular basis
+{lambda_1} + {u_j : g_1j > 0} + {v_j : g_1j <= 0}.  It is feasible, since
+lambda_1 = 1 leaves u_j = g_1j or v_j = -g_1j, and optimal, since the other
+one of u_j and v_j prices at 1 + alpha > 0.  So the first round makes no
+pivot and no pricing pass: `_first_basis` writes the state down in closed
+form and pi is read off it.  A round whose cut is already stored does no LP
+work.
+
+The columns are ordered u_0..u_(n-1), v_0..v_(n-1), lambda_1, lambda_2, ...
+That mirrors the primal master in equality form over z = y + alpha >= 0,
+with columns z, s (n each), t+, t- and one slack r_k per cut: rows
+z_j + s_j = 1 + alpha and t+ - t- - g_k.z - r_k = -alpha sum(g_k).  u_j is
+the dual variable of z_j >= 0, v_j of s_j >= 0 and lambda_k of r_k >= 0;
+t, free, gives the convexity row.  The bases of the two forms are
+complementary: a dual-form column is basic exactly when its primal column
+is not, and the reduced cost of each is the value of the other.  t+ and t-
+never pivot: t* <= 0 throughout, since y = 0 lies in the box, and the dual
+simplex objective only rises towards it, so t- (t+ while every cut is 0)
+stays basic.  So each step of Bland's rule on the dual form is a step of the
+smallest-index dual simplex on the primal form.  Entering the
+smallest-index column with a negative reduced cost is leaving on the row
+with a negative value whose basic column has the smallest index, and
+leaving on the least ratio, the smallest basic column among ties, is
+entering on the least ratio, the smallest column among ties.  A new cut is
+a nonbasic lambda column in one form and a new row with its slack basic in
+the other, so both start each round from the same basis, reach the same
+vertex y* and take the same pivots.  By Bland's argument (Math. Oper. Res.
+1977) neither cycles.
 
 The run stops with
 
@@ -43,8 +76,9 @@ A round whose cut is already stored adds no constraint, and then the next
 check stops the run, so the loop ends on its own: f_L has finitely many
 cells and so finitely many cuts.  Everything is an exact int or Fraction;
 the memo is keyed by `lattice.lex_index`, so each chain step updates the
-key with one addition of +-3^(n-1-j).  Runs are deterministic given the
-configuration.
+key with one addition of +-3^(n-1-j), and the walk carries the labeling
+itself, flipping one coordinate per step, for the oracle on a memo miss.
+Runs are deterministic given the configuration.
 """
 
 from __future__ import annotations
@@ -56,14 +90,14 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .functions import ValueOracle
-from .lattice import Alpha, Labeling, format_labeling, labeling_at, numeric
+from .lattice import NEG, POS, ZERO, Alpha, Label, Labeling, format_labeling, labeling_at, numeric
 from .lovasz import FractionalPoint, _check_oracle_point, chain_order
 
 # Not used here; bench/tracing.py wraps these names on this module.
 from .lovasz import extension_value, subgradient  # noqa: F401
 from .oracles import random_box_point
 from .rationals import common_denominator, format_rational
-from .simplex import WarmLP
+from .simplex import _duals, _revised_min
 
 #: Default denominator bound of `project_box`'s snapping grid.
 DEFAULT_DENOMINATOR_LIMIT = 1 << 20
@@ -151,7 +185,8 @@ class MinimizeReport:
     lower bound of the last master LP, why the run stopped, and accounting.
 
     trajectory_best lists (round, value) at each strict improvement.
-    lp_pivots counts the dual simplex pivots that the added cuts cost, and
+    lp_pivots counts the simplex pivots that the added cuts cost in the
+    master LP's dual form, and
     walk_s and lp_s the seconds spent in chain walks and in the master LP;
     they vary from run to run, so `stats` reports them and `to_json` does not.
     """
@@ -210,73 +245,61 @@ class MinimizeReport:
         }
 
 
-def _scale_cut(g: Tuple[Fraction, ...], p: int, q: int) -> Tuple[int, List[int], int]:
-    """The cut t >= g.y in integers: (s, s g, s beta) for beta = alpha sum(g).
+def _first_basis(column: List[int]) -> Tuple[List[List[int]], List[int], int]:
+    """The solver state at the basis {lambda_1, u_j (g_j > 0), v_j (g_j <= 0)}.
 
-    With G the lcm of g's denominators, beta = p sum(G g) / (q G), and s is
-    the lcm of every denominator in the cut's row.
+    `column` is lambda_1's integer column (s g, s).  Pivoting u_j = -e_j or
+    v_j = e_j into row j and then lambda_1 into row n leaves d = s, row j of
+    R equal to -s e_j for u_j and s e_j for v_j with |s g_j| in column n and
+    in the right-hand side, and row n equal to [e_n | 1]; this writes that
+    down in O(n^2), where `simplex._start_basis` would take O(n^3).
     """
-    big_g, h = common_denominator(g)
-    s, ints = common_denominator([*g, Fraction(p * sum(h), q * big_g)])
-    return s, ints[:-1], ints[-1]
+    n = len(column) - 1
+    inverse = []
+    for j, v in enumerate(column[:n]):
+        row = [0] * (n + 2)
+        row[j] = -column[n] if v > 0 else column[n]
+        row[n] = row[n + 1] = abs(v)
+        inverse.append(row)
+    inverse.append([0] * n + [1, 1])
+    basis = [j if v > 0 else n + j for j, v in enumerate(column[:n])]
+    basis.append(2 * n)
+    return inverse, basis, column[n]
 
 
-def _first_master(g: Tuple[Fraction, ...], p: int, q: int) -> WarmLP:
-    """The master LP with its first cut g, started at its optimal tableau.
+class _DualMaster:
+    """Kelley's master LP in dual form, kept at its optimum as cuts arrive."""
 
-    Equality form over z = y + alpha >= 0 with columns z, s (n each), t+,
-    t- and r: rows z_j + s_j = 1 + alpha, and t+ - t- - g.z - r =
-    -alpha sum(g), minimizing t+ - t-.  Later cuts come in by `_add_cut`.
+    def __init__(self, n: int, p: int, q: int) -> None:
+        # Columns u_j = -e_j, then v_j = e_j; each cut appends one more.
+        self.rows = [[0] * (2 * n) for _ in range(n + 1)]
+        for j in range(n):
+            self.rows[j][j], self.rows[j][n + j] = -1, 1
+        self.cost = [p] * n + [q] * n
+        self.q = q
+        self.state: Optional[Tuple[List[List[int]], List[int], int]] = None
+        #: Bland pivots run by the cuts so far.
+        self.pivots = 0
 
-    The optimum puts y_j at -alpha (s_j basic) where g_j > 0 and at 1 (z_j
-    basic) where g_j <= 0, so t* = g.y* <= 0, with t- basic when t* < 0 and
-    t+ basic when t* = 0, which happens only for g = 0.  The basis matrix is
-    triangular with unit diagonal up to sign, so with the box rows scaled by
-    q and the cut row by s (`_scale_cut`), d = q^n s.  Box row j of the
-    tableau is d [e_j | e_j | 0 0 0 | 1 + alpha]; the cut row is the cut
-    with each basic z_j eliminated through its box row, times d and signed
-    so that the basic t column holds d; and the cost row is d times g_j on
-    z_j where g_j > 0, -g_j on s_j where g_j <= 0, 1 on r and -t* on the
-    right-hand side, all nonnegative.  This is the tableau that
-    `simplex._optimal_tableau` builds from this basis, so no pivot is needed.
-    """
-    n = len(g)
-    s, ints, _ = _scale_cut(g, p, q)
-    lead = q ** (n - 1)
-    d = lead * q * s
-    width = 2 * n + 3
-    rows: List[List[int]] = []
-    basis: List[int] = []
-    cut = [0] * (width + 1)
-    # d g_j = q^n (s g_j) and d alpha g_j = q^(n-1) p (s g_j).
-    neg = pos = 0
-    for j, v in enumerate(ints):
-        row = [0] * (width + 1)
-        row[j] = row[n + j] = d
-        row[-1] = lead * s * (p + q)
-        rows.append(row)
-        if v > 0:
-            basis.append(n + j)
-            cut[j] = lead * q * v
-            pos += v
-        else:
-            basis.append(j)
-            cut[n + j] = -lead * q * v
-            neg += v
-    cut[-1] = -lead * (q * neg - p * pos)  # -d t*
-    cost = cut.copy()
-    cost[2 * n + 2] = d
-    sign = 1 if cut[-1] else -1
-    cut[2 * n], cut[2 * n + 1], cut[2 * n + 2] = -sign * d, sign * d, sign * d
-    rows.append(cut)
-    basis.append(2 * n + 1 if cut[-1] else 2 * n)
-    return WarmLP(rows, basis, cost, d)
+    def add(self, g: Tuple[Fraction, ...]) -> Tuple[List[int], int]:
+        """Append the cut g as a column and re-optimize.
 
-
-def _add_cut(lp: WarmLP, g: Tuple[Fraction, ...], p: int, q: int) -> None:
-    """Add t >= g.y, which is g.z - t+ + t- <= alpha sum(g), to the master LP."""
-    s, ints, beta = _scale_cut(g, p, q)
-    lp.add_integer_row([*ints, *[0] * len(g), -s, s, 0], beta)
+        Returns (pi, D) with y* = pi[:n] / D and t* = -pi[n] / D.
+        """
+        s, ints = common_denominator(g)
+        ints.append(s)
+        for row, v in zip(self.rows, ints):
+            row.append(v)
+        self.cost.append(0)
+        if self.state is None:
+            # The first basis is optimal, so it needs no pricing pass.
+            self.state = inverse, basis, d = _first_basis(ints)
+            return _duals(inverse, basis, self.cost), self.q * d
+        inverse, basis, d = self.state
+        d, pi, pivots = _revised_min(self.cost, self.rows, inverse, basis, d)
+        self.state = inverse, basis, d
+        self.pivots += pivots
+        return pi, self.q * d
 
 
 def _start(f: ValueOracle, cfg: MinimizeConfig) -> Tuple[Fraction, ...]:
@@ -309,16 +332,17 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
     cache: Dict[int, Fraction] = {}
     cache_hits = 0
 
-    def value(code: int) -> Fraction:
+    def value(code: int, labels: Sequence[Label]) -> Fraction:
+        # labels is the labeling at lex index `code`.
         nonlocal cache_hits
         hit = cache.get(code)
         if hit is None:
-            hit = cache[code] = f.evaluate(labeling_at(code, n))
+            hit = cache[code] = f.evaluate(tuple(labels))
         else:
             cache_hits += 1
         return hit
 
-    zero = value(zero_code)
+    zero = value(zero_code, (ZERO,) * n)
     best_value: Optional[Fraction] = None
     best_code = zero_code
     trajectory: List[Tuple[int, Fraction]] = []
@@ -336,12 +360,18 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
         # returns the cut's gradient.
         order, keys = chain_order(nums, p, q)
         code = zero_code
+        labels = [ZERO] * n
         previous = zero
         g: List[Fraction] = [Fraction(0)] * n
         for k, j in enumerate(order):
             positive = nums[j] >= 0
-            code += steps[j] if positive else -steps[j]
-            current = value(code)
+            if positive:
+                code += steps[j]
+                labels[j] = POS
+            else:
+                code -= steps[j]
+                labels[j] = NEG
+            current = value(code, labels)
             step = current - previous
             g[j] = step if positive else step * neg_scale
             previous = current
@@ -353,7 +383,7 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
 
     denominator, nums = common_denominator(y)
     cuts: List[Tuple[Fraction, ...]] = []
-    lp: Optional[WarmLP] = None
+    master = _DualMaster(n, p, q)
     stop_reason = CUT_CAP
     witness: Optional[ConvexityWitness] = None
     walk_s = lp_s = 0.0
@@ -364,15 +394,9 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
         if g not in cuts:
             clock = time.perf_counter()
             cuts.append(g)
-            if lp is None:
-                lp = _first_master(g, p, q)
-            else:
-                _add_cut(lp, g, p, q)
-            # z = N / d, so y = z - p/q = (q N - p d) / (q d) and t = t+ - t-.
-            z_nums, d = lp.numerators()
-            nums = [q * v - p * d for v in z_nums[:n]]
-            denominator = q * d
-            lower_bound = zero + Fraction(z_nums[2 * n] - z_nums[2 * n + 1], d)
+            pi, denominator = master.add(g)
+            nums = pi[:n]
+            lower_bound = zero - Fraction(pi[n], denominator)
             lp_s += time.perf_counter() - clock
         if best_value == lower_bound:
             stop_reason = CERTIFIED
@@ -399,7 +423,7 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
         distinct_points=len(cache),
         cache_hits=cache_hits,
         witness=witness,
-        lp_pivots=lp.pivots,
+        lp_pivots=master.pivots,
         walk_s=walk_s,
         lp_s=lp_s,
     )

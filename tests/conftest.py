@@ -15,7 +15,6 @@ from skewbisub import (
     Alpha,
     ChainDecomposition,
     FractionalPoint,
-    LPInfeasibleError,
     LPUnboundedError,
     Labeling,
     NEG,
@@ -40,6 +39,10 @@ ALPHA_GRID = (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+class ReferenceInfeasibleError(RuntimeError):
+    """The reference's phase 1 ends with a positive optimum: no feasible point."""
 
 
 def _reference_pivot(rows, basis, cost, row, col, pivots):
@@ -122,7 +125,7 @@ def _reference_solve(c, A, b, pivots, start):
         raise ValueError("infeasible start basis")
     _reference_bland_min(rows, basis, cost, total, pivots)
     if -cost[-1] != 0:
-        raise LPInfeasibleError("phase 1 optimum is positive")
+        raise ReferenceInfeasibleError("phase 1 optimum is positive")
 
     for i in reversed(range(len(rows))):
         if basis[i] >= n:
@@ -167,37 +170,57 @@ def reference_linear_min(
     return value, solution
 
 
-def reference_basis(
-    c: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
-) -> List[int]:
-    """The basis that `reference_linear_min` ends on when it solves cold.
+def master_program(alpha: Fraction, cuts: Sequence[Sequence[Fraction]]):
+    """Kelley's master LP on the box [-alpha, 1]^n in primal equality form.
 
-    One column per row that the reference keeps; it drops redundant rows.
+    min t s.t. t >= g.y for every cut g, as (c, A, b, start) for
+    `linear_min`: columns z = y + alpha, s (n each), t+, t- and one slack r
+    per cut; rows z_j + s_j = 1 + alpha and, per cut, t+ - t- - g.z - r =
+    -alpha sum(g); the objective t+ - t-.  The start basis is the box corner
+    z = 0: every s_j, and t = max(-alpha sum(g)) over the cuts, in t+ when
+    it is >= 0 and in t- when not, with the slack r of every other cut basic.
     """
-    return _reference_solve(c, A, b, [], ())[1]
+    n = len(cuts[0])
+    k = len(cuts)
+    width = 2 * n + 2 + k
+    rows = []
+    rhs = []
+    for j in range(n):
+        row = [_ZERO] * width
+        row[j] = row[n + j] = _ONE
+        rows.append(row)
+        rhs.append(1 + alpha)
+    for i, g in enumerate(cuts):
+        row = [-gj for gj in g] + [_ZERO] * (n + 2 + k)
+        row[2 * n] = _ONE
+        row[2 * n + 1] = -_ONE
+        row[2 * n + 2 + i] = -_ONE
+        rows.append(row)
+        rhs.append(-alpha * sum(g))
+    cost = [_ZERO] * width
+    cost[2 * n] = _ONE
+    cost[2 * n + 1] = -_ONE
+    top = max(range(k), key=lambda i: rhs[n + i])
+    start = [n + j for j in range(n)]
+    start.append(2 * n if rhs[n + top] >= 0 else 2 * n + 1)
+    start.extend(2 * n + 2 + i for i in range(k) if i != top)
+    return cost, rows, rhs, start
 
 
 @contextlib.contextmanager
 def recorded_pivots():
     """Yield a list that collects the (row, column) of every integer simplex pivot.
 
-    The revised solver pivots through `simplex._eliminate` and a `WarmLP`'s
-    tableau through `simplex._pivot`.
+    Every pivot of the revised solver goes through `simplex._eliminate`.
     """
     pivots = []
-    eliminate, pivot = simplex._eliminate, simplex._pivot
+    eliminate = simplex._eliminate
 
     def recording_eliminate(rows, column, basis, d, row, col):
         pivots.append((row, col))
         return eliminate(rows, column, basis, d, row, col)
 
-    def recording_pivot(rows, basis, cost, d, row, col):
-        pivots.append((row, col))
-        return pivot(rows, basis, cost, d, row, col)
-
-    with mock.patch.object(simplex, "_eliminate", recording_eliminate), mock.patch.object(
-        simplex, "_pivot", recording_pivot
-    ):
+    with mock.patch.object(simplex, "_eliminate", recording_eliminate):
         yield pivots
 
 

@@ -10,7 +10,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from skewbisub import simplex
 from skewbisub import (
     Alpha,
     FractionalPoint,
@@ -34,7 +33,15 @@ from skewbisub import (
     project_box,
     random_box_point,
 )
-from conftest import ALPHA_GRID, boundary_shift, reference_basis
+from skewbisub import simplex
+from skewbisub.rationals import common_denominator
+from conftest import (
+    ALPHA_GRID,
+    boundary_shift,
+    master_program,
+    recorded_pivots,
+    reference_linear_min,
+)
 
 # The package exports the function `minimize` under the module's name.
 minimize_module = importlib.import_module("skewbisub.minimize")
@@ -300,108 +307,48 @@ class TestGoldenReports:
 
 
 def _master(cuts, alpha):
-    """(t*, y*) of min t s.t. t >= g.y for every cut g, y in [-alpha, 1]^n.
-
-    The master LP solved afresh, as the minimizer did each round before it
-    kept the LP warm.  Equality form over z = y + alpha >= 0: rows z_j + s_j
-    = 1 + alpha, and per cut t+ - t- - g.z - r = -alpha sum(g), minimizing
-    t+ - t-.  The start basis is the box corner z = 0: every s_j, and t =
-    max(-alpha sum(g)) over the cuts, in t+ when it is >= 0 and in t- when
-    not, with the slack r of every other cut basic.
-    """
-    n = len(cuts[0])
-    k = len(cuts)
-    width = 2 * n + 2 + k
-    rows = []
-    rhs = []
-    for j in range(n):
-        row = [0] * width
-        row[j] = row[n + j] = 1
-        rows.append(row)
-        rhs.append(1 + alpha)
-    for i, g in enumerate(cuts):
-        row = [-gj for gj in g] + [0] * (n + 2 + k)
-        row[2 * n] = 1
-        row[2 * n + 1] = -1
-        row[2 * n + 2 + i] = -1
-        rows.append(row)
-        rhs.append(-alpha * sum(g))
-    cost = [0] * width
-    cost[2 * n] = 1
-    cost[2 * n + 1] = -1
-    top = max(range(k), key=lambda i: rhs[n + i])
-    start = [n + j for j in range(n)]
-    start.append(2 * n if rhs[n + top] >= 0 else 2 * n + 1)
-    start.extend(2 * n + 2 + i for i in range(k) if i != top)
-    t_star, solution = linear_min(cost, rows, rhs, start)
-    return t_star, tuple([z - alpha for z in solution[:n]])
-
-
-def _cold_first_master(g, alpha):
-    """The master LP with its first cut g, pivoted to the basis the Fraction
-    reference reaches cold.
-
-    The reference for `minimize._first_master`, which builds the optimal
-    tableau directly.  Equality form over z = y + alpha >= 0 with columns
-    z, s (n each), t+, t- and r: rows z_j + s_j = 1 + alpha, and
-    t+ - t- - g.z - r = -alpha sum(g), minimizing t+ - t-.
-    """
-    n = len(g)
-    width = 2 * n + 3
-    rows = []
-    rhs = []
-    for j in range(n):
-        row = [0] * width
-        row[j] = row[n + j] = 1
-        rows.append(row)
-        rhs.append(1 + alpha)
-    rows.append([-gj for gj in g] + [0] * n + [1, -1, -1])
-    rhs.append(-alpha * sum(g))
-    cost = [0] * width
-    cost[2 * n] = 1
-    cost[2 * n + 1] = -1
-    start = reference_basis(cost, rows, rhs)
-    return simplex.WarmLP(*simplex._optimal_tableau(cost, rows, rhs, start))
+    """t* of the primal master LP on `cuts`, solved afresh by `linear_min`."""
+    return linear_min(*master_program(alpha, cuts))[0]
 
 
 def _rounds(f, cfg, monkeypatch):
-    """Run minimize and log each round: [cut added or None, warm t*, pivots].
+    """Run minimize and log each round: [cut added or None, t*, pivots].
 
     A round starts with its one chain walk (`chain_order`); the master LP
-    steps that follow record the cut they add and the t* they leave.
+    step that follows (`_DualMaster.add`) records the cut it adds and the t*
+    it leaves, and every `simplex._eliminate` call until the next walk
+    counts as a pivot of that round.
     """
     log = []
-    n = f.arity
-    order, pivot = minimize_module.chain_order, simplex._pivot
-    first, add = minimize_module._first_master, minimize_module._add_cut
-
-    def t_star(lp):
-        nums, d = lp.numerators()
-        return Fraction(nums[2 * n] - nums[2 * n + 1], d)
+    order, add = minimize_module.chain_order, minimize_module._DualMaster.add
 
     def chain_order(*args):
-        log.append([None, None, 0])
+        log.append([None, None, len(pivots)])
         return order(*args)
 
-    def counting_pivot(*args):
-        log[-1][2] += 1
-        return pivot(*args)
+    def add_cut(master, g):
+        pi, denominator = add(master, g)
+        log[-1][:2] = g, Fraction(-pi[len(g)], denominator)
+        return pi, denominator
 
-    def first_master(g, p, q):
-        lp = first(g, p, q)
-        log[-1][:2] = g, t_star(lp)
-        return lp
-
-    def add_cut(lp, g, p, q):
-        add(lp, g, p, q)
-        log[-1][:2] = g, t_star(lp)
-
-    with monkeypatch.context() as patch:
+    with recorded_pivots() as pivots, monkeypatch.context() as patch:
         patch.setattr(minimize_module, "chain_order", chain_order)
-        patch.setattr(simplex, "_pivot", counting_pivot)
-        patch.setattr(minimize_module, "_first_master", first_master)
-        patch.setattr(minimize_module, "_add_cut", add_cut)
-        return minimize(f, cfg), log
+        patch.setattr(minimize_module._DualMaster, "add", add_cut)
+        report = minimize(f, cfg)
+    marks = [entry[2] for entry in log] + [len(pivots)]
+    for entry, before, after in zip(log, marks, marks[1:]):
+        entry[2] = after - before
+    return report, log
+
+
+def test_the_dual_form_takes_the_primal_pivot_count():
+    # `skewbisub generate --n 32 --alpha 1/2 --terms 64 --seed 5`: the
+    # smallest-index dual simplex on the primal master took 508 pivots over
+    # 36 rounds here, and Bland's rule on the dual form takes the same.
+    f = generate_instance(32, ALPHA_GRID[1], num_terms=64, max_scope=2, seed=5)
+    report = minimize(f)
+    assert report.certified
+    assert (report.iterations_used, report.lp_pivots) == (36, 508)
 
 
 def _golden_runs():
@@ -412,9 +359,9 @@ def _golden_runs():
 
 class TestWarmMaster:
     def test_each_round_bound_matches_the_cold_master(self, pool_desk, monkeypatch):
-        # Every pool_desk instance and every golden run: the warm bound of
-        # each round equals the cold LP on the same cuts, and a round whose
-        # cut is already stored does no LP work.
+        # Every pool_desk instance and every golden run: the bound of each
+        # round equals the primal master LP solved afresh on the same cuts,
+        # and a round whose cut is already stored does no LP work.
         runs = [(f, MinimizeConfig()) for f in pool_desk] + list(_golden_runs())
         repeats = 0
         for f, cfg in runs:
@@ -429,10 +376,10 @@ class TestWarmMaster:
                     continue
                 cuts.append(g)
                 bound = t
-                assert t == _master(cuts, alpha)[0]
+                assert t == _master(cuts, alpha)
             assert len(log) == report.iterations_used and len(cuts) == report.cuts
             assert report.lower_bound == f.evaluate((ZERO,) * f.arity) + bound
-            # The first master LP starts at its optimal tableau.
+            # The first master LP is written down at its optimal basis.
             assert log[0][2] == 0
             assert report.lp_pivots == sum(p for _, _, p in log)
         assert repeats > 0
@@ -444,11 +391,6 @@ class TestWarmMaster:
         assert (report.iterations_used, report.cuts) == (8, 7)
         assert log[-1][0] is None and log[-1][2] == 0
         assert report.certified
-
-
-def _tableau(lp):
-    # Row order depends on the pivots taken; the basic column names a row.
-    return lp.d, dict(zip(lp.basis, lp.rows)), lp.cost
 
 
 _ALPHAS = st.integers(1, 9).flatmap(
@@ -468,13 +410,55 @@ _CUT_ENTRIES = st.one_of(
 @example([Fraction(2), Fraction(0), Fraction(-5, 6)], Fraction(1))
 @example([Fraction(1, 7), Fraction(-3, 4)], Fraction(8, 9))
 def test_first_master_is_the_cold_optimal_tableau(g, alpha):
-    # Same d, same row for each basic column and same cost row as the
-    # tableau of the reference's cold optimal basis, so every later dual
-    # pivot is the same too.
-    warm = minimize_module._first_master(tuple(g), alpha.numerator, alpha.denominator)
-    cold = _cold_first_master(g, alpha)
-    assert _tableau(warm) == _tableau(cold)
-    assert warm.ncols == cold.ncols and warm.pivots == 0
+    # `_first_basis` is the state that pivoting its basis in from R = I
+    # reaches, Bland's rule finds it optimal, and its y* is the box corner
+    # that the Fraction reference reaches cold on the primal master.
+    n = len(g)
+    master = minimize_module._DualMaster(n, alpha.numerator, alpha.denominator)
+    with recorded_pivots() as pivots:
+        pi, denominator = master.add(tuple(g))
+    assert pivots == []
+    s = common_denominator(g)[0]
+    start = [j if v > 0 else n + j for j, v in enumerate(g)] + [2 * n]
+    pivoted = simplex._start_basis(master.rows, [0] * n + [1], start)
+    assert master.state == pivoted and pivoted[2] == s
+    inverse, basis, d = pivoted
+    assert simplex._revised_min(master.cost, master.rows, inverse, basis, d) == (d, pi, 0)
+    c, A, b, _ = master_program(alpha, [g])
+    t_star, cold = reference_linear_min(c, A, b)
+    assert Fraction(-pi[n], denominator) == t_star
+    y = tuple(Fraction(v, denominator) for v in pi[:n])
+    assert y == tuple(z - alpha for z in cold[:n])
+    assert y == tuple(-alpha if v > 0 else Fraction(1) for v in g)
+
+
+class TestDualMaster:
+    """`_DualMaster.add` on hand-checkable cuts, n <= 2 and alpha = 1/2."""
+
+    @staticmethod
+    def _add(master, g):
+        """(y*, t*, Bland pivots so far) after adding the cut g."""
+        pi, denominator = master.add(tuple(Fraction(v) for v in g))
+        return Fraction(pi[0], denominator), Fraction(-pi[1], denominator), master.pivots
+
+    def test_added_cut_moves_the_optimum(self):
+        # t >= y puts y* at -1/2; adding t >= -y moves it to 0, t* = 0.
+        master = minimize_module._DualMaster(1, 1, 2)
+        assert self._add(master, [1]) == (Fraction(-1, 2), Fraction(-1, 2), 0)
+        assert self._add(master, [-1]) == (0, 0, 1)
+
+    def test_slack_cut_takes_no_pivot(self):
+        # t >= 2y lies below t >= y at y = -1/2.
+        master = minimize_module._DualMaster(1, 1, 2)
+        first = self._add(master, [1])
+        assert self._add(master, [2]) == first
+
+    def test_repeated_cut_takes_no_pivots(self):
+        master = minimize_module._DualMaster(2, 1, 2)
+        self._add(master, [3, -1])
+        moved = self._add(master, [-2, 5])
+        assert moved[2] > 0
+        assert self._add(master, [-2, 5]) == moved
 
 
 _REPORTS_PATH = os.path.join(os.path.dirname(__file__), "data", "minimize_reports.json")
@@ -555,3 +539,28 @@ class TestNotConvex:
         # certified above its minimum is printed, not bounded.
         print(f"nudged tables: {outcomes}")
         assert outcomes["not_convex"] > 0
+
+
+def test_labelings_are_decoded_only_for_the_report(monkeypatch):
+    # The walk hands the oracle the labeling it carries, so `labeling_at`
+    # decodes a lex index only for the reported minimizer and, on a
+    # not_convex stop, for the witness.
+    decoded = []
+    decode = minimize_module.labeling_at
+
+    def counting(code, n):
+        decoded.append(code)
+        return decode(code, n)
+
+    monkeypatch.setattr(minimize_module, "labeling_at", counting)
+    f = generate_instance(6, ALPHA_GRID[1], num_terms=12, max_scope=2, seed=5)
+    runs = [
+        (f, MinimizeConfig(), "certified", 1),
+        (f, MinimizeConfig(max_iters=1, seed=3), "cut_cap", 1),
+        (_nudged_table(21), MinimizeConfig(), "not_convex", 2),
+    ]
+    for g, cfg, stop_reason, calls in runs:
+        decoded.clear()
+        report = minimize(g, cfg)
+        assert report.stop_reason == stop_reason and report.distinct_points > 1
+        assert len(decoded) == calls

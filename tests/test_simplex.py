@@ -7,12 +7,13 @@ form; from the same start basis
 the two must take the same pivots and so return the same optimum and basic
 solution, or raise the same exception.  The optimum reached from a start
 basis must be the one the reference reaches cold, from its artificial
-basis.  `WarmLP` keeps the tableau and adds rows by dual simplex pivots;
-after every added row it must reach the optimum that the reference
-reaches cold.
+basis.  Kelley's master LP in `minimize` resumes the same solver after
+each added cut, in dual form; after every cut it must reach the optimum of
+the primal master solved afresh.
 """
 
 import functools
+import importlib
 import json
 import random
 from fractions import Fraction
@@ -24,7 +25,6 @@ from hypothesis import assume, given, settings, strategies as st
 from skewbisub import (
     Alpha,
     FractionalPoint,
-    LPInfeasibleError,
     LPUnboundedError,
     TableFunction,
     all_labelings,
@@ -39,10 +39,16 @@ from skewbisub import (
     parse_labeling,
     random_box_point,
 )
-from skewbisub.rationals import common_denominator
-from skewbisub.simplex import WarmLP
-from skewbisub import oracles, simplex
-from conftest import recorded_pivots, reference_basis, reference_linear_min
+from skewbisub import oracles
+from conftest import (
+    ReferenceInfeasibleError,
+    master_program,
+    recorded_pivots,
+    reference_linear_min,
+)
+
+# The package exports the function `minimize` under the module's name.
+minimize_module = importlib.import_module("skewbisub.minimize")
 
 
 def F(x):
@@ -56,7 +62,7 @@ _ONE = Fraction(1)
 def _outcome(solver, *program):
     try:
         return solver(*program)
-    except (LPInfeasibleError, LPUnboundedError) as exc:
+    except (ReferenceInfeasibleError, LPUnboundedError) as exc:
         return type(exc)
 
 
@@ -82,6 +88,26 @@ _RATIONALS = st.one_of(
 )
 
 
+def _determinant(B):
+    """det B, by Gaussian elimination on Fractions."""
+    rows = [[Fraction(v) for v in row] for row in B]
+    det = _ONE
+    for col in range(len(rows)):
+        piv = next((i for i in range(col, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            return _ZERO
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        p = rows[col][col]
+        det *= p
+        for i in range(col + 1, len(rows)):
+            factor = rows[i][col] / p
+            if factor:
+                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[col])]
+    return det
+
+
 @st.composite
 def _started_programs(draw):
     """(c, A, b, start): a program with the feasible basis `start`.
@@ -100,7 +126,7 @@ def _started_programs(draw):
         for j in start:
             row[j] = draw(nonzero)
     basis_matrix = [[row[j] for j in start] for row in A]
-    assume(_solve_fractions(basis_matrix, basis_matrix)[1] != 0)
+    assume(_determinant(basis_matrix) != 0)
     c = [draw(_RATIONALS) for _ in range(n)]
     x = {j: abs(draw(_RATIONALS)) for j in start}
     b = [sum((row[j] * v for j, v in x.items()), _ZERO) for row in A]
@@ -192,7 +218,7 @@ def test_convex_closure_matches_the_reference(document, monkeypatch):
     assert len(calls) == 2 * len(points)
 
 
-#: ALPHA_GRID and the warm-LP tests' alphas below: six skew parameters.
+#: ALPHA_GRID and the master-LP tests' alphas below: six skew parameters.
 _CLOSURE_ALPHAS = tuple(
     Fraction(*v) for v in ((1, 4), (2, 7), (1, 3), (1, 2), (3, 4), (1, 1))
 )
@@ -270,8 +296,8 @@ def _cut_sequences(draw):
     """(n, alpha, cuts): a box [-alpha, 1]^n and a sequence of cuts g.
 
     Cuts are drawn from a pool of at most four integer or rational vectors
-    plus the zero vector, so repeated cuts, zero cuts and ties in the dual
-    ratio test are common.
+    plus the zero vector, so repeated cuts, zero cuts and ties in the ratio
+    test are common.
     """
     n = draw(st.integers(1, 4))
     alpha = draw(st.sampled_from(_ALPHAS))
@@ -281,171 +307,21 @@ def _cut_sequences(draw):
     return n, alpha, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7))
 
 
-def _master_program(n, alpha, g):
-    """min t s.t. t >= g.y, y in [-alpha, 1]^n, as the minimizer poses it.
-
-    Columns z = y + alpha, s (n each), t+, t- and r: rows z_j + s_j =
-    1 + alpha and t+ - t- - g.z - r = -alpha sum(g).
-    """
-    A = []
-    for j in range(n):
-        row = [_ZERO] * (2 * n + 3)
-        row[j] = row[n + j] = _ONE
-        A.append(row)
-    A.append([-v for v in g] + [_ZERO] * n + [_ONE, -_ONE, -_ONE])
-    b = [1 + alpha] * n + [-alpha * sum(g)]
-    c = [_ZERO] * (2 * n) + [_ONE, -_ONE, _ZERO]
-    return c, A, b
-
-
-def _cut_row(n, alpha, g):
-    """(a, beta) of t >= g.y: g.z - t+ + t- <= alpha sum(g)."""
-    return [*g, *[_ZERO] * n, -_ONE, _ONE, _ZERO], alpha * sum(g)
-
-
-def _with_slacks(c, A, b, added):
-    """The program with each added row a.x <= beta as a.x + r = beta."""
-    k = len(added)
-    rows = [list(row) + [_ZERO] * k for row in A]
-    for i, (a, beta) in enumerate(added):
-        slack = [_ZERO] * k
-        slack[i] = _ONE
-        rows.append(list(a) + slack)
-    return list(c) + [_ZERO] * k, rows, list(b) + [beta for _, beta in added]
-
-
-def _solve_fractions(B, M):
-    """(X, det B) with B X = M, by Gauss-Jordan elimination on Fractions.
-
-    A singular B gives (None, 0).
-    """
-    m = len(B)
-    aug = [[Fraction(v) for v in B[i]] + [Fraction(v) for v in M[i]] for i in range(m)]
-    det = _ONE
-    for col in range(m):
-        piv = next((i for i in range(col, m) if aug[i][col]), None)
-        if piv is None:
-            return None, _ZERO
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-            det = -det
-        p = aug[col][col]
-        det *= p
-        aug[col] = [v / p for v in aug[col]]
-        for i in range(m):
-            if i != col and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[col])]
-    return [row[m:] for row in aug], det
-
-
-def _solved(c, A, b):
-    """A WarmLP at the optimum of min c.x s.t. A x = b, x >= 0.
-
-    Started at the basis the reference ends on, so no pivot follows the
-    start pivots.
-    """
-    return WarmLP(*simplex._optimal_tableau(c, A, b, reference_basis(c, A, b)))
-
-
-def _add_row(lp, a, beta):
-    """Add the rational row a.x <= beta, scaled to integers."""
-    _, ints = common_denominator([Fraction(v) for v in a] + [Fraction(beta)])
-    lp.add_integer_row(ints[:-1], ints[-1])
-
-
-def _integer_rows(A, b, added):
-    """The integer matrix [M | rhs] the tableau is built from.
-
-    Each original row is scaled by the lcm of its denominators, each added
-    row too, with its slack's coefficient 1 after scaling.
-    """
-    k = len(added)
-    rows = []
-    for row, rhs in zip(A, b):
-        _, ints = common_denominator([Fraction(v) for v in row] + [Fraction(rhs)])
-        rows.append(ints[:-1] + [0] * k + ints[-1:])
-    for i, (a, beta) in enumerate(added):
-        _, ints = common_denominator([Fraction(v) for v in a] + [Fraction(beta)])
-        slack = [0] * k
-        slack[i] = 1
-        rows.append(ints[:-1] + slack + ints[-1:])
-    return rows
-
-
-def _assert_tableau_invariant(lp, c, A, b, added):
-    # T = d B^-1 M and d = |det B| for B the basic columns of the integer
-    # matrix M; the cost row is d L_c (c - c_B B^-1 M), and -d L_c c_B B^-1 b
-    # at the right-hand side.
-    M = _integer_rows(A, b, added)
-    B = [[row[j] for j in lp.basis] for row in M]
-    X, det = _solve_fractions(B, M)
-    assert lp.d == abs(det)
-    assert lp.rows == [[lp.d * v for v in row] for row in X]
-    scale, ints = common_denominator([Fraction(v) for v in c])
-    costs = ints + [0] * len(added) + [0]
-    basic = [costs[j] for j in lp.basis]
-    reduced = [costs[j] - sum(cb * row[j] for cb, row in zip(basic, X)) for j in range(len(costs))]
-    reduced[-1] = -sum(cb * row[-1] for cb, row in zip(basic, X))
-    assert lp.cost == [lp.d * v for v in reduced]
-
-
 @settings(max_examples=150, deadline=None)
 @given(_cut_sequences())
 def test_warm_rows_reach_the_cold_optimum(case):
+    # The master LP in dual form, resumed after each cut: its t* is the
+    # optimum of the primal master solved afresh on the cuts so far, and its
+    # y* lies in the box and attains it.
     n, alpha, cuts = case
-    c, A, b = _master_program(n, alpha, cuts[0])
-    lp = _solved(c, A, b)
-    added = []
-    for g in cuts[1:]:
-        added.append(_cut_row(n, alpha, g))
-        _add_row(lp, *added[-1])
-        x = lp.solution()
-        assert len(x) == len(c) and all(v >= 0 for v in x)
-        for row, rhs in zip(A, b):
-            assert sum(a * v for a, v in zip(row, x)) == rhs
-        for a, beta in added:
-            assert sum(ai * v for ai, v in zip(a, x)) <= beta
-        value = sum(ci * v for ci, v in zip(c, x))
-        program = _with_slacks(c, A, b, added)
-        assert value == reference_linear_min(*program)[0]
-        if n <= 2 and len(added) <= 3:
-            _assert_tableau_invariant(lp, c, A, b, added)
-
-
-class TestWarmLP:
-    def test_added_row_moves_the_optimum(self):
-        # min -x on x + s = 2; then x <= 1/2 leaves the optimum -1/2
-        lp = _solved([F(-1), F(0)], [[F(1), F(1)]], [F(2)])
-        assert lp.solution() == [F(2), F(0)]
-        _add_row(lp, [F(1), F(0)], Fraction(1, 2))
-        assert lp.solution() == [Fraction(1, 2), Fraction(3, 2)]
-        assert lp.pivots == 1
-
-    def test_slack_row_takes_no_pivot(self):
-        lp = _solved([F(-1), F(0)], [[F(1), F(1)]], [F(2)])
-        _add_row(lp, [F(1), F(0)], F(3))
-        assert lp.pivots == 0 and lp.solution() == [F(2), F(0)]
-
-    def test_repeated_row_takes_no_pivots(self):
-        c, A, b = _master_program(2, Fraction(1, 2), [F(3), F(-1)])
-        lp = _solved(c, A, b)
-        row = _cut_row(2, Fraction(1, 2), [F(-2), F(5)])
-        _add_row(lp, *row)
-        pivots, solution = lp.pivots, lp.solution()
-        assert pivots > 0
-        _add_row(lp, *row)
-        assert lp.pivots == pivots and lp.solution() == solution
-
-    def test_infeasible_row(self):
-        lp = _solved([F(1)], [[F(1)]], [F(1)])
-        with pytest.raises(LPInfeasibleError):
-            _add_row(lp, [F(1)], F(0))
-
-    def test_row_length_validation(self):
-        lp = _solved([F(1)], [[F(1)]], [F(1)])
-        with pytest.raises(ValueError):
-            lp.add_integer_row([1, 1], 2)
+    master = minimize_module._DualMaster(n, alpha.numerator, alpha.denominator)
+    for k, g in enumerate(cuts, start=1):
+        pi, denominator = master.add(tuple(g))
+        t_star = Fraction(-pi[n], denominator)
+        assert t_star == linear_min(*master_program(alpha, cuts[:k]))[0]
+        y = [Fraction(v, denominator) for v in pi[:n]]
+        assert all(-alpha <= v <= 1 for v in y)
+        assert max(sum(a * v for a, v in zip(h, y)) for h in cuts[:k]) == t_star
 
 
 class TestLinearMin:
