@@ -59,6 +59,7 @@ from .oracles import (
     random_box_point,
 )
 from .minimize import (
+    DEFAULT_ARITY_CAP,
     ConvexityWitness,
     MinimizeConfig,
     MinimizeReport,
@@ -76,6 +77,7 @@ __all__ = [
     "ChainDecomposition",
     "ClosureResult",
     "ConvexityWitness",
+    "DEFAULT_ARITY_CAP",
     "DEFAULT_ENUM_CAP",
     "DEFAULT_LP_CAP",
     "FractionalPoint",

@@ -114,13 +114,22 @@ class ValueOracle(abc.ABC):
         raise NotImplementedError
 
 
+#: Key and value texts parsed so far.  Documents repeat a few texts many
+#: times (every term of a sum has the same 9 keys), and labelings and
+#: Fractions are immutable, so each text is parsed once per process.  Only
+#: str goes in: True == 1 == 1.0, so other types would share entries.  A
+#: failing parse raises, and lru_cache keeps nothing for it.
+_parsed_labeling = lru_cache(maxsize=1 << 12)(parse_labeling)
+_parsed_rational = lru_cache(maxsize=1 << 12)(parse_rational)
+
+
 def _normalize_table(
     arity: int, values: Mapping[object, object], where: str = "values"
 ) -> Dict[Labeling, Fraction]:
     table: Dict[Labeling, Fraction] = {}
     for key, raw in values.items():
         if isinstance(key, str):
-            labeling = parse_labeling(key)
+            labeling = _parsed_labeling(key)
         elif isinstance(key, tuple) and all(isinstance(l, Label) for l in key):
             labeling = key
         else:
@@ -134,16 +143,18 @@ def _normalize_table(
             raise InstanceFormatError(
                 f"{where}: duplicate key {format_labeling(labeling)!r}"
             )
-        # Strings first: a str is never a Fraction, and isinstance against
-        # Fraction, an abstract base class, makes a Python-level call.
-        if not isinstance(raw, str) and isinstance(raw, Fraction):
-            table[labeling] = raw
-        else:
-            try:
+        try:
+            # Strings first: a str is never a Fraction, and isinstance against
+            # Fraction, an abstract base class, makes a Python-level call.
+            if isinstance(raw, str):
+                table[labeling] = _parsed_rational(raw)
+            elif isinstance(raw, Fraction):
+                table[labeling] = raw
+            else:
                 table[labeling] = parse_rational(raw)
-            except ValueError:
-                # Parse again to name the key in the message.
-                parse_rational(raw, where=f"{where}[{format_labeling(labeling)!r}]")
+        except ValueError:
+            # Parse again to name the key in the message.
+            parse_rational(raw, where=f"{where}[{format_labeling(labeling)!r}]")
     # Distinct keys of length `arity` number at most 3^arity.
     if exceeds_cap(arity, len(table)):
         for labeling in all_labelings(arity):

@@ -29,12 +29,24 @@ Its optimum is -t*, and the duals pi of its n + 1 rows are y* = pi[:n] and
 t* = -pi[n].  It has a fixed n + 1 integer rows and one column per cut.
 Scaled by q for alpha = p/q the objective is (p, q, 0), and cut k enters as
 the integer column (s_k g_k, s_k), with s_k the lcm of g_k's denominators; a
-column scaled by a positive factor moves no pivot.  `_DualMaster` keeps the
-revised solver's state (R = d B^-1 | d B^-1 r, basis, d) alive across
-rounds: a new cut appends one column and resumes Bland's rule from the old
-optimum, which stays a feasible basis.  With pi = C_B R for the integer
-costs C, y* = pi[:n] / (q d) and t* = -pi[n] / (q d).  The first round
-starts from the triangular basis
+column scaled by a positive factor moves no pivot.
+
+The walk builds that column from the chain values without a Fraction g.  It
+keeps f at its n + 1 points, all-Zero first, scales them once to integers
+F_0..F_n over their lcm D, and takes Delta_j = F_k - F_(k-1) at the step k
+where j joins.  Then p D (g, 1) is the integer vector with p Delta_j where
+j goes Pos, -q Delta_j where j goes Neg, and p D last.  (s g, s) is
+primitive: a prime dividing s divides some denominator of g to the full
+power it has in s, and that entry of s g is then not a multiple of it.  A
+direction has one primitive integer vector with a positive last entry, so
+p D (g, 1) divided by the gcd of its entries is (s g, s).  The stored cuts
+are these int tuples; the Fraction g is formed only for a witness.
+
+`_DualMaster` keeps the revised solver's state (R = d B^-1 | d B^-1 r,
+basis, d) and its duals alive across rounds: a new cut appends one column
+and resumes Bland's rule from the old optimum, which stays a feasible
+basis.  With pi = C_B R for the integer costs C, y* = pi[:n] / (q d) and
+t* = -pi[n] / (q d).  The first round starts from the triangular basis
 {lambda_1} + {u_j : g_1j > 0} + {v_j : g_1j <= 0}.  It is feasible, since
 lambda_1 = 1 leaves u_j = g_1j or v_j = -g_1j, and optimal, since the other
 one of u_j and v_j prices at 1 + alpha > 0.  So the first round makes no
@@ -83,13 +95,14 @@ Runs are deterministic given the configuration.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .functions import ValueOracle
+from .functions import CapExceededError, ValueOracle
 from .lattice import NEG, POS, ZERO, Alpha, Label, Labeling, format_labeling, labeling_at, numeric
 from .lovasz import FractionalPoint, _check_oracle_point, chain_order
 
@@ -101,6 +114,15 @@ from .simplex import _duals, _revised_min
 
 #: Default denominator bound of `project_box`'s snapping grid.
 DEFAULT_DENOMINATOR_LIMIT = 1 << 20
+
+#: `minimize` refuses an oracle of larger arity before it does any work.
+#: Each round after the first adds a column of n + 1 entries to the master
+#: LP and pivots on its (n + 1) x (n + 2) integer inverse, whose entries
+#: grow.  On generated sums (`generate --alpha 1/2 --terms 2n --seed 5`,
+#: Python 3.11 on a 2-vCPU VM) rounds 2-5 took 0.55 s each at n = 200
+#: (365 pivots) and 10.7 s each at n = 500 (1,041 pivots), so at the cap
+#: one round already costs about 10 s.
+DEFAULT_ARITY_CAP = 500
 
 CERTIFIED = "certified"
 NOT_CONVEX = "not_convex"
@@ -245,7 +267,26 @@ class MinimizeReport:
         }
 
 
-def _first_basis(column: List[int]) -> Tuple[List[List[int]], List[int], int]:
+def _cut_column(
+    order: Sequence[int], nums: Sequence[int], chain: Sequence[Fraction], p: int, q: int
+) -> Tuple[int, ...]:
+    """The cut of one chain walk as its integer column (s g, s).
+
+    `chain` holds f at the walk's n + 1 points, all-Zero first, and
+    coordinate order[k] joins at step k + 1, Pos when nums[j] >= 0 and Neg
+    otherwise.  The column is p D (g, 1) over the lcm D of the values,
+    divided by its gcd (see the module docstring).
+    """
+    denominator, ints = common_denominator(chain)
+    column = [0] * len(order) + [p * denominator]
+    for k, j in enumerate(order):
+        delta = ints[k + 1] - ints[k]
+        column[j] = p * delta if nums[j] >= 0 else -q * delta
+    divisor = math.gcd(*column)
+    return tuple([v // divisor for v in column])
+
+
+def _first_basis(column: Sequence[int]) -> Tuple[List[List[int]], List[int], int]:
     """The solver state at the basis {lambda_1, u_j (g_j > 0), v_j (g_j <= 0)}.
 
     `column` is lambda_1's integer column (s g, s).  Pivoting u_j = -e_j or
@@ -271,35 +312,38 @@ class _DualMaster:
     """Kelley's master LP in dual form, kept at its optimum as cuts arrive."""
 
     def __init__(self, n: int, p: int, q: int) -> None:
-        # Columns u_j = -e_j, then v_j = e_j; each cut appends one more.
-        self.rows = [[0] * (2 * n) for _ in range(n + 1)]
-        for j in range(n):
-            self.rows[j][j], self.rows[j][n + j] = -1, 1
+        # Columns of n + 1 entries: u_j = -e_j, then v_j = e_j; each cut
+        # appends one more.
+        self.columns = [
+            tuple([sign if i == j else 0 for i in range(n + 1)])
+            for sign in (-1, 1)
+            for j in range(n)
+        ]
         self.cost = [p] * n + [q] * n
         self.q = q
         self.state: Optional[Tuple[List[List[int]], List[int], int]] = None
+        #: pi = C_B R at `state`.
+        self.pi: List[int] = []
         #: Bland pivots run by the cuts so far.
         self.pivots = 0
 
-    def add(self, g: Tuple[Fraction, ...]) -> Tuple[List[int], int]:
-        """Append the cut g as a column and re-optimize.
+    def add(self, column: Tuple[int, ...]) -> Tuple[List[int], int]:
+        """Append the cut column (s g, s) and re-optimize.
 
         Returns (pi, D) with y* = pi[:n] / D and t* = -pi[n] / D.
         """
-        s, ints = common_denominator(g)
-        ints.append(s)
-        for row, v in zip(self.rows, ints):
-            row.append(v)
+        self.columns.append(column)
         self.cost.append(0)
         if self.state is None:
             # The first basis is optimal, so it needs no pricing pass.
-            self.state = inverse, basis, d = _first_basis(ints)
-            return _duals(inverse, basis, self.cost), self.q * d
+            self.state = inverse, basis, d = _first_basis(column)
+            self.pi = _duals(inverse, basis, self.cost)
+            return self.pi, self.q * d
         inverse, basis, d = self.state
-        d, pi, pivots = _revised_min(self.cost, self.rows, inverse, basis, d)
+        d, self.pi, pivots = _revised_min(self.cost, self.columns, inverse, basis, d, self.pi)
         self.state = inverse, basis, d
         self.pivots += pivots
-        return pi, self.q * d
+        return self.pi, self.q * d
 
 
 def _start(f: ValueOracle, cfg: MinimizeConfig) -> Tuple[Fraction, ...]:
@@ -319,9 +363,10 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
     ``not_convex`` report proves that it is not.
     """
     n = f.arity
+    if n > DEFAULT_ARITY_CAP:
+        raise CapExceededError(f"arity {n} exceeds the minimize cap {DEFAULT_ARITY_CAP}")
     alpha = f.alpha.value
     p, q = alpha.numerator, alpha.denominator
-    neg_scale = Fraction(-q, p)
     # Coordinate j going from Zero to Pos (Neg) adds (subtracts) 3^(n-1-j).
     steps = [3 ** (n - 1 - j) for j in range(n)]
     zero_code = (3**n - 1) // 2
@@ -353,48 +398,44 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
             best_value, best_code = candidate, code
             trajectory.append((t, candidate))
 
-    def walk(t: int, nums: Sequence[int], denominator: int) -> Tuple[Fraction, ...]:
+    def walk(t: int, nums: Sequence[int], denominator: int) -> Tuple[int, ...]:
         # One pass along the maximal chain at y = nums / denominator: feeds
         # the best-so-far (the support atoms, the prefixes where the key
         # drops, and all-Zero when mass is left below magnitude 1) and
-        # returns the cut's gradient.
+        # returns the cut's integer column.
         order, keys = chain_order(nums, p, q)
         code = zero_code
         labels = [ZERO] * n
-        previous = zero
-        g: List[Fraction] = [Fraction(0)] * n
+        chain = [zero]
         for k, j in enumerate(order):
-            positive = nums[j] >= 0
-            if positive:
+            if nums[j] >= 0:
                 code += steps[j]
                 labels[j] = POS
             else:
                 code -= steps[j]
                 labels[j] = NEG
             current = value(code, labels)
-            step = current - previous
-            g[j] = step if positive else step * neg_scale
-            previous = current
+            chain.append(current)
             if keys[k] != keys[k + 1]:
                 consider(code, current, t)
         if keys[0] != denominator * p:
             consider(zero_code, zero, t)
-        return tuple(g)
+        return _cut_column(order, nums, chain, p, q)
 
     denominator, nums = common_denominator(y)
-    cuts: List[Tuple[Fraction, ...]] = []
+    cuts: List[Tuple[int, ...]] = []
     master = _DualMaster(n, p, q)
     stop_reason = CUT_CAP
     witness: Optional[ConvexityWitness] = None
     walk_s = lp_s = 0.0
     for t in range(1, max_iters + 1):
         clock = time.perf_counter()
-        g = walk(t, nums, denominator)
+        column = walk(t, nums, denominator)
         walk_s += time.perf_counter() - clock
-        if g not in cuts:
+        if column not in cuts:
             clock = time.perf_counter()
-            cuts.append(g)
-            pi, denominator = master.add(g)
+            cuts.append(column)
+            pi, denominator = master.add(column)
             nums = pi[:n]
             lower_bound = zero - Fraction(pi[n], denominator)
             lp_s += time.perf_counter() - clock
@@ -406,9 +447,10 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
             stop_reason = NOT_CONVEX
             u = labeling_at(best_code, n)
             point = numeric(u, f.alpha)
-            heights = [sum(gj * uj for gj, uj in zip(cut, point)) for cut in cuts]
+            gs = [tuple([Fraction(v, cut[n]) for v in cut[:n]]) for cut in cuts]
+            heights = [sum(gj * uj for gj, uj in zip(g, point)) for g in gs]
             k = max(range(len(cuts)), key=heights.__getitem__)
-            witness = ConvexityWitness(u, k, cuts[k], best_value, zero + heights[k])
+            witness = ConvexityWitness(u, k, gs[k], best_value, zero + heights[k])
             break
 
     return MinimizeReport(

@@ -35,14 +35,27 @@ negating the pivot row and d' first, while every other w_i keeps its sign.
 
 Pricing needs no tableau either.  With pi = C_B R, the integer d C_j - pi M_j
 is d times the reduced cost of column j, the entry that a cost row carried
-through the pivots would hold: d (C_j - C_B B^-1 M_j).  A pricing pass
-costs m N multiplications, as one tableau pivot would, but a pivot now
-touches m (m + 1) entries, not m N; from a start that is already optimal
-the solve is m small pivots and one pricing pass.  Bland's rule enters the
-smallest j with a negative price, forms w = R M_j, and leaves on the row
-with the least ratio (d B^-1 r)_i / w_i over w_i > 0, the smallest basic
-column among ties; ratios of integers over the same d compare by
+through the pivots would hold: d (C_j - C_B B^-1 M_j).  M is kept by
+columns, so the price of column j is one dot product of pi with M_j, and a
+pivot touches m (m + 1) entries, not the m N of a tableau pivot.  Bland's
+rule enters the smallest j with a negative price, so pricing runs over the
+columns in order and stops at the first negative one; only the pass that
+finds the optimum prices all N.  It then forms w = R M_j and leaves on the
+row with the least ratio (d B^-1 r)_i / w_i over w_i > 0, the smallest
+basic column among ties; ratios of integers over the same d compare by
 cross-multiplication.
+
+pi itself is carried across the pivots, not rebuilt as C_B R.  A pivot on
+(s, j) with w_s > 0 changes row i != s of R to (w_s R_i - w_i R_s) / d,
+keeps R_s and puts C_j in place of C_(B_s), so with C_B w = pi M_j
+
+    pi' = sum_(i != s) C_(B_i) (w_s R_i - w_i R_s) / d + C_j R_s
+        = (w_s pi - (pi M_j) R_s + d C_j R_s) / d = (w_s pi + P_j R_s) / d,
+
+where P_j = d C_j - pi M_j is the entering price and R_s the pivot row
+before the pivot.  pi' = C_B' R' is an integer vector, so the division is
+exact.  A pivot then costs m N multiplications at most for pricing and
+m (m + 2) for R and pi, with no m^2 pass to rebuild pi.
 
 The caller names the m columns of a feasible basis S of A x = b as
 `start`, and `_start_basis` pivots each column of S in, in the order given,
@@ -56,11 +69,12 @@ being a basis: R checks its feasibility, and Bland's rule prices every
 column, so the optimum found is the optimum of the program whatever S was.
 
 `_revised_min`, Bland's loop, runs from any feasible state ([R | d B^-1 r],
-basis, d) and leaves it at the optimum.  A column appended to M and C (one
-more entry in every row of M) changes neither B nor R nor d B^-1 r, so the
-state stays a feasible basis of the larger program and the loop resumes
-from it; only the new column can price negative there.  Kelley's master LP
-in `minimize` grows that way, one column per cut.
+basis, d) and its pi = C_B R, and leaves them at the optimum.  A column
+appended to M and C (one more tuple in M's list of columns) changes neither
+B nor R nor d B^-1 r nor pi, so the state stays a feasible basis of the
+larger program and the loop resumes from it; only the new column can price
+negative there.  Kelley's master LP in `minimize` grows that way, one
+column per cut.
 """
 
 
@@ -68,7 +82,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .rationals import common_denominator
 
@@ -112,8 +126,8 @@ def _integer_program(
 ) -> Tuple[Sequence[int], List[Sequence[int]], List[int]]:
     """(C, M, r): the objective and each row [A_i | b_i] scaled to integers.
 
-    Raises ValueError on inconsistent dimensions or a start of the wrong
-    size or out of range.
+    M comes back as its list of columns.  Raises ValueError on inconsistent
+    dimensions or a start of the wrong size or out of range.
     """
     m = len(A)
     n = len(c)
@@ -121,20 +135,21 @@ def _integer_program(
         raise ValueError("inconsistent LP dimensions")
     if len(start) != m or not all(0 <= j < n for j in start):
         raise ValueError(f"a start basis needs {m} columns in range(0, {n}), got {list(start)}")
-    M: List[Sequence[int]] = []
+    rows: List[Sequence[int]] = []
     r: List[int] = []
     for row, rhs in zip(A, b):
         if type(rhs) is not int or not set(map(type, row)) <= {int}:
             _, ints = common_denominator([*row, rhs])
             row, rhs = ints[:-1], ints[-1]
-        M.append(row)
+        rows.append(row)
         r.append(rhs)
-    return common_denominator(c)[1], M, r
+    columns = list(zip(*rows)) if rows else [()] * n
+    return common_denominator(c)[1], columns, r
 
 
 def _entering(inverse: List[List[int]], M: Sequence[Sequence[int]], col: int) -> List[int]:
     """w = R M_col, the tableau column of `col`."""
-    a = [row[col] for row in M]
+    a = M[col]
     # map stops at the end of a, before the right-hand side closing each row.
     return [sum(map(mul, r, a)) for r in inverse]
 
@@ -157,7 +172,7 @@ def _start_basis(
 
     Raises ValueError when `start` is not a feasible basis of M x = r.
     """
-    m = len(M)
+    m = len(r)
     inverse = [[int(i == k) for k in range(m)] + [r[i]] for i in range(m)]
     # -1 marks a row with no basic column yet.
     basis = [-1] * m
@@ -173,45 +188,66 @@ def _start_basis(
     return inverse, basis, d
 
 
+def _bland_step(
+    cost: Sequence[int],
+    M: Sequence[Sequence[int]],
+    inverse: List[List[int]],
+    basis: List[int],
+    d: int,
+    pi: Sequence[int],
+) -> Optional[Tuple[int, List[int]]]:
+    """One pivot of Bland's rule from the state ([R | d B^-1 r], basis, d).
+
+    pi must be C_B R.  Updates the state in place and returns the new
+    (d, pi), or None when no column prices negative.  Raises
+    LPUnboundedError when the entering column has no leaving row.
+    """
+    for col, (cj, a) in enumerate(zip(cost, M)):
+        price = d * cj - sum(map(mul, pi, a))
+        if price < 0:
+            break
+    else:
+        return None
+    w = _entering(inverse, M, col)
+    # With d > 0, ratio rhs_i / w_i compares by cross-multiplication.
+    best_row = -1
+    for i, a in enumerate(w):
+        if a <= 0:
+            continue
+        rhs = inverse[i][-1]
+        if best_row >= 0:
+            lhs, right = rhs * best_a, best_rhs * a
+            if not (lhs < right or (lhs == right and basis[i] < basis[best_row])):
+                continue
+        best_row, best_a, best_rhs = i, a, rhs
+    if best_row < 0:
+        raise LPUnboundedError("no leaving row: objective unbounded below")
+    # pi' = (w_s pi + P_j R_s) / d, exact; zip stops before the right-hand side.
+    pi = [(best_a * v + price * r) // d for v, r in zip(pi, inverse[best_row])]
+    return _eliminate(inverse, w, basis, d, best_row, col), pi
+
+
 def _revised_min(
     cost: Sequence[int],
     M: Sequence[Sequence[int]],
     inverse: List[List[int]],
     basis: List[int],
     d: int,
+    pi: List[int],
 ) -> Tuple[int, List[int], int]:
     """Bland's rule on min C.x s.t. M x = r, x >= 0, all integers.
 
     Starts from the feasible state ([R | d B^-1 r], basis, d), which it
-    updates in place, and returns (d, pi, pivots) at the optimum: pi = C_B R
-    of the last pricing pass and the number of pivots made.  Raises
+    updates in place, and its duals pi = C_B R, and returns (d, pi, pivots)
+    at the optimum, with the number of pivots made.  Raises
     LPUnboundedError when the objective is unbounded below.
     """
     pivots = 0
     while True:
-        pi = _duals(inverse, basis, cost)
-        prices = [d * cj for cj in cost]
-        for pk, row in zip(pi, M):
-            if pk:
-                prices = [v - pk * a for v, a in zip(prices, row)]
-        col = next((j for j, v in enumerate(prices) if v < 0), None)
-        if col is None:
+        step = _bland_step(cost, M, inverse, basis, d, pi)
+        if step is None:
             return d, pi, pivots
-        w = _entering(inverse, M, col)
-        # With d > 0, ratio rhs_i / w_i compares by cross-multiplication.
-        best_row = -1
-        for i, a in enumerate(w):
-            if a <= 0:
-                continue
-            rhs = inverse[i][-1]
-            if best_row >= 0:
-                lhs, right = rhs * best_a, best_rhs * a
-                if not (lhs < right or (lhs == right and basis[i] < basis[best_row])):
-                    continue
-            best_row, best_a, best_rhs = i, a, rhs
-        if best_row < 0:
-            raise LPUnboundedError("no leaving row: objective unbounded below")
-        d = _eliminate(inverse, w, basis, d, best_row, col)
+        d, pi = step
         pivots += 1
 
 
@@ -231,7 +267,7 @@ def linear_min(
     """
     C, M, r = _integer_program(c, A, b, start)
     inverse, basis, d = _start_basis(M, r, start)
-    d = _revised_min(C, M, inverse, basis, d)[0]
+    d = _revised_min(C, M, inverse, basis, d, _duals(inverse, basis, C))[0]
     solution = [_ZERO] * len(c)
     for j, row in zip(basis, inverse):
         if row[-1]:

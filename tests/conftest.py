@@ -11,6 +11,7 @@ from unittest import mock
 import pytest
 
 from skewbisub import simplex
+from skewbisub.rationals import common_denominator
 from skewbisub import (
     Alpha,
     ChainDecomposition,
@@ -168,6 +169,20 @@ def reference_linear_min(
             solution[j] = rows[i][-1]
     value = sum((ci * xi for ci, xi in zip(c, solution)), start=_ZERO)
     return value, solution
+
+
+def cut_column(g: Sequence[Fraction]) -> Tuple[int, ...]:
+    """(s g, s), the cut g as the integer column `minimize._DualMaster` takes.
+
+    s is the lcm of g's denominators.
+    """
+    s, ints = common_denominator(g)
+    return (*ints, s)
+
+
+def column_cut(column: Sequence[int]) -> Tuple[Fraction, ...]:
+    """The cut g whose column is (s g, s)."""
+    return tuple(Fraction(v, column[-1]) for v in column[:-1])
 
 
 def master_program(alpha: Fraction, cuts: Sequence[Sequence[Fraction]]):

@@ -382,7 +382,8 @@ class TestCapsComeFirst:
 
     A one-term sum document is cheap to load at any n, so only the cap
     check stands between these commands and O(n^2) chain walks
-    (`verify-closure`) or a 3^n computation (`check`, `verify-all`).
+    (`verify-closure`), an O(n^2) master LP (`minimize`) or a 3^n
+    computation (`check`, `verify-all`).
     """
 
     @pytest.mark.parametrize(
@@ -391,6 +392,7 @@ class TestCapsComeFirst:
             ("verify-closure", 10**6, "3^1000000 LP variables exceed the cap 729"),
             ("check", 10**7, "3^10000000 points exceed the enumeration cap 6561"),
             ("verify-all", 10**7, "3^10000000 points exceed the enumeration cap 6561"),
+            ("minimize", 10**6, "arity 1000000 exceeds the minimize cap 500"),
         ],
     )
     def test_refused_at_once(self, tmp_path, capsys, command, n, message):

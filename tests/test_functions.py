@@ -33,8 +33,9 @@ from skewbisub import (
     numeric,
     parse_labeling,
 )
+from skewbisub import functions
 from skewbisub.functions import exceeds_cap
-from skewbisub.rationals import format_rational
+from skewbisub.rationals import format_rational, parse_rational
 
 
 def inequality_sides(f, a, b):
@@ -429,3 +430,69 @@ class TestJson:
         doc["terms"][0]["scope"] = [0, 7]
         with pytest.raises(InstanceFormatError, match="out of range"):
             instance_from_json(doc)
+
+
+class TestLoadCaches:
+    """Key and value texts are parsed once per process, with no change to
+    what a load accepts or to the messages it gives."""
+
+    @staticmethod
+    def _table(values):
+        return {"format": "table", "n": 1, "alpha": "1/2", "values": values}
+
+    @staticmethod
+    def _fill_caches():
+        for seed in range(3):
+            instance_from_json(instance_to_json(
+                generate_instance(4, Alpha(Fraction(1, 2)), num_terms=4, max_scope=2, seed=seed)
+            ))
+        instance_from_json(TestLoadCaches._table({"-": "1", "0": 1, "+": "1/1"}))
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (True, "values['+']: expected a rational, got boolean True"),
+            (1.0, "values['+']: floats are not accepted (got 1.0); use an exact 'p/q' string"),
+        ],
+    )
+    def test_a_non_text_equal_to_one_is_still_rejected(self, raw, message):
+        # True == 1 == 1.0 == Fraction(1), and "1" and 1 have been loaded.
+        self._fill_caches()
+        with pytest.raises(InstanceFormatError) as raised:
+            instance_from_json(self._table({"-": "1", "0": 1, "+": raw}))
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("text", ["1/0", "x"])
+    def test_a_bad_text_names_its_key_every_time(self, text):
+        for _ in range(2):
+            for key in ("-", "0", "+"):
+                values = {"-": 0, "0": 0, "+": 0, key: text}
+                with pytest.raises(InstanceFormatError) as raised:
+                    instance_from_json(self._table(values))
+                assert str(raised.value) == (
+                    f"values[{key!r}]: bad rational literal {text!r} (expected 'p' or 'p/q')"
+                )
+            self._fill_caches()
+
+    def test_a_bad_key_text_fails_every_time(self):
+        for _ in range(2):
+            with pytest.raises(InstanceFormatError) as raised:
+                instance_from_json(self._table({"-": 0, "0": 0, "x": 0}))
+            assert str(raised.value) == "labeling 'x': bad character 'x' at position 0"
+            self._fill_caches()
+
+    def test_equal_texts_give_equal_values(self):
+        texts = ["1/2", " 1/2", "2/4", "-3", "-3/1", "+7/21", "0", "-0", "10/4"]
+        for _ in range(2):
+            for text in texts:
+                f = instance_from_json(self._table({"-": text, "0": text, "+": 0}))
+                assert f[(NEG,)] == f[(ZERO,)] == parse_rational(text)
+                assert type(f[(NEG,)]) is Fraction
+        f = instance_from_json(self._table({"-": "2/4", "0": "1/2", "+": "+1/2"}))
+        assert f[(NEG,)] == f[(ZERO,)] == f[(POS,)] == Fraction(1, 2)
+        assert parse_labeling("+-0") == functions._parsed_labeling("+-0")
+
+    def test_both_caches_are_bounded(self):
+        for cache in (functions._parsed_labeling, functions._parsed_rational):
+            maxsize = cache.cache_info().maxsize
+            assert maxsize is not None and 0 < maxsize <= 1 << 16

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from skewbisub import (
+    DEFAULT_ARITY_CAP,
     Alpha,
+    CapExceededError,
     FractionalPoint,
     MinimizeConfig,
     SumFunction,
@@ -32,12 +34,15 @@ from skewbisub import (
     numeric,
     project_box,
     random_box_point,
+    subgradient,
 )
 from skewbisub import simplex
 from skewbisub.rationals import common_denominator
 from conftest import (
     ALPHA_GRID,
     boundary_shift,
+    column_cut,
+    cut_column,
     master_program,
     recorded_pivots,
     reference_linear_min,
@@ -315,8 +320,8 @@ def _rounds(f, cfg, monkeypatch):
     """Run minimize and log each round: [cut added or None, t*, pivots].
 
     A round starts with its one chain walk (`chain_order`); the master LP
-    step that follows (`_DualMaster.add`) records the cut it adds and the t*
-    it leaves, and every `simplex._eliminate` call until the next walk
+    step that follows (`_DualMaster.add`) records the cut g whose integer
+    column it adds and the t* it leaves, and every `simplex._eliminate` call until the next walk
     counts as a pivot of that round.
     """
     log = []
@@ -326,8 +331,9 @@ def _rounds(f, cfg, monkeypatch):
         log.append([None, None, len(pivots)])
         return order(*args)
 
-    def add_cut(master, g):
-        pi, denominator = add(master, g)
+    def add_cut(master, column):
+        pi, denominator = add(master, column)
+        g = column_cut(column)
         log[-1][:2] = g, Fraction(-pi[len(g)], denominator)
         return pi, denominator
 
@@ -416,14 +422,16 @@ def test_first_master_is_the_cold_optimal_tableau(g, alpha):
     n = len(g)
     master = minimize_module._DualMaster(n, alpha.numerator, alpha.denominator)
     with recorded_pivots() as pivots:
-        pi, denominator = master.add(tuple(g))
+        pi, denominator = master.add(cut_column(g))
     assert pivots == []
     s = common_denominator(g)[0]
     start = [j if v > 0 else n + j for j, v in enumerate(g)] + [2 * n]
-    pivoted = simplex._start_basis(master.rows, [0] * n + [1], start)
+    pivoted = simplex._start_basis(master.columns, [0] * n + [1], start)
     assert master.state == pivoted and pivoted[2] == s
     inverse, basis, d = pivoted
-    assert simplex._revised_min(master.cost, master.rows, inverse, basis, d) == (d, pi, 0)
+    duals = simplex._duals(inverse, basis, master.cost)
+    resumed = simplex._revised_min(master.cost, master.columns, inverse, basis, d, duals)
+    assert resumed == (d, pi, 0)
     c, A, b, _ = master_program(alpha, [g])
     t_star, cold = reference_linear_min(c, A, b)
     assert Fraction(-pi[n], denominator) == t_star
@@ -438,7 +446,7 @@ class TestDualMaster:
     @staticmethod
     def _add(master, g):
         """(y*, t*, Bland pivots so far) after adding the cut g."""
-        pi, denominator = master.add(tuple(Fraction(v) for v in g))
+        pi, denominator = master.add(cut_column([Fraction(v) for v in g]))
         return Fraction(pi[0], denominator), Fraction(-pi[1], denominator), master.pivots
 
     def test_added_cut_moves_the_optimum(self):
@@ -564,3 +572,94 @@ def test_labelings_are_decoded_only_for_the_report(monkeypatch):
         report = minimize(g, cfg)
         assert report.stop_reason == stop_reason and report.distinct_points > 1
         assert len(decoded) == calls
+
+
+def _fraction_cut(order, nums, chain, alpha):
+    """The walk's cut g in Fractions: Delta where j goes Pos, -Delta / alpha where Neg."""
+    g = [Fraction(0)] * len(order)
+    for k, j in enumerate(order):
+        step = chain[k + 1] - chain[k]
+        g[j] = step if nums[j] >= 0 else -step / alpha
+    return g
+
+
+#: Oracle values over mixed denominators.
+_CHAIN_VALUES = st.builds(Fraction, st.integers(-40, 40), st.sampled_from((1, 2, 3, 4, 6, 7, 9)))
+
+
+@st.composite
+def _walks(draw):
+    """(order, nums, chain, alpha): one chain walk's order, signs and values."""
+    n = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(n)))
+    # Zero coordinates are drawn often; they walk on the Pos side.
+    nums = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        chain = [draw(_CHAIN_VALUES)] * (n + 1)  # g = 0
+    else:
+        chain = draw(st.lists(_CHAIN_VALUES, min_size=n + 1, max_size=n + 1))
+    return order, nums, chain, draw(st.sampled_from(_NUDGE_ALPHAS))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_walks())
+@example(([0, 1], [0, 0], [Fraction(3, 2)] * 3, Fraction(1, 2)))
+@example(([1, 0, 2], [-1, 0, 2], [Fraction(1, 3), Fraction(-1, 4), Fraction(5, 6), 2], Fraction(2, 7)))
+@example(([0], [-1], [Fraction(0), Fraction(7, 9)], Fraction(5, 9)))
+def test_cut_column_is_the_scaled_fraction_cut(walk):
+    # The integer column built from the chain values is (s g, s) for the
+    # cut g that Fraction arithmetic gives, s the lcm of g's denominators.
+    order, nums, chain, alpha = walk
+    g = _fraction_cut(order, nums, chain, alpha)
+    s, ints = common_denominator(g)
+    column = minimize_module._cut_column(order, nums, chain, alpha.numerator, alpha.denominator)
+    assert column == (*ints, s)
+    assert all(type(v) is int for v in column) and math.gcd(*column) == 1
+
+
+def test_walk_columns_are_the_subgradient_columns(pool_desk, monkeypatch):
+    # The first round at a given start adds the column of the subgradient
+    # at that point, on random points and on points with zero and tied
+    # coordinates.
+    added = []
+    add = minimize_module._DualMaster.add
+
+    def recording(master, column):
+        added.append(column)
+        return add(master, column)
+
+    monkeypatch.setattr(minimize_module._DualMaster, "add", recording)
+    rng = random.Random(19)
+    for f in pool_desk:
+        n, alpha = f.arity, f.alpha
+        half = Fraction(1, 2)
+        tied = [half if j % 3 == 0 else (-alpha.value * half if j % 3 == 1 else 0) for j in range(n)]
+        for x in (random_box_point(n, alpha, rng), FractionalPoint(tuple(tied), alpha)):
+            del added[:]
+            minimize(f, MinimizeConfig(start=x, max_iters=1))
+            assert added == [cut_column(subgradient(f, x))]
+
+
+class TestArityCap:
+    @staticmethod
+    def _one_term(n):
+        return instance_from_json({
+            "format": "sum", "n": n, "alpha": "1/2",
+            "terms": [{"scope": [0], "values": {"-": "1", "0": "0", "+": "2"}}],
+        })
+
+    def test_refused_before_any_oracle_call(self):
+        f = self._one_term(DEFAULT_ARITY_CAP + 1)
+        with pytest.raises(CapExceededError) as raised:
+            minimize(f)
+        assert str(raised.value) == (
+            f"arity {DEFAULT_ARITY_CAP + 1} exceeds the minimize cap {DEFAULT_ARITY_CAP}"
+        )
+        assert f.call_count == 0
+
+    def test_the_cap_itself_is_accepted(self, monkeypatch):
+        # The cap is read when `minimize` is called.
+        monkeypatch.setattr(minimize_module, "DEFAULT_ARITY_CAP", 3)
+        assert minimize(self._one_term(3)).certified
+        with pytest.raises(CapExceededError, match="arity 4 exceeds the minimize cap 3"):
+            minimize(self._one_term(4))

@@ -9,15 +9,18 @@ solution, or raise the same exception.  The optimum reached from a start
 basis must be the one the reference reaches cold, from its artificial
 basis.  Kelley's master LP in `minimize` resumes the same solver after
 each added cut, in dual form; after every cut it must reach the optimum of
-the primal master solved afresh.
+the primal master solved afresh.  The duals pi = C_B R that the solver
+carries across its pivots must equal the ones `_duals` rebuilds after each.
 """
 
+import contextlib
 import functools
 import importlib
 import json
 import random
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -33,15 +36,18 @@ from skewbisub import (
     decompose,
     expand_to_table,
     extension_value,
+    generate_instance,
     instance_from_json,
     linear_min,
     numeric,
     parse_labeling,
     random_box_point,
 )
-from skewbisub import oracles
+from skewbisub import oracles, simplex
 from conftest import (
+    ALPHA_GRID,
     ReferenceInfeasibleError,
+    cut_column,
     master_program,
     recorded_pivots,
     reference_linear_min,
@@ -146,6 +152,40 @@ def test_start_basis_reaches_the_cold_optimum(program):
         assert result is LPUnboundedError
     else:
         assert result[0] == cold[0]
+
+
+@contextlib.contextmanager
+def checked_duals():
+    """Check the pi that Bland's loop carries against C_B R, rebuilt by `_duals`.
+
+    Yields a list that gets one entry per pivot checked.  Every step must
+    be given pi = C_B R of its state, and a pivot must leave the pi it
+    returns equal to C_B R of the new state.
+    """
+    checked = []
+    step = simplex._bland_step
+
+    def checking_step(cost, M, inverse, basis, d, pi):
+        assert pi == simplex._duals(inverse, basis, cost)
+        result = step(cost, M, inverse, basis, d, pi)
+        if result is not None:
+            assert result[1] == simplex._duals(inverse, basis, cost)
+            checked.append(result[0])
+        return result
+
+    with mock.patch.object(simplex, "_bland_step", checking_step):
+        yield checked
+
+
+@settings(max_examples=300, deadline=None)
+@given(_started_programs())
+def test_carried_duals_are_the_rebuilt_ones(program):
+    c, A, b, start = program
+    with checked_duals() as checked:
+        result, pivots = _integer_run(c, A, b, start)
+    # The same pivots as the reference, and each one past the start checked.
+    assert (result, pivots) == _reference_run(c, A, b, start)
+    assert len(checked) == len(pivots) - len(start)
 
 
 class TestStartBasis:
@@ -316,12 +356,36 @@ def test_warm_rows_reach_the_cold_optimum(case):
     n, alpha, cuts = case
     master = minimize_module._DualMaster(n, alpha.numerator, alpha.denominator)
     for k, g in enumerate(cuts, start=1):
-        pi, denominator = master.add(tuple(g))
+        pi, denominator = master.add(cut_column(g))
         t_star = Fraction(-pi[n], denominator)
         assert t_star == linear_min(*master_program(alpha, cuts[:k]))[0]
         y = [Fraction(v, denominator) for v in pi[:n]]
         assert all(-alpha <= v <= 1 for v in y)
         assert max(sum(a * v for a, v in zip(h, y)) for h in cuts[:k]) == t_star
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cut_sequences())
+def test_carried_duals_on_master_cuts(case):
+    # The primal master solved afresh on each prefix of the cuts, and the
+    # dual master resumed after each cut: every pivot carries pi = C_B R.
+    n, alpha, cuts = case
+    master = minimize_module._DualMaster(n, alpha.numerator, alpha.denominator)
+    with checked_duals() as checked:
+        for k, g in enumerate(cuts, start=1):
+            linear_min(*master_program(alpha, cuts[:k]))
+            master.add(cut_column(g))
+            assert master.pi == simplex._duals(*master.state[:2], master.cost)
+    assert len(checked) >= master.pivots
+
+
+def test_a_minimize_run_carries_exact_duals():
+    # A run with pivots in most rounds: every one of them is checked.
+    f = generate_instance(12, ALPHA_GRID[1], num_terms=24, max_scope=2, seed=5)
+    with checked_duals() as checked:
+        report = minimize_module.minimize(f)
+    assert report.certified
+    assert len(checked) == report.lp_pivots > 12
 
 
 class TestLinearMin:
