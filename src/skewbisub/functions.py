@@ -7,16 +7,26 @@ of low-arity table terms), plus the skew-bisubmodularity checker, a
 rejection-sampling instance generator, and the JSON instance format used by
 the CLI.
 
+Every oracle also reads its values as integers: `numerator(a)` is
+f(a) * `denominator`, for one fixed denominator D > 0 per oracle, so exact
+code that only compares or adds values (the minimizer, brute force, the
+closure LP) runs on plain ints and makes a Fraction only for what it
+reports.
+
 A sum is compiled once, when it is built: every term value is scaled to an
 integer numerator over one common denominator D, the lcm of all their
 denominators, and each term keeps its scope and a flat list of those
-numerators in the lex order of `all_labelings`.  An evaluation turns the
-labeling into base-3 digits once, adds plain ints and makes one Fraction.
+numerators in the lex order of `all_labelings`.  A read turns the labeling
+into base-3 digits once and adds plain ints; `evaluate` makes one Fraction
+of the total.  A table is scaled to integers over the lcm of its values'
+denominators on its first integer read, not when it is built, so code that
+reads only Fractions (the checker) never pays for it; `evaluate` returns
+the stored Fraction.
 
-Oracle-call accounting: `evaluate` bumps `call_count` by exactly one per
-call.  The counter is a plain attribute with no locking; either confine an
-oracle to one thread or only trust the count after all evaluation has
-quiesced.
+Oracle-call accounting: `evaluate` and `numerator` each bump `call_count`
+by exactly one per call.  The counter is a plain attribute with no locking;
+either confine an oracle to one thread or only trust the count after all
+evaluation has quiesced.
 """
 
 from __future__ import annotations
@@ -97,8 +107,14 @@ class ValueOracle(abc.ABC):
 
     @property
     def call_count(self) -> int:
-        """Number of `evaluate` calls made so far."""
+        """Number of `evaluate` and `numerator` calls made so far."""
         return self._call_count
+
+    @property
+    @abc.abstractmethod
+    def denominator(self) -> int:
+        """The fixed D > 0 with f(a) = numerator(a) / D at every point."""
+        raise NotImplementedError
 
     def evaluate(self, labeling: Labeling) -> Fraction:
         """Query the function value at one point; counts one oracle call."""
@@ -109,9 +125,21 @@ class ValueOracle(abc.ABC):
         self._call_count += 1
         return self._value(labeling)
 
+    def numerator(self, labeling: Labeling) -> int:
+        """f(labeling) * `denominator`, an exact int; counts one oracle call."""
+        if len(labeling) != self._arity:
+            raise ArityMismatchError(
+                f"labeling has length {len(labeling)}, oracle arity is {self._arity}"
+            )
+        self._call_count += 1
+        return self._numerator(labeling)
+
     @abc.abstractmethod
-    def _value(self, labeling: Labeling) -> Fraction:
+    def _numerator(self, labeling: Labeling) -> int:
         raise NotImplementedError
+
+    def _value(self, labeling: Labeling) -> Fraction:
+        return Fraction(self._numerator(labeling), self.denominator)
 
 
 #: Key and value texts parsed so far.  Documents repeat a few texts many
@@ -172,6 +200,9 @@ class TableFunction(ValueOracle):
     `parse_rational` accepts, or Fractions.
     """
 
+    #: The table scaled to integers over `_denominator`, made on first use.
+    _numerators: Optional[Dict[Labeling, int]] = None
+
     def __init__(self, arity: int, alpha: Alpha, values: Mapping[object, object]):
         super().__init__(arity, alpha)
         self._table = _normalize_table(arity, values)
@@ -179,6 +210,23 @@ class TableFunction(ValueOracle):
     def __getitem__(self, labeling: Labeling) -> Fraction:
         """Direct table read; does not count as an oracle call."""
         return self._table[labeling]
+
+    def _compile(self) -> Dict[Labeling, int]:
+        self._denominator, ints = common_denominator(list(self._table.values()))
+        self._numerators = dict(zip(self._table, ints))
+        return self._numerators
+
+    @property
+    def denominator(self) -> int:
+        if self._numerators is None:
+            self._compile()
+        return self._denominator
+
+    def _numerator(self, labeling: Labeling) -> int:
+        numerators = self._numerators
+        if numerators is None:
+            numerators = self._compile()
+        return numerators[labeling]
 
     def _value(self, labeling: Labeling) -> Fraction:
         return self._table[labeling]
@@ -204,8 +252,9 @@ class SumFunction(ValueOracle):
     integer numerators over D.  Entry k of the list is the k-th labeling of
     `all_labelings(len(scope))`, i.e. the one whose lex digits ('-' -> 0,
     '0' -> 1, '+' -> 2), read in scope order, spell k in base 3.  So
-    `evaluate` adds one list entry per term on plain ints and returns
-    Fraction(total, D), which equals the Fraction sum of the term values.
+    `numerator` adds one list entry per term on plain ints, and `evaluate`
+    returns Fraction(total, D), which equals the Fraction sum of the term
+    values.
     """
 
     def __init__(self, arity: int, alpha: Alpha, terms: Sequence[Term]):
@@ -238,7 +287,11 @@ class SumFunction(ValueOracle):
     def terms(self) -> Tuple[Term, ...]:
         return self._terms
 
-    def _value(self, labeling: Labeling) -> Fraction:
+    @property
+    def denominator(self) -> int:
+        return self._denominator
+
+    def _numerator(self, labeling: Labeling) -> int:
         digits = list(map(LEX_ORDER.index, labeling))
         total = 0
         for scope, numerators in self._compiled:
@@ -246,7 +299,7 @@ class SumFunction(ValueOracle):
             for i in scope:
                 k = 3 * k + digits[i]
             total += numerators[k]
-        return Fraction(total, self._denominator)
+        return total
 
 
 @dataclass(frozen=True)

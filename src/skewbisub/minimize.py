@@ -32,27 +32,31 @@ the integer column (s_k g_k, s_k), with s_k the lcm of g_k's denominators; a
 column scaled by a positive factor moves no pivot.
 
 The walk builds that column from the chain values without a Fraction g.  It
-keeps f at its n + 1 points, all-Zero first, scales them once to integers
-F_0..F_n over their lcm D, and takes Delta_j = F_k - F_(k-1) at the step k
-where j joins.  Then p D (g, 1) is the integer vector with p Delta_j where
-j goes Pos, -q Delta_j where j goes Neg, and p D last.  (s g, s) is
-primitive: a prime dividing s divides some denominator of g to the full
-power it has in s, and that entry of s g is then not a multiple of it.  A
-direction has one primitive integer vector with a positive last entry, so
-p D (g, 1) divided by the gcd of its entries is (s g, s).  The stored cuts
-are these int tuples; the Fraction g is formed only for a witness.
+reads f at its n + 1 points, all-Zero first, as the integers F_0..F_n over
+the oracle's fixed denominator D (`ValueOracle.numerator`), and takes
+Delta_j = F_k - F_(k-1) at the step k where j joins.  Then p D (g, 1) is
+the integer vector with p Delta_j where j goes Pos, -q Delta_j where j goes
+Neg, and p D last.  (s g, s) is primitive: a prime dividing s divides some
+denominator of g to the full power it has in s, and that entry of s g is
+then not a multiple of it.  A direction has one primitive integer vector
+with a positive last entry, so p D (g, 1) divided by the gcd of its entries
+is (s g, s), whichever common denominator D of the chain values the walk
+reads them over.  The stored cuts are these int tuples; the Fraction g is
+formed only for a witness.
 
 `_DualMaster` keeps the revised solver's state (R = d B^-1 | d B^-1 r,
 basis, d) and its duals alive across rounds: a new cut appends one column
 and resumes Bland's rule from the old optimum, which stays a feasible
-basis.  With pi = C_B R for the integer costs C, y* = pi[:n] / (q d) and
-t* = -pi[n] / (q d).  The first round starts from the triangular basis
-{lambda_1} + {u_j : g_1j > 0} + {v_j : g_1j <= 0}.  It is feasible, since
-lambda_1 = 1 leaves u_j = g_1j or v_j = -g_1j, and optimal, since the other
-one of u_j and v_j prices at 1 + alpha > 0.  So the first round makes no
-pivot and no pricing pass: `_first_basis` writes the state down in closed
-form and pi is read off it.  A round whose cut is already stored does no LP
-work.
+basis.  The 2n unit columns u_j and v_j are priced in closed form
+(`simplex._unit_step`), in the same order and with the same pivots as
+dense pricing.  With pi = C_B R for the integer costs C,
+y* = pi[:n] / (q d) and t* = -pi[n] / (q d).  The first round starts from
+the triangular basis {lambda_1} + {u_j : g_1j > 0} + {v_j : g_1j <= 0}.
+It is feasible, since lambda_1 = 1 leaves u_j = g_1j or v_j = -g_1j, and
+optimal, since the other one of u_j and v_j prices at 1 + alpha > 0.  So
+the first round makes no pivot and no pricing pass: `_first_basis` writes
+the state down in closed form and pi is read off it.  A round whose cut is
+already stored does no LP work.
 
 The columns are ordered u_0..u_(n-1), v_0..v_(n-1), lambda_1, lambda_2, ...
 That mirrors the primal master in equality form over z = y + alpha >= 0,
@@ -86,11 +90,15 @@ The run stops with
 
 A round whose cut is already stored adds no constraint, and then the next
 check stops the run, so the loop ends on its own: f_L has finitely many
-cells and so finitely many cuts.  Everything is an exact int or Fraction;
-the memo is keyed by `lattice.lex_index`, so each chain step updates the
-key with one addition of +-3^(n-1-j), and the walk carries the labeling
-itself, flipping one coordinate per step, for the oracle on a memo miss.
-Runs are deterministic given the configuration.
+cells and so finitely many cuts.  Everything is an exact int; Fractions
+are made only for the report and the witness.  The memo, the best value so
+far and the chain values are numerators over the oracle's denominator D,
+and the master's duals are over E = q d, so the checks compare the best
+value F_best / D with the bound F_0 / D - pi[n] / E as F_best E against
+F_0 E - pi[n] D.  The memo is keyed by `lattice.lex_index`, so each chain
+step updates the key with one addition of +-3^(n-1-j), and the walk
+carries the labeling itself, flipping one coordinate per step, for the
+oracle on a memo miss.  Runs are deterministic given the configuration.
 """
 
 from __future__ import annotations
@@ -110,7 +118,7 @@ from .lovasz import FractionalPoint, _check_oracle_point, chain_order
 from .lovasz import extension_value, subgradient  # noqa: F401
 from .oracles import random_box_point
 from .rationals import common_denominator, format_rational
-from .simplex import _duals, _revised_min
+from .simplex import _duals, _revised_min, _unit_step
 
 #: Default denominator bound of `project_box`'s snapping grid.
 DEFAULT_DENOMINATOR_LIMIT = 1 << 20
@@ -268,19 +276,23 @@ class MinimizeReport:
 
 
 def _cut_column(
-    order: Sequence[int], nums: Sequence[int], chain: Sequence[Fraction], p: int, q: int
+    order: Sequence[int],
+    nums: Sequence[int],
+    chain: Sequence[int],
+    denominator: int,
+    p: int,
+    q: int,
 ) -> Tuple[int, ...]:
     """The cut of one chain walk as its integer column (s g, s).
 
-    `chain` holds f at the walk's n + 1 points, all-Zero first, and
-    coordinate order[k] joins at step k + 1, Pos when nums[j] >= 0 and Neg
-    otherwise.  The column is p D (g, 1) over the lcm D of the values,
-    divided by its gcd (see the module docstring).
+    `chain` holds f at the walk's n + 1 points times `denominator`, all-Zero
+    first, and coordinate order[k] joins at step k + 1, Pos when
+    nums[j] >= 0 and Neg otherwise.  The column is p D (g, 1), D the
+    denominator, divided by its gcd (see the module docstring).
     """
-    denominator, ints = common_denominator(chain)
     column = [0] * len(order) + [p * denominator]
     for k, j in enumerate(order):
-        delta = ints[k + 1] - ints[k]
+        delta = chain[k + 1] - chain[k]
         column[j] = p * delta if nums[j] >= 0 else -q * delta
     divisor = math.gcd(*column)
     return tuple([v // divisor for v in column])
@@ -340,7 +352,9 @@ class _DualMaster:
             self.pi = _duals(inverse, basis, self.cost)
             return self.pi, self.q * d
         inverse, basis, d = self.state
-        d, self.pi, pivots = _revised_min(self.cost, self.columns, inverse, basis, d, self.pi)
+        d, self.pi, pivots = _revised_min(
+            _unit_step, self.cost, self.columns, inverse, basis, d, self.pi
+        )
         self.state = inverse, basis, d
         self.pivots += pivots
         return self.pi, self.q * d
@@ -374,25 +388,27 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
     y = _start(f, cfg)
 
     calls_before = f.call_count
-    cache: Dict[int, Fraction] = {}
+    # Values are ints over the oracle's denominator D until the report.
+    scale = f.denominator
+    cache: Dict[int, int] = {}
     cache_hits = 0
 
-    def value(code: int, labels: Sequence[Label]) -> Fraction:
+    def value(code: int, labels: Sequence[Label]) -> int:
         # labels is the labeling at lex index `code`.
         nonlocal cache_hits
         hit = cache.get(code)
         if hit is None:
-            hit = cache[code] = f.evaluate(tuple(labels))
+            hit = cache[code] = f.numerator(tuple(labels))
         else:
             cache_hits += 1
         return hit
 
     zero = value(zero_code, (ZERO,) * n)
-    best_value: Optional[Fraction] = None
+    best_value: Optional[int] = None
     best_code = zero_code
-    trajectory: List[Tuple[int, Fraction]] = []
+    trajectory: List[Tuple[int, int]] = []
 
-    def consider(code: int, candidate: Fraction, t: int) -> None:
+    def consider(code: int, candidate: int, t: int) -> None:
         nonlocal best_value, best_code
         if best_value is None or candidate < best_value:
             best_value, best_code = candidate, code
@@ -420,7 +436,7 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
                 consider(code, current, t)
         if keys[0] != denominator * p:
             consider(zero_code, zero, t)
-        return _cut_column(order, nums, chain, p, q)
+        return _cut_column(order, nums, chain, scale, p, q)
 
     denominator, nums = common_denominator(y)
     cuts: List[Tuple[int, ...]] = []
@@ -437,12 +453,14 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
             cuts.append(column)
             pi, denominator = master.add(column)
             nums = pi[:n]
-            lower_bound = zero - Fraction(pi[n], denominator)
+            # The bound f(0) - pi[n] / denominator, times D * denominator.
+            bound = zero * denominator - pi[n] * scale
             lp_s += time.perf_counter() - clock
-        if best_value == lower_bound:
+        best = best_value * denominator
+        if best == bound:
             stop_reason = CERTIFIED
             break
-        if best_value < lower_bound:
+        if best < bound:
             # t* <= max_k g_k.u at the box point u, so some cut lies above f(u).
             stop_reason = NOT_CONVEX
             u = labeling_at(best_code, n)
@@ -450,17 +468,19 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
             gs = [tuple([Fraction(v, cut[n]) for v in cut[:n]]) for cut in cuts]
             heights = [sum(gj * uj for gj, uj in zip(g, point)) for g in gs]
             k = max(range(len(cuts)), key=heights.__getitem__)
-            witness = ConvexityWitness(u, k, gs[k], best_value, zero + heights[k])
+            witness = ConvexityWitness(
+                u, k, gs[k], Fraction(best_value, scale), Fraction(zero, scale) + heights[k]
+            )
             break
 
     return MinimizeReport(
         minimizer=labeling_at(best_code, n),
-        value=best_value,
+        value=Fraction(best_value, scale),
         iterations_used=t,
         oracle_calls=f.call_count - calls_before,
-        trajectory_best=trajectory,
+        trajectory_best=[(r, Fraction(v, scale)) for r, v in trajectory],
         stop_reason=stop_reason,
-        lower_bound=lower_bound,
+        lower_bound=Fraction(bound, scale * denominator),
         cuts=len(cuts),
         distinct_points=len(cache),
         cache_hits=cache_hits,

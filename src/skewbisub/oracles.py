@@ -57,13 +57,13 @@ def brute_force_min(
     if exceeds_cap(f.arity, cap):
         raise CapExceededError(f"3^{f.arity} points exceed the enumeration cap {cap}")
     best_labeling: Optional[Labeling] = None
-    best_value: Optional[Fraction] = None
+    best_value: Optional[int] = None
     for a in all_labelings(f.arity):
-        v = f.evaluate(a)
+        v = f.numerator(a)
         if best_value is None or v < best_value:
             best_labeling, best_value = a, v
     assert best_labeling is not None and best_value is not None
-    return best_labeling, best_value
+    return best_labeling, Fraction(best_value, f.denominator)
 
 
 def check_lp_cap(n: int, cap: int = DEFAULT_LP_CAP) -> None:
@@ -117,7 +117,9 @@ def convex_closure(
     _check_oracle_point(f, x)
     q = f.alpha.value.denominator
     labelings = list(all_labelings(n))
-    costs = [f.evaluate(a) for a in labelings]
+    # The costs are f's integer numerators over D, so the value comes back
+    # times D.
+    costs = [f.numerator(a) for a in labelings]
     # Row 0 asks for total weight 1 and row 1 + j for the mean q x_j.  With
     # x = N / X, X = scale, the weights times X solve the same rows with the
     # integer right-hand side (X, q N), so weights and value come back
@@ -128,7 +130,7 @@ def convex_closure(
     rows = _closure_rows(n, f.alpha.value.numerator, q)
     value, weights = linear_min(costs, rows, rhs, start=start)
     distribution = {a: w / scale for a, w in zip(labelings, weights) if w}
-    return ClosureResult(value / scale, distribution)
+    return ClosureResult(value / (scale * f.denominator), distribution)
 
 
 def random_box_point(n: int, alpha: Alpha, rng: random.Random) -> FractionalPoint:

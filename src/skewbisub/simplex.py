@@ -75,14 +75,24 @@ B nor R nor d B^-1 r nor pi, so the state stays a feasible basis of the
 larger program and the loop resumes from it; only the new column can price
 negative there.  Kelley's master LP in `minimize` grows that way, one
 column per cut.
+
+The master LP's first 2 (m - 1) columns are the unit block u_j = -e_j,
+then v_j = e_j, for j < m - 1, and `_unit_step` prices them in closed
+form: pi M_j is -pi_j or pi_j, so d C_j - pi M_j is d C_j + pi_j for u_j
+and d C_j - pi_j for v_j (`_unit_prices`), and w = R M_j is column j of R,
+negated for u_j.  It takes the columns in Bland's order, the unit block
+first and then the rest with dot products, so it enters the column, and
+makes the pivot, that `_bland_step` does on the dense columns.
+`linear_min` prices its columns densely with `_bland_step`.
 """
 
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .rationals import common_denominator
 
@@ -144,7 +154,9 @@ def _integer_program(
         rows.append(row)
         r.append(rhs)
     columns = list(zip(*rows)) if rows else [()] * n
-    return common_denominator(c)[1], columns, r
+    if not set(map(type, c)) <= {int}:
+        c = common_denominator(c)[1]
+    return c, columns, r
 
 
 def _entering(inverse: List[List[int]], M: Sequence[Sequence[int]], col: int) -> List[int]:
@@ -208,7 +220,55 @@ def _bland_step(
             break
     else:
         return None
-    w = _entering(inverse, M, col)
+    return _leave(inverse, basis, d, pi, _entering(inverse, M, col), col, price)
+
+
+def _unit_prices(cost: Sequence[int], d: int, pi: Sequence[int]) -> List[int]:
+    """d C_j - pi M_j of the unit block u_j = -e_j, then v_j = e_j (j < m - 1)."""
+    n = len(pi) - 1
+    return [d * c + v for c, v in zip(cost[:n], pi)] + [
+        d * c - v for c, v in zip(cost[n : 2 * n], pi)
+    ]
+
+
+def _unit_step(
+    cost: Sequence[int],
+    M: Sequence[Sequence[int]],
+    inverse: List[List[int]],
+    basis: List[int],
+    d: int,
+    pi: Sequence[int],
+) -> Optional[Tuple[int, List[int]]]:
+    """`_bland_step` where M's first 2 (m - 1) columns are the unit block.
+
+    The unit block is u_j = -e_j, then v_j = e_j, for j < m - 1; it is
+    priced by `_unit_prices` and enters as -R_j or R_j, a column of R.
+    """
+    n = len(pi) - 1
+    for col, price in enumerate(_unit_prices(cost, d, pi)):
+        if price < 0:
+            w = [-r[col] for r in inverse] if col < n else [r[col - n] for r in inverse]
+            return _leave(inverse, basis, d, pi, w, col, price)
+    for col, (cj, a) in enumerate(islice(zip(cost, M), 2 * n, None), 2 * n):
+        price = d * cj - sum(map(mul, pi, a))
+        if price < 0:
+            return _leave(inverse, basis, d, pi, _entering(inverse, M, col), col, price)
+    return None
+
+
+def _leave(
+    inverse: List[List[int]],
+    basis: List[int],
+    d: int,
+    pi: Sequence[int],
+    w: List[int],
+    col: int,
+    price: int,
+) -> Tuple[int, List[int]]:
+    """Enter `col`, with tableau column w and price P_col < 0, on Bland's leaving row.
+
+    Updates the state in place and returns the new (d, pi).
+    """
     # With d > 0, ratio rhs_i / w_i compares by cross-multiplication.
     best_row = -1
     for i, a in enumerate(w):
@@ -228,6 +288,7 @@ def _bland_step(
 
 
 def _revised_min(
+    step: Callable[..., Optional[Tuple[int, List[int]]]],
     cost: Sequence[int],
     M: Sequence[Sequence[int]],
     inverse: List[List[int]],
@@ -239,15 +300,17 @@ def _revised_min(
 
     Starts from the feasible state ([R | d B^-1 r], basis, d), which it
     updates in place, and its duals pi = C_B R, and returns (d, pi, pivots)
-    at the optimum, with the number of pivots made.  Raises
-    LPUnboundedError when the objective is unbounded below.
+    at the optimum, with the number of pivots made.  Each pivot is one
+    `step`: `_bland_step`, or `_unit_step` when M starts with the unit
+    block; both enter the same column.  Raises LPUnboundedError when the
+    objective is unbounded below.
     """
     pivots = 0
     while True:
-        step = _bland_step(cost, M, inverse, basis, d, pi)
-        if step is None:
+        made = step(cost, M, inverse, basis, d, pi)
+        if made is None:
             return d, pi, pivots
-        d, pi = step
+        d, pi = made
         pivots += 1
 
 
@@ -267,7 +330,7 @@ def linear_min(
     """
     C, M, r = _integer_program(c, A, b, start)
     inverse, basis, d = _start_basis(M, r, start)
-    d = _revised_min(C, M, inverse, basis, d, _duals(inverse, basis, C))[0]
+    d = _revised_min(_bland_step, C, M, inverse, basis, d, _duals(inverse, basis, C))[0]
     solution = [_ZERO] * len(c)
     for j, row in zip(basis, inverse):
         if row[-1]:

@@ -95,17 +95,23 @@ def reference_subgradient(f: ValueOracle, x: FractionalPoint) -> Tuple[Fraction,
 
 
 class RecordingOracle(ValueOracle):
-    """Seeded pseudo-random values; records every labeling it is asked for."""
+    """Seeded pseudo-random values; records every labeling it is asked for.
+
+    A value is an integer from [-60, 60] over 1, 2, 3 or 7, read as its
+    numerator over the common denominator 42.
+    """
+
+    denominator = 42
 
     def __init__(self, n: int, alpha: Alpha, seed: int):
         super().__init__(n, alpha)
         self.seed = seed
         self.asked: List[Labeling] = []
 
-    def _value(self, labeling: Labeling) -> Fraction:
+    def _numerator(self, labeling: Labeling) -> int:
         self.asked.append(labeling)
         rng = random.Random(f"{self.seed}:{format_labeling(labeling)}")
-        return Fraction(rng.randint(-60, 60), rng.choice((1, 2, 3, 7)))
+        return rng.randint(-60, 60) * (42 // rng.choice((1, 2, 3, 7)))
 
 
 def assert_walks_agree(x: FractionalPoint, seed: int = 0) -> None:

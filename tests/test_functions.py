@@ -133,6 +133,55 @@ def test_sum_evaluation_matches_the_fraction_reference(case):
         assert f.call_count == calls
 
 
+@st.composite
+def table_documents(draw):
+    """A table-form JSON document, n <= 4, and points to read it at."""
+    n = draw(st.integers(1, 4))
+    alpha = draw(st.sampled_from(["1/3", "1/2", "1", "5/9"]))
+    values = {format_labeling(u): format_rational(draw(_VALUES)) for u in all_labelings(n)}
+    points = draw(st.lists(st.tuples(*[st.sampled_from(LEX_ORDER)] * n), min_size=1, max_size=8))
+    return {"format": "table", "n": n, "alpha": alpha, "values": values}, points
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(sum_documents(), table_documents()))
+def test_integer_reads_are_the_values_over_one_denominator(case):
+    # numerator(u) / denominator is evaluate(u) at every point, with one
+    # denominator per oracle, and each read of either kind is one call.
+    doc, points = case
+    f = instance_from_json(doc)
+    denominator = f.denominator
+    assert type(denominator) is int and denominator > 0
+    for calls, u in enumerate(points, start=1):
+        numerator = f.numerator(u)
+        assert type(numerator) is int
+        assert f.call_count == 2 * calls - 1
+        assert f.evaluate(u) == Fraction(numerator, denominator)
+        assert f.call_count == 2 * calls
+    assert f.denominator == denominator
+    with pytest.raises(ArityMismatchError):
+        f.numerator((ZERO,) * (f.arity + 1))
+    assert f.call_count == 2 * len(points)
+
+
+def test_a_table_is_scaled_to_integers_on_its_first_integer_read(alpha_half, monkeypatch):
+    # Reading Fractions, the checker included, never scales the table.
+    compiled = []
+    compile_table = TableFunction._compile
+
+    def counting(table):
+        compiled.append(table)
+        return compile_table(table)
+
+    monkeypatch.setattr(TableFunction, "_compile", counting)
+    f = TableFunction(1, alpha_half, {"-": "1/2", "0": "2/3", "+": 3})
+    assert check_alpha_bisubmodular(f) is None
+    assert f.evaluate((NEG,)) == Fraction(1, 2) and compiled == []
+    assert [f.numerator(u) for u in all_labelings(1)] == [3, 4, 18]
+    assert f.denominator == 6 and compiled == [f]
+    assert f.call_count == 3 + 1 + 3
+
+
 class TestSumFunction:
     def test_evaluates_as_sum(self, alpha_half):
         t1 = TableFunction(1, alpha_half, {"-": 1, "0": 2, "+": 4})

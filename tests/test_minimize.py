@@ -430,7 +430,9 @@ def test_first_master_is_the_cold_optimal_tableau(g, alpha):
     assert master.state == pivoted and pivoted[2] == s
     inverse, basis, d = pivoted
     duals = simplex._duals(inverse, basis, master.cost)
-    resumed = simplex._revised_min(master.cost, master.columns, inverse, basis, d, duals)
+    resumed = simplex._revised_min(
+        simplex._bland_step, master.cost, master.columns, inverse, basis, d, duals
+    )
     assert resumed == (d, pi, 0)
     c, A, b, _ = master_program(alpha, [g])
     t_star, cold = reference_linear_min(c, A, b)
@@ -602,19 +604,49 @@ def _walks(draw):
 
 
 @settings(max_examples=500, deadline=None)
-@given(_walks())
-@example(([0, 1], [0, 0], [Fraction(3, 2)] * 3, Fraction(1, 2)))
-@example(([1, 0, 2], [-1, 0, 2], [Fraction(1, 3), Fraction(-1, 4), Fraction(5, 6), 2], Fraction(2, 7)))
-@example(([0], [-1], [Fraction(0), Fraction(7, 9)], Fraction(5, 9)))
-def test_cut_column_is_the_scaled_fraction_cut(walk):
-    # The integer column built from the chain values is (s g, s) for the
-    # cut g that Fraction arithmetic gives, s the lcm of g's denominators.
+@given(_walks(), st.integers(1, 12))
+@example(([0, 1], [0, 0], [Fraction(3, 2)] * 3, Fraction(1, 2)), 1)
+@example(([1, 0, 2], [-1, 0, 2], [Fraction(1, 3), Fraction(-1, 4), Fraction(5, 6), 2], Fraction(2, 7)), 5)
+@example(([0], [-1], [Fraction(0), Fraction(7, 9)], Fraction(5, 9)), 1)
+def test_cut_column_is_the_scaled_fraction_cut(walk, k):
+    # The integer column built from the chain values, read over any common
+    # denominator D k of them (D their lcm), is (s g, s) for the cut g that
+    # Fraction arithmetic gives, s the lcm of g's denominators.
     order, nums, chain, alpha = walk
     g = _fraction_cut(order, nums, chain, alpha)
     s, ints = common_denominator(g)
-    column = minimize_module._cut_column(order, nums, chain, alpha.numerator, alpha.denominator)
+    denominator = common_denominator(chain)[0] * k
+    scaled = [int(v * denominator) for v in chain]
+    column = minimize_module._cut_column(
+        order, nums, scaled, denominator, alpha.numerator, alpha.denominator
+    )
     assert column == (*ints, s)
     assert all(type(v) is int for v in column) and math.gcd(*column) == 1
+
+
+def test_unit_block_prices_are_the_dense_prices(monkeypatch):
+    # Every Bland step of an n = 8 run prices u_j = -e_j and v_j = e_j in
+    # closed form; the prices equal d C_j - pi M_j on the dense columns, and
+    # the step pivots as the dense `_bland_step` does on a copy of its state.
+    steps = []
+    unit_step = minimize_module._unit_step
+
+    def checking_step(cost, M, inverse, basis, d, pi):
+        n = len(pi) - 1
+        dense = [d * cost[j] - sum(v * a for v, a in zip(pi, M[j])) for j in range(2 * n)]
+        assert simplex._unit_prices(cost, d, pi) == dense
+        state = [row[:] for row in inverse], basis[:]
+        expected = simplex._bland_step(cost, M, *state, d, pi)
+        made = unit_step(cost, M, inverse, basis, d, pi)
+        assert made == expected and (inverse, basis) == state
+        steps.append(made is not None)
+        return made
+
+    monkeypatch.setattr(minimize_module, "_unit_step", checking_step)
+    f = generate_instance(8, ALPHA_GRID[1], num_terms=16, max_scope=2, seed=5)
+    report = minimize(f)
+    assert report.certified
+    assert steps.count(True) == report.lp_pivots > 0
 
 
 def test_walk_columns_are_the_subgradient_columns(pool_desk, monkeypatch):
