@@ -19,7 +19,8 @@ ints; the prefix ending at order position k then has weight
 (key_k - key_{k+1}) / (D * p), with key_n = 0, and the all-Zero vector gets
 (D * p - max key) / (D * p).  Both are exact quotients of integers.
 `decompose`, `maximal_chain` (and through it `subgradient`) and the
-minimizer all walk that one order.
+minimizer all walk that one order, and `subgradient` and the minimizer
+build their cuts from the chain values with one function, `_cut_column`.
 
 The extension of an oracle f is the expectation of f under that chain
 distribution.  It agrees with f on the 3^n vertices, is piecewise linear,
@@ -34,9 +35,10 @@ tolerances would only mask bugs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 from .functions import ValueOracle
 from .lattice import (
@@ -208,14 +210,48 @@ def extension_value(f: ValueOracle, x: FractionalPoint) -> Fraction:
     )
 
 
+def _cut_column(
+    order: Sequence[int],
+    nums: Sequence[Union[int, Fraction]],
+    chain: Sequence[int],
+    denominator: int,
+    p: int,
+    q: int,
+) -> Tuple[int, ...]:
+    """The cut of one chain walk as the primitive integer column (s g, s).
+
+    `chain` holds f at the walk's n + 1 points as integers over a common
+    `denominator` D, all-Zero first, and coordinate order[k] joins at step
+    k + 1, Pos when nums[j] >= 0 and Neg otherwise.  With
+    Delta_j = (chain[k + 1] - chain[k]) / D for j = order[k] and
+    alpha = p/q, the cut g has g_j = Delta_j on the Pos side and
+    -Delta_j q/p on the Neg side, and s is the lcm of g's denominators.
+
+    p D (g, 1) is the integer vector with p D Delta_j where j goes Pos,
+    -q D Delta_j where j goes Neg, and p D last.  (s g, s) is primitive: a
+    prime dividing s divides some denominator of g to the full power it has
+    in s, and that entry of s g is then not a multiple of it.  A direction
+    has one primitive integer vector with a positive last entry, so
+    p D (g, 1) divided by the gcd of its entries is (s g, s), whichever
+    common denominator D of the chain values they are read over.
+    """
+    column = [0] * len(order) + [p * denominator]
+    for k, j in enumerate(order):
+        delta = chain[k + 1] - chain[k]
+        column[j] = p * delta if nums[j] >= 0 else -q * delta
+    divisor = math.gcd(*column)
+    return tuple([v // divisor for v in column])
+
+
 def subgradient(f: ValueOracle, x: FractionalPoint) -> Tuple[Fraction, ...]:
     """A subgradient of the extension at x, for skew-bisubmodular f.
 
-    Built from the telescoping values of f along one maximal chain through
-    x's decomposition: coordinate j's entry is the f-difference across the
-    chain step where j flips from its sign to Zero, rescaled by the
-    derivative of its normalized magnitude (1 on the Pos side, -1/alpha on
-    the Neg side).  On the linear cell containing x this is the exact
+    Reads f's integer values along the maximal chain at x (n + 1 oracle
+    calls, all-Zero first) and builds the cut with `_cut_column`, the
+    builder the minimizer's walk uses: coordinate j's entry is the
+    f-difference across the chain step where j joins the chain, rescaled by
+    the derivative of its normalized magnitude (1 on the Pos side, -1/alpha
+    on the Neg side).  On the linear cell containing x this is the exact
     gradient; convexity of the extension makes it a global subgradient.
     For a non-skew-bisubmodular f the vector is still returned but carries
     no subgradient guarantee.
@@ -223,11 +259,9 @@ def subgradient(f: ValueOracle, x: FractionalPoint) -> Tuple[Fraction, ...]:
     _check_oracle_point(f, x)
     alpha = x.alpha.value
     order, chain = maximal_chain(x)
-    gradient: List[Fraction] = [Fraction(0)] * len(order)
-    previous_value = f.evaluate(chain[0])
-    for j, u in zip(order, chain[1:]):
-        value = f.evaluate(u)
-        step = value - previous_value
-        gradient[j] = step if u[j] == POS else -step / alpha
-        previous_value = value
-    return tuple(gradient)
+    values = [f.numerator(u) for u in chain]
+    column = _cut_column(
+        order, x.coords, values, f.denominator, alpha.numerator, alpha.denominator
+    )
+    s = column[-1]
+    return tuple([Fraction(v, s) for v in column[:-1]])

@@ -76,14 +76,14 @@ larger program and the loop resumes from it; only the new column can price
 negative there.  Kelley's master LP in `minimize` grows that way, one
 column per cut.
 
-The master LP's first 2 (m - 1) columns are the unit block u_j = -e_j,
-then v_j = e_j, for j < m - 1, and `_unit_step` prices them in closed
-form: pi M_j is -pi_j or pi_j, so d C_j - pi M_j is d C_j + pi_j for u_j
-and d C_j - pi_j for v_j (`_unit_prices`), and w = R M_j is column j of R,
-negated for u_j.  It takes the columns in Bland's order, the unit block
-first and then the rest with dot products, so it enters the column, and
-makes the pivot, that `_bland_step` does on the dense columns.
-`linear_min` prices its columns densely with `_bland_step`.
+Bland's step, `_bland_step`, prices a leading block of unit columns in
+closed form.  `units` counts the pairs in it: M's first 2 units columns are
+u_j = -e_j, then v_j = e_j, for j < units.  pi M_j is then -pi_j or pi_j,
+so the price d C_j - pi M_j is d C_j + pi_j for u_j and d C_j - pi_j for
+v_j, and w = R M_j is column j of R, negated for u_j.  The step takes them
+in Bland's order, stops at the first negative price, and prices the
+remaining columns with a dot product each.  Kelley's master LP in
+`minimize` starts with n such pairs; `linear_min` has none.
 """
 
 
@@ -92,7 +92,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 from operator import mul
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .rationals import common_denominator
 
@@ -207,49 +207,23 @@ def _bland_step(
     basis: List[int],
     d: int,
     pi: Sequence[int],
+    units: int = 0,
 ) -> Optional[Tuple[int, List[int]]]:
     """One pivot of Bland's rule from the state ([R | d B^-1 r], basis, d).
 
-    pi must be C_B R.  Updates the state in place and returns the new
-    (d, pi), or None when no column prices negative.  Raises
-    LPUnboundedError when the entering column has no leaving row.
+    pi must be C_B R, and M's first 2 `units` columns the unit pairs
+    u_j = -e_j, then v_j = e_j (see the module docstring).  Updates the
+    state in place and returns the new (d, pi), or None when no column
+    prices negative.  Raises LPUnboundedError when the entering column has
+    no leaving row.
     """
-    for col, (cj, a) in enumerate(zip(cost, M)):
-        price = d * cj - sum(map(mul, pi, a))
-        if price < 0:
-            break
-    else:
-        return None
-    return _leave(inverse, basis, d, pi, _entering(inverse, M, col), col, price)
-
-
-def _unit_prices(cost: Sequence[int], d: int, pi: Sequence[int]) -> List[int]:
-    """d C_j - pi M_j of the unit block u_j = -e_j, then v_j = e_j (j < m - 1)."""
-    n = len(pi) - 1
-    return [d * c + v for c, v in zip(cost[:n], pi)] + [
-        d * c - v for c, v in zip(cost[n : 2 * n], pi)
-    ]
-
-
-def _unit_step(
-    cost: Sequence[int],
-    M: Sequence[Sequence[int]],
-    inverse: List[List[int]],
-    basis: List[int],
-    d: int,
-    pi: Sequence[int],
-) -> Optional[Tuple[int, List[int]]]:
-    """`_bland_step` where M's first 2 (m - 1) columns are the unit block.
-
-    The unit block is u_j = -e_j, then v_j = e_j, for j < m - 1; it is
-    priced by `_unit_prices` and enters as -R_j or R_j, a column of R.
-    """
-    n = len(pi) - 1
-    for col, price in enumerate(_unit_prices(cost, d, pi)):
-        if price < 0:
-            w = [-r[col] for r in inverse] if col < n else [r[col - n] for r in inverse]
-            return _leave(inverse, basis, d, pi, w, col, price)
-    for col, (cj, a) in enumerate(islice(zip(cost, M), 2 * n, None), 2 * n):
+    for sign, first in ((-1, 0), (1, units)):
+        for j in range(units):
+            price = d * cost[first + j] - sign * pi[j]
+            if price < 0:
+                w = [sign * r[j] for r in inverse]
+                return _leave(inverse, basis, d, pi, w, first + j, price)
+    for col, (cj, a) in enumerate(islice(zip(cost, M), 2 * units, None), 2 * units):
         price = d * cj - sum(map(mul, pi, a))
         if price < 0:
             return _leave(inverse, basis, d, pi, _entering(inverse, M, col), col, price)
@@ -288,26 +262,25 @@ def _leave(
 
 
 def _revised_min(
-    step: Callable[..., Optional[Tuple[int, List[int]]]],
     cost: Sequence[int],
     M: Sequence[Sequence[int]],
     inverse: List[List[int]],
     basis: List[int],
     d: int,
     pi: List[int],
+    units: int = 0,
 ) -> Tuple[int, List[int], int]:
     """Bland's rule on min C.x s.t. M x = r, x >= 0, all integers.
 
     Starts from the feasible state ([R | d B^-1 r], basis, d), which it
     updates in place, and its duals pi = C_B R, and returns (d, pi, pivots)
     at the optimum, with the number of pivots made.  Each pivot is one
-    `step`: `_bland_step`, or `_unit_step` when M starts with the unit
-    block; both enter the same column.  Raises LPUnboundedError when the
-    objective is unbounded below.
+    `_bland_step`, with M's first 2 `units` columns its unit pairs.  Raises
+    LPUnboundedError when the objective is unbounded below.
     """
     pivots = 0
     while True:
-        made = step(cost, M, inverse, basis, d, pi)
+        made = _bland_step(cost, M, inverse, basis, d, pi, units)
         if made is None:
             return d, pi, pivots
         d, pi = made
@@ -330,7 +303,7 @@ def linear_min(
     """
     C, M, r = _integer_program(c, A, b, start)
     inverse, basis, d = _start_basis(M, r, start)
-    d = _revised_min(_bland_step, C, M, inverse, basis, d, _duals(inverse, basis, C))[0]
+    d = _revised_min(C, M, inverse, basis, d, _duals(inverse, basis, C))[0]
     solution = [_ZERO] * len(c)
     for j, row in zip(basis, inverse):
         if row[-1]:

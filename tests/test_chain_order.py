@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from skewbisub import (
     NEG,
@@ -25,7 +25,9 @@ from skewbisub import (
     FractionalPoint,
     Label,
     Labeling,
+    TableFunction,
     ValueOracle,
+    all_labelings,
     decompose,
     extension_value,
     format_labeling,
@@ -114,6 +116,22 @@ class RecordingOracle(ValueOracle):
         return rng.randint(-60, 60) * (42 // rng.choice((1, 2, 3, 7)))
 
 
+class RecordingTable(TableFunction):
+    """A table oracle that records every labeling it is asked for."""
+
+    def __init__(self, n: int, alpha: Alpha, values):
+        super().__init__(n, alpha, values)
+        self.asked: List[Labeling] = []
+
+    def _numerator(self, labeling: Labeling) -> int:
+        self.asked.append(labeling)
+        return super()._numerator(labeling)
+
+    def _value(self, labeling: Labeling) -> Fraction:
+        self.asked.append(labeling)
+        return super()._value(labeling)
+
+
 def assert_walks_agree(x: FractionalPoint, seed: int = 0) -> None:
     assert decompose(x).atoms == reference_decompose(x).atoms
 
@@ -181,3 +199,23 @@ def box_points(draw):
 @given(box_points(), st.integers(0, 3))
 def test_integer_walk_matches_the_fraction_reference(x, seed):
     assert_walks_agree(x, seed)
+
+
+_HUGE_DENOMINATORS = (1, 3, 7, 10**9 + 7, 2**61 - 1)
+
+
+@settings(deadline=None)
+@given(box_points(), st.integers(0, 2**32))
+def test_subgradient_of_huge_tables_matches_the_fraction_reference(x, seed):
+    # Table values of order 10^40 over mixed denominators: the integer cut,
+    # read over the table's lcm denominator, is the Fraction gradient
+    # exactly, and it asks the same n + 1 labelings in the same order.
+    n = len(x.coords)
+    rng = random.Random(seed)
+    values = {
+        u: Fraction(rng.randint(-(10**40), 10**40), rng.choice(_HUGE_DENOMINATORS))
+        for u in all_labelings(n)
+    }
+    f, g = RecordingTable(n, x.alpha, values), RecordingTable(n, x.alpha, values)
+    assert subgradient(f, x) == reference_subgradient(g, x)
+    assert f.asked == g.asked and len(f.asked) == n + 1

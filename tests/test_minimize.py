@@ -36,7 +36,7 @@ from skewbisub import (
     random_box_point,
     subgradient,
 )
-from skewbisub import simplex
+from skewbisub import lovasz, simplex
 from skewbisub.rationals import common_denominator
 from conftest import (
     ALPHA_GRID,
@@ -430,9 +430,7 @@ def test_first_master_is_the_cold_optimal_tableau(g, alpha):
     assert master.state == pivoted and pivoted[2] == s
     inverse, basis, d = pivoted
     duals = simplex._duals(inverse, basis, master.cost)
-    resumed = simplex._revised_min(
-        simplex._bland_step, master.cost, master.columns, inverse, basis, d, duals
-    )
+    resumed = simplex._revised_min(master.cost, master.columns, inverse, basis, d, duals)
     assert resumed == (d, pi, 0)
     c, A, b, _ = master_program(alpha, [g])
     t_star, cold = reference_linear_min(c, A, b)
@@ -617,7 +615,7 @@ def test_cut_column_is_the_scaled_fraction_cut(walk, k):
     s, ints = common_denominator(g)
     denominator = common_denominator(chain)[0] * k
     scaled = [int(v * denominator) for v in chain]
-    column = minimize_module._cut_column(
+    column = lovasz._cut_column(
         order, nums, scaled, denominator, alpha.numerator, alpha.denominator
     )
     assert column == (*ints, s)
@@ -626,23 +624,26 @@ def test_cut_column_is_the_scaled_fraction_cut(walk, k):
 
 def test_unit_block_prices_are_the_dense_prices(monkeypatch):
     # Every Bland step of an n = 8 run prices u_j = -e_j and v_j = e_j in
-    # closed form; the prices equal d C_j - pi M_j on the dense columns, and
-    # the step pivots as the dense `_bland_step` does on a copy of its state.
+    # closed form; those prices are d C_j - pi M_j on the dense columns, and
+    # the step pivots as the dense step (no unit pairs) does on a copy of
+    # its state.
     steps = []
-    unit_step = minimize_module._unit_step
+    step = simplex._bland_step
 
-    def checking_step(cost, M, inverse, basis, d, pi):
-        n = len(pi) - 1
-        dense = [d * cost[j] - sum(v * a for v, a in zip(pi, M[j])) for j in range(2 * n)]
-        assert simplex._unit_prices(cost, d, pi) == dense
+    def checking_step(cost, M, inverse, basis, d, pi, units=0):
+        assert units == len(pi) - 1
+        dense = [d * cost[j] - sum(v * a for v, a in zip(pi, M[j])) for j in range(2 * units)]
+        closed = [d * c + v for c, v in zip(cost, pi[:units])]
+        closed += [d * c - v for c, v in zip(cost[units:], pi[:units])]
+        assert closed == dense
         state = [row[:] for row in inverse], basis[:]
-        expected = simplex._bland_step(cost, M, *state, d, pi)
-        made = unit_step(cost, M, inverse, basis, d, pi)
+        expected = step(cost, M, *state, d, pi, 0)
+        made = step(cost, M, inverse, basis, d, pi, units)
         assert made == expected and (inverse, basis) == state
         steps.append(made is not None)
         return made
 
-    monkeypatch.setattr(minimize_module, "_unit_step", checking_step)
+    monkeypatch.setattr(simplex, "_bland_step", checking_step)
     f = generate_instance(8, ALPHA_GRID[1], num_terms=16, max_scope=2, seed=5)
     report = minimize(f)
     assert report.certified

@@ -160,25 +160,22 @@ def checked_duals():
 
     Yields a list that gets one entry per pivot checked.  Every step must
     be given pi = C_B R of its state, and a pivot must leave the pi it
-    returns equal to C_B R of the new state.  Both steps are checked:
-    `_bland_step`, which `linear_min` takes, and `_unit_step`, which the
-    master LP in `minimize` takes.
+    returns equal to C_B R of the new state.  `_bland_step` is the one
+    step: `linear_min` takes it with no unit pairs, and the master LP in
+    `minimize` with n of them.
     """
     checked = []
+    step = simplex._bland_step
 
-    def checking(step):
-        def checking_step(cost, M, inverse, basis, d, pi):
-            assert pi == simplex._duals(inverse, basis, cost)
-            result = step(cost, M, inverse, basis, d, pi)
-            if result is not None:
-                assert result[1] == simplex._duals(inverse, basis, cost)
-                checked.append(result[0])
-            return result
+    def checking_step(cost, M, inverse, basis, d, pi, units=0):
+        assert pi == simplex._duals(inverse, basis, cost)
+        result = step(cost, M, inverse, basis, d, pi, units)
+        if result is not None:
+            assert result[1] == simplex._duals(inverse, basis, cost)
+            checked.append(result[0])
+        return result
 
-        return checking_step
-
-    with mock.patch.object(simplex, "_bland_step", checking(simplex._bland_step)), \
-            mock.patch.object(minimize_module, "_unit_step", checking(minimize_module._unit_step)):
+    with mock.patch.object(simplex, "_bland_step", checking_step):
         yield checked
 
 
