@@ -500,23 +500,6 @@ def _prefix_gathers(vectors, levels):
         )
 
 
-def _prefix_rows(m: int, rows=([0], [0], [0])):
-    # For each a-prefix of m digits, in lex order, the rows of meet0, join0
-    # and join1: entry r of a row is the lex index of the operation on the
-    # a-prefix and the b-prefix with index r.
-    if m == 0:
-        yield rows
-        return
-    for digit in range(3):
-        yield from _prefix_rows(
-            m - 1,
-            tuple([
-                [3 * r + e for r in row for e in table[digit]]
-                for row, table in zip(rows, _PAIR_OP_DIGITS)
-            ]),
-        )
-
-
 def expand_to_table(f: ValueOracle, cap: int = DEFAULT_ENUM_CAP) -> TableFunction:
     """Materialize any oracle into an explicit complete table."""
     if exceeds_cap(f.arity, cap):
@@ -536,11 +519,11 @@ def _pair_tests(arity: int, p: int, q: int) -> Tuple[Tuple[int, int, int, int, i
     # then that one and both joins the other): both sides are then one
     # linear form, so the pair holds with equality on every table and
     # cannot reject one.  arity <= 2, so an entry is at most 36 tuples.
-    meets, joins0, joins1 = zip(*_prefix_rows(arity))
+    labelings = list(all_labelings(arity))
     pairs = []
-    for a in range(3**arity):
-        for b in range(a + 1, 3**arity):
-            ops = (meets[a][b], joins0[a][b], joins1[a][b])
+    for a, x in enumerate(labelings):
+        for b, y in enumerate(labelings[a + 1 :], a + 1):
+            ops = (lex_index(meet0(x, y)), lex_index(join(x, y, ZERO)), lex_index(join(x, y, POS)))
             weights = dict.fromkeys((a, b, *ops), 0)
             for u, w in zip((a, b, *ops), (-q, -q, q, p, q - p)):
                 weights[u] += w

@@ -37,20 +37,17 @@ over the oracle's fixed denominator (`ValueOracle.numerator`), with
 its docstring derives the column.  The stored cuts are these int tuples;
 the Fraction g is formed only for a witness.
 
-`_DualMaster` keeps the revised solver's state (R = d B^-1 | d B^-1 r,
-basis, d) and its duals alive across rounds: a new cut appends one column
-and resumes Bland's rule from the old optimum, which stays a feasible
-basis.  The columns are ordered u_0..u_(n-1), v_0..v_(n-1), lambda_1,
-lambda_2, ..., so the master's first 2n columns are the unit pairs that
-`simplex._bland_step` prices in closed form (`units` = n).  With
-pi = C_B R for the integer costs C, y* = pi[:n] / (q d) and
-t* = -pi[n] / (q d).  The first round starts from
-the triangular basis {lambda_1} + {u_j : g_1j > 0} + {v_j : g_1j <= 0}.
-It is feasible, since lambda_1 = 1 leaves u_j = g_1j or v_j = -g_1j, and
-optimal, since the other one of u_j and v_j prices at 1 + alpha > 0.  So
-the first round makes no pivot and no pricing pass: `_first_basis` writes
-the state down in closed form and pi is read off it.  A round whose cut is
-already stored does no LP work.
+The master is one `simplex._Program`, kept alive across rounds: a new cut
+appends one column and resumes Bland's rule from the old optimum, which
+stays a feasible basis.  The columns are ordered u_0..u_(n-1),
+v_0..v_(n-1), lambda_1, lambda_2, ..., so the master's first 2n columns are
+the unit pairs that the solver prices in closed form (`units` = n), and
+its stored columns are the cuts alone.  With pi = C_B R for the integer
+costs C, y* = pi[:n] / (q d) and t* = -pi[n] / (q d).  The first round
+starts from the triangular basis {lambda_1} + {u_j : g_1j > 0} +
+{v_j : g_1j <= 0}, which is optimal, so it makes no pivot and no pricing
+pass: `simplex._unit_pair_start` writes that program down in closed form.
+A round whose cut is already stored does no LP work.
 
 Bland's rule on this dual form takes 508 pivots at n = 32, 3,223 at n = 48
 and 5,987 at n = 64 on `generate --alpha 1/2 --terms 2n --seed 5`; CI pins
@@ -95,7 +92,7 @@ from .lovasz import FractionalPoint, _check_oracle_point, _cut_column, chain_ord
 from .lovasz import extension_value, subgradient  # noqa: F401
 from .oracles import random_box_point
 from .rationals import common_denominator, format_rational
-from .simplex import _duals, _revised_min
+from .simplex import _unit_pair_start
 
 #: Default denominator bound of `project_box`'s snapping grid.
 DEFAULT_DENOMINATOR_LIMIT = 1 << 20
@@ -252,73 +249,6 @@ class MinimizeReport:
         }
 
 
-# Kept for speed, not for a different result: pivoting the same basis in
-# with `simplex._start_basis` made `minimize` about 10 % slower on the
-# minimize-tilted inputs (n = 6; median of ten interleaved pairs, slower in 7
-# of them; Python 3.11, 2-vCPU VM).
-def _first_basis(column: Sequence[int]) -> Tuple[List[List[int]], List[int], int]:
-    """The solver state at the basis {lambda_1, u_j (g_j > 0), v_j (g_j <= 0)}.
-
-    `column` is lambda_1's integer column (s g, s).  Pivoting u_j = -e_j or
-    v_j = e_j into row j and then lambda_1 into row n leaves d = s, row j of
-    R equal to -s e_j for u_j and s e_j for v_j with |s g_j| in column n and
-    in the right-hand side, and row n equal to [e_n | 1]; this writes that
-    down in O(n^2), where `simplex._start_basis` would take O(n^3).
-    """
-    n = len(column) - 1
-    inverse = []
-    for j, v in enumerate(column[:n]):
-        row = [0] * (n + 2)
-        row[j] = -column[n] if v > 0 else column[n]
-        row[n] = row[n + 1] = abs(v)
-        inverse.append(row)
-    inverse.append([0] * n + [1, 1])
-    basis = [j if v > 0 else n + j for j, v in enumerate(column[:n])]
-    basis.append(2 * n)
-    return inverse, basis, column[n]
-
-
-class _DualMaster:
-    """Kelley's master LP in dual form, kept at its optimum as cuts arrive."""
-
-    def __init__(self, n: int, p: int, q: int) -> None:
-        # Columns of n + 1 entries: u_j = -e_j, then v_j = e_j; each cut
-        # appends one more.
-        self.columns = [
-            tuple([sign if i == j else 0 for i in range(n + 1)])
-            for sign in (-1, 1)
-            for j in range(n)
-        ]
-        self.cost = [p] * n + [q] * n
-        self.units = n
-        self.q = q
-        self.state: Optional[Tuple[List[List[int]], List[int], int]] = None
-        #: pi = C_B R at `state`.
-        self.pi: List[int] = []
-        #: Bland pivots run by the cuts so far.
-        self.pivots = 0
-
-    def add(self, column: Tuple[int, ...]) -> Tuple[List[int], int]:
-        """Append the cut column (s g, s) and re-optimize.
-
-        Returns (pi, D) with y* = pi[:n] / D and t* = -pi[n] / D.
-        """
-        self.columns.append(column)
-        self.cost.append(0)
-        if self.state is None:
-            # The first basis is optimal, so it needs no pricing pass.
-            self.state = inverse, basis, d = _first_basis(column)
-            self.pi = _duals(inverse, basis, self.cost)
-            return self.pi, self.q * d
-        inverse, basis, d = self.state
-        d, self.pi, pivots = _revised_min(
-            self.cost, self.columns, inverse, basis, d, self.pi, self.units
-        )
-        self.state = inverse, basis, d
-        self.pivots += pivots
-        return self.pi, self.q * d
-
-
 def _start(f: ValueOracle, cfg: MinimizeConfig) -> Tuple[Fraction, ...]:
     if cfg.start is not None:
         _check_oracle_point(f, cfg.start)
@@ -398,8 +328,7 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
         return _cut_column(order, nums, chain, scale, p, q)
 
     denominator, nums = common_denominator(y)
-    cuts: List[Tuple[int, ...]] = []
-    master = _DualMaster(n, p, q)
+    master = None
     stop_reason = CUT_CAP
     witness: Optional[ConvexityWitness] = None
     walk_s = lp_s = 0.0
@@ -407,11 +336,16 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
         clock = time.perf_counter()
         column = walk(t, nums, denominator)
         walk_s += time.perf_counter() - clock
-        if column not in cuts:
+        if master is None or column not in master.columns:
             clock = time.perf_counter()
-            cuts.append(column)
-            pi, denominator = master.add(column)
+            if master is None:
+                master = _unit_pair_start(column, p, q)
+            else:
+                master.append(0, column)
+                master.optimize()
+            pi = master.pi
             nums = pi[:n]
+            denominator = q * master.d
             # The bound f(0) - pi[n] / denominator, times D * denominator.
             bound = zero * denominator - pi[n] * scale
             lp_s += time.perf_counter() - clock
@@ -424,9 +358,9 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
             stop_reason = NOT_CONVEX
             u = labeling_at(best_code, n)
             point = numeric(u, f.alpha)
-            gs = [tuple([Fraction(v, cut[n]) for v in cut[:n]]) for cut in cuts]
+            gs = [tuple([Fraction(v, cut[n]) for v in cut[:n]]) for cut in master.columns]
             heights = [sum(gj * uj for gj, uj in zip(g, point)) for g in gs]
-            k = max(range(len(cuts)), key=heights.__getitem__)
+            k = max(range(len(gs)), key=heights.__getitem__)
             witness = ConvexityWitness(
                 u, k, gs[k], Fraction(best_value, scale), Fraction(zero, scale) + heights[k]
             )
@@ -440,7 +374,7 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
         trajectory_best=[(r, Fraction(v, scale)) for r, v in trajectory],
         stop_reason=stop_reason,
         lower_bound=Fraction(bound, scale * denominator),
-        cuts=len(cuts),
+        cuts=len(master.columns),
         distinct_points=len(cache),
         cache_hits=cache_hits,
         witness=witness,

@@ -172,7 +172,7 @@ def reference_linear_min(
 
 
 def cut_column(g: Sequence[Fraction]) -> Tuple[int, ...]:
-    """(s g, s), the cut g as the integer column `minimize._DualMaster` takes.
+    """(s g, s), the cut g as the integer column of Kelley's master LP.
 
     s is the lcm of g's denominators.
     """
@@ -183,6 +183,31 @@ def cut_column(g: Sequence[Fraction]) -> Tuple[int, ...]:
 def column_cut(column: Sequence[int]) -> Tuple[Fraction, ...]:
     """The cut g whose column is (s g, s)."""
     return tuple(Fraction(v, column[-1]) for v in column[:-1])
+
+
+def add_cut(master: Optional[simplex._Program], column: Sequence[int], alpha: Fraction):
+    """Kelley's master LP in dual form after the cut column (s g, s), as `minimize` runs it.
+
+    The first cut starts the program at its optimal basis
+    (`simplex._unit_pair_start`), and every later one is appended to
+    `master` and re-optimized.  Returns the program; y* = pi[:n] / (q d)
+    and t* = -pi[n] / (q d) for alpha = p/q.
+    """
+    if master is None:
+        return simplex._unit_pair_start(column, alpha.numerator, alpha.denominator)
+    master.append(0, column)
+    return master.optimize()
+
+
+def unit_pair_columns(n: int) -> List[Tuple[int, ...]]:
+    """The master LP's 2n unit columns u_j = -e_j, then v_j = e_j, of n + 1 entries.
+
+    The solver prices them in closed form and does not store them; these
+    spell them out for a dense copy of a program.
+    """
+    return [
+        tuple([sign if i == j else 0 for i in range(n + 1)]) for sign in (-1, 1) for j in range(n)
+    ]
 
 
 def master_program(alpha: Fraction, cuts: Sequence[Sequence[Fraction]]):

@@ -40,12 +40,14 @@ from skewbisub import lovasz, simplex
 from skewbisub.rationals import common_denominator
 from conftest import (
     ALPHA_GRID,
+    add_cut,
     boundary_shift,
     column_cut,
     cut_column,
     master_program,
     recorded_pivots,
     reference_linear_min,
+    unit_pair_columns,
 )
 
 # The package exports the function `minimize` under the module's name.
@@ -320,26 +322,29 @@ def _rounds(f, cfg, monkeypatch):
     """Run minimize and log each round: [cut added or None, t*, pivots].
 
     A round starts with its one chain walk (`chain_order`); the master LP
-    step that follows (`_DualMaster.add`) records the cut g whose integer
-    column it adds and the t* it leaves, and every `simplex._eliminate` call until the next walk
-    counts as a pivot of that round.
+    step that follows (`simplex._unit_pair_start` for the first cut,
+    `_Program.optimize` after each later one is appended) records the cut g
+    whose integer column it added last and the t* it leaves, and every
+    `simplex._eliminate` call until the next walk counts as a pivot of that
+    round.
     """
     log = []
-    order, add = minimize_module.chain_order, minimize_module._DualMaster.add
+    order, start = minimize_module.chain_order, minimize_module._unit_pair_start
+    optimize = simplex._Program.optimize
 
     def chain_order(*args):
         log.append([None, None, len(pivots)])
         return order(*args)
 
-    def add_cut(master, column):
-        pi, denominator = add(master, column)
-        g = column_cut(column)
-        log[-1][:2] = g, Fraction(-pi[len(g)], denominator)
-        return pi, denominator
+    def record(master):
+        g = column_cut(master.columns[-1])
+        log[-1][:2] = g, Fraction(-master.pi[len(g)], f.alpha.value.denominator * master.d)
+        return master
 
     with recorded_pivots() as pivots, monkeypatch.context() as patch:
         patch.setattr(minimize_module, "chain_order", chain_order)
-        patch.setattr(minimize_module._DualMaster, "add", add_cut)
+        patch.setattr(minimize_module, "_unit_pair_start", lambda *args: record(start(*args)))
+        patch.setattr(simplex._Program, "optimize", lambda master: record(optimize(master)))
         report = minimize(f, cfg)
     marks = [entry[2] for entry in log] + [len(pivots)]
     for entry, before, after in zip(log, marks, marks[1:]):
@@ -416,22 +421,22 @@ _CUT_ENTRIES = st.one_of(
 @example([Fraction(2), Fraction(0), Fraction(-5, 6)], Fraction(1))
 @example([Fraction(1, 7), Fraction(-3, 4)], Fraction(8, 9))
 def test_first_master_is_the_cold_optimal_tableau(g, alpha):
-    # `_first_basis` is the state that pivoting its basis in from R = I
-    # reaches, Bland's rule finds it optimal, and its y* is the box corner
-    # that the Fraction reference reaches cold on the primal master.
+    # `_unit_pair_start` writes the state that pivoting its basis in from
+    # R = I reaches, Bland's rule finds it optimal, and its y* is the box
+    # corner that the Fraction reference reaches cold on the primal master.
     n = len(g)
-    master = minimize_module._DualMaster(n, alpha.numerator, alpha.denominator)
     with recorded_pivots() as pivots:
-        pi, denominator = master.add(cut_column(g))
+        master = add_cut(None, cut_column(g), alpha)
     assert pivots == []
+    pi, denominator = master.pi, alpha.denominator * master.d
     s = common_denominator(g)[0]
     start = [j if v > 0 else n + j for j, v in enumerate(g)] + [2 * n]
-    pivoted = simplex._start_basis(master.columns, [0] * n + [1], start)
-    assert master.state == pivoted and pivoted[2] == s
-    inverse, basis, d = pivoted
-    duals = simplex._duals(inverse, basis, master.cost)
-    resumed = simplex._revised_min(master.cost, master.columns, inverse, basis, d, duals)
-    assert resumed == (d, pi, 0)
+    # The same program with its unit pairs stored and priced densely.
+    columns = unit_pair_columns(n) + master.columns
+    pivoted = simplex._start_basis(columns, [0] * n + [1], start)
+    assert (master.inverse, master.basis, master.d) == pivoted and pivoted[2] == s
+    resumed = simplex._Program(master.costs, columns, *pivoted).optimize()
+    assert (resumed.d, resumed.pi, resumed.pivots) == (master.d, pi, 0)
     c, A, b, _ = master_program(alpha, [g])
     t_star, cold = reference_linear_min(c, A, b)
     assert Fraction(-pi[n], denominator) == t_star
@@ -441,32 +446,35 @@ def test_first_master_is_the_cold_optimal_tableau(g, alpha):
 
 
 class TestDualMaster:
-    """`_DualMaster.add` on hand-checkable cuts, n <= 2 and alpha = 1/2."""
+    """The master LP in dual form on hand-checkable cuts, n <= 2 and alpha = 1/2.
 
-    @staticmethod
-    def _add(master, g):
+    Each cut is added as `minimize` adds it (conftest's `add_cut`).
+    """
+
+    def setup_method(self):
+        self.master = None
+
+    def _add(self, g):
         """(y*, t*, Bland pivots so far) after adding the cut g."""
-        pi, denominator = master.add(cut_column([Fraction(v) for v in g]))
-        return Fraction(pi[0], denominator), Fraction(-pi[1], denominator), master.pivots
+        self.master = add_cut(self.master, cut_column([Fraction(v) for v in g]), Fraction(1, 2))
+        pi, denominator = self.master.pi, 2 * self.master.d
+        return Fraction(pi[0], denominator), Fraction(-pi[1], denominator), self.master.pivots
 
     def test_added_cut_moves_the_optimum(self):
         # t >= y puts y* at -1/2; adding t >= -y moves it to 0, t* = 0.
-        master = minimize_module._DualMaster(1, 1, 2)
-        assert self._add(master, [1]) == (Fraction(-1, 2), Fraction(-1, 2), 0)
-        assert self._add(master, [-1]) == (0, 0, 1)
+        assert self._add([1]) == (Fraction(-1, 2), Fraction(-1, 2), 0)
+        assert self._add([-1]) == (0, 0, 1)
 
     def test_slack_cut_takes_no_pivot(self):
         # t >= 2y lies below t >= y at y = -1/2.
-        master = minimize_module._DualMaster(1, 1, 2)
-        first = self._add(master, [1])
-        assert self._add(master, [2]) == first
+        first = self._add([1])
+        assert self._add([2]) == first
 
     def test_repeated_cut_takes_no_pivots(self):
-        master = minimize_module._DualMaster(2, 1, 2)
-        self._add(master, [3, -1])
-        moved = self._add(master, [-2, 5])
+        self._add([3, -1])
+        moved = self._add([-2, 5])
         assert moved[2] > 0
-        assert self._add(master, [-2, 5]) == moved
+        assert self._add([-2, 5]) == moved
 
 
 _REPORTS_PATH = os.path.join(os.path.dirname(__file__), "data", "minimize_reports.json")
@@ -628,22 +636,28 @@ def test_unit_block_prices_are_the_dense_prices(monkeypatch):
     # the step pivots as the dense step (no unit pairs) does on a copy of
     # its state.
     steps = []
-    step = simplex._bland_step
+    step = simplex._Program._step
 
-    def checking_step(cost, M, inverse, basis, d, pi, units=0):
+    def checking_step(program):
+        cost, d, pi, units = program.costs, program.d, program.pi, program.units
         assert units == len(pi) - 1
+        M = unit_pair_columns(units)
         dense = [d * cost[j] - sum(v * a for v, a in zip(pi, M[j])) for j in range(2 * units)]
         closed = [d * c + v for c, v in zip(cost, pi[:units])]
         closed += [d * c - v for c, v in zip(cost[units:], pi[:units])]
         assert closed == dense
-        state = [row[:] for row in inverse], basis[:]
-        expected = step(cost, M, *state, d, pi, 0)
-        made = step(cost, M, inverse, basis, d, pi, units)
-        assert made == expected and (inverse, basis) == state
-        steps.append(made is not None)
+        # A copy of the state with the unit pairs stored as dense columns.
+        copy = simplex._Program(
+            cost[:], M + program.columns, [row[:] for row in program.inverse], program.basis[:], d
+        )
+        expected = step(copy)
+        made = step(program)
+        state = program.inverse, program.basis, program.d, program.pi
+        assert made == expected and state == (copy.inverse, copy.basis, copy.d, copy.pi)
+        steps.append(made)
         return made
 
-    monkeypatch.setattr(simplex, "_bland_step", checking_step)
+    monkeypatch.setattr(simplex._Program, "_step", checking_step)
     f = generate_instance(8, ALPHA_GRID[1], num_terms=16, max_scope=2, seed=5)
     report = minimize(f)
     assert report.certified
@@ -655,13 +669,18 @@ def test_walk_columns_are_the_subgradient_columns(pool_desk, monkeypatch):
     # at that point, on random points and on points with zero and tied
     # coordinates.
     added = []
-    add = minimize_module._DualMaster.add
+    start, append = minimize_module._unit_pair_start, simplex._Program.append
 
-    def recording(master, column):
+    def recording_start(column, p, q):
         added.append(column)
-        return add(master, column)
+        return start(column, p, q)
 
-    monkeypatch.setattr(minimize_module._DualMaster, "add", recording)
+    def recording_append(master, cost, column):
+        added.append(column)
+        append(master, cost, column)
+
+    monkeypatch.setattr(minimize_module, "_unit_pair_start", recording_start)
+    monkeypatch.setattr(simplex._Program, "append", recording_append)
     rng = random.Random(19)
     for f in pool_desk:
         n, alpha = f.arity, f.alpha

@@ -7,10 +7,12 @@ form; from the same start basis
 the two must take the same pivots and so return the same optimum and basic
 solution, or raise the same exception.  The optimum reached from a start
 basis must be the one the reference reaches cold, from its artificial
-basis.  Kelley's master LP in `minimize` resumes the same solver after
-each added cut, in dual form; after every cut it must reach the optimum of
-the primal master solved afresh.  The duals pi = C_B R that the solver
-carries across its pivots must equal the ones `_duals` rebuilds after each.
+basis.  A program solved to its optimum and given one more column must
+resume to the optimum of the enlarged program.  Kelley's master LP in
+`minimize` resumes the same solver after each added cut, in dual form;
+after every cut it must reach the optimum of the primal master solved
+afresh.  The duals pi = C_B R that the solver carries across its pivots
+must equal the ones `_duals` rebuilds after each.
 """
 
 import contextlib
@@ -47,6 +49,7 @@ from skewbisub import oracles, simplex
 from conftest import (
     ALPHA_GRID,
     ReferenceInfeasibleError,
+    add_cut,
     cut_column,
     master_program,
     recorded_pivots,
@@ -154,28 +157,31 @@ def test_start_basis_reaches_the_cold_optimum(program):
         assert result[0] == cold[0]
 
 
+def _rebuilt_duals(program):
+    """C_B R of the program's state, rebuilt by `_duals`."""
+    return simplex._duals(program.inverse, program.basis, program.costs)
+
+
 @contextlib.contextmanager
 def checked_duals():
     """Check the pi that Bland's loop carries against C_B R, rebuilt by `_duals`.
 
-    Yields a list that gets one entry per pivot checked.  Every step must
-    be given pi = C_B R of its state, and a pivot must leave the pi it
-    returns equal to C_B R of the new state.  `_bland_step` is the one
-    step: `linear_min` takes it with no unit pairs, and the master LP in
-    `minimize` with n of them.
+    Yields a list that gets the new d of each pivot checked.  Every pivot
+    must start from pi = C_B R of its state and leave pi equal to C_B R of
+    the new state.  `_Program._enter` makes every pivot of Bland's rule:
+    `linear_min`'s, with no unit pairs, and those of the master LP in
+    `minimize`, with n of them.
     """
     checked = []
-    step = simplex._bland_step
+    enter = simplex._Program._enter
 
-    def checking_step(cost, M, inverse, basis, d, pi, units=0):
-        assert pi == simplex._duals(inverse, basis, cost)
-        result = step(cost, M, inverse, basis, d, pi, units)
-        if result is not None:
-            assert result[1] == simplex._duals(inverse, basis, cost)
-            checked.append(result[0])
-        return result
+    def checking_enter(program, col, w, price):
+        assert program.pi == _rebuilt_duals(program)
+        enter(program, col, w, price)
+        assert program.pi == _rebuilt_duals(program)
+        checked.append(program.d)
 
-    with mock.patch.object(simplex, "_bland_step", checking_step):
+    with mock.patch.object(simplex._Program, "_enter", checking_enter):
         yield checked
 
 
@@ -188,6 +194,42 @@ def test_carried_duals_are_the_rebuilt_ones(program):
     # The same pivots as the reference, and each one past the start checked.
     assert (result, pivots) == _reference_run(c, A, b, start)
     assert len(checked) == len(pivots) - len(start)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_started_programs(), st.data())
+def test_an_appended_column_resumes_to_the_cold_optimum(program, data):
+    # The resume path with no unit pairs: a program solved to its optimum,
+    # then given one more column and resumed, reaches the optimum that
+    # `linear_min` finds on the enlarged program from the same start, and
+    # carries pi = C_B R through every pivot.
+    c, A, b, start = program
+    free = [j for j in range(len(c)) if j not in start]
+    assume(free)
+    last = data.draw(st.sampled_from(free))
+    order = [j for j in range(len(c)) if j != last] + [last]
+    start = [order.index(j) for j in start]
+    # Scaled to integers whole, so the appended column is scaled as its rows are.
+    C, M, r = simplex._integer_program(
+        [c[j] for j in order], [[row[j] for j in order] for row in A], b, start
+    )
+    cold = _outcome(linear_min, C, [list(row) for row in zip(*M)], r, start)
+    solved = simplex._Program(C[:-1], M[:-1], *simplex._start_basis(M, r, start))
+    if _outcome(solved.optimize) is LPUnboundedError:
+        # A column more can only lower the objective.
+        assert cold is LPUnboundedError
+        return
+    before = solved.pivots
+    solved.append(C[-1], M[-1])
+    with checked_duals() as checked:
+        resumed = _outcome(solved.optimize)
+    assert len(checked) == solved.pivots - before
+    if resumed is LPUnboundedError:
+        assert cold is LPUnboundedError
+        return
+    value = sum(C[j] * row[-1] for j, row in zip(solved.basis, solved.inverse))
+    assert Fraction(value, solved.d) == cold[0]
+    assert solved.pi == _rebuilt_duals(solved)
 
 
 class TestStartBasis:
@@ -356,9 +398,10 @@ def test_warm_rows_reach_the_cold_optimum(case):
     # optimum of the primal master solved afresh on the cuts so far, and its
     # y* lies in the box and attains it.
     n, alpha, cuts = case
-    master = minimize_module._DualMaster(n, alpha.numerator, alpha.denominator)
+    master = None
     for k, g in enumerate(cuts, start=1):
-        pi, denominator = master.add(cut_column(g))
+        master = add_cut(master, cut_column(g), alpha)
+        pi, denominator = master.pi, alpha.denominator * master.d
         t_star = Fraction(-pi[n], denominator)
         assert t_star == linear_min(*master_program(alpha, cuts[:k]))[0]
         y = [Fraction(v, denominator) for v in pi[:n]]
@@ -372,12 +415,12 @@ def test_carried_duals_on_master_cuts(case):
     # The primal master solved afresh on each prefix of the cuts, and the
     # dual master resumed after each cut: every pivot carries pi = C_B R.
     n, alpha, cuts = case
-    master = minimize_module._DualMaster(n, alpha.numerator, alpha.denominator)
+    master = None
     with checked_duals() as checked:
         for k, g in enumerate(cuts, start=1):
             linear_min(*master_program(alpha, cuts[:k]))
-            master.add(cut_column(g))
-            assert master.pi == simplex._duals(*master.state[:2], master.cost)
+            master = add_cut(master, cut_column(g), alpha)
+            assert master.pi == _rebuilt_duals(master)
     assert len(checked) >= master.pivots
 
 
