@@ -8,8 +8,10 @@ together.
 """
 
 from .lattice import (
+    DEFAULT_ENUM_CAP,
     Alpha,
     ArityMismatchError,
+    CapExceededError,
     Label,
     Labeling,
     LEX_ORDER,
@@ -25,17 +27,14 @@ from .lattice import (
     numeric,
     parse_labeling,
 )
+from .checker import ViolationWitness, check_alpha_bisubmodular
 from .functions import (
-    CapExceededError,
-    DEFAULT_ENUM_CAP,
     GenerationBudgetError,
     InstanceFormatError,
     SumFunction,
     TableFunction,
     Term,
     ValueOracle,
-    ViolationWitness,
-    check_alpha_bisubmodular,
     expand_to_table,
     generate_instance,
     instance_from_json,

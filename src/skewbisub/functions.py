@@ -3,9 +3,9 @@
 A function is only ever accessed through :class:`ValueOracle`: an arity, a
 skew parameter, and an `evaluate` method returning exact rationals.  Two
 concrete representations are provided (a complete explicit table, and a sum
-of low-arity table terms), plus the skew-bisubmodularity checker, a
-rejection-sampling instance generator, and the JSON instance format used by
-the CLI.
+of low-arity table terms), plus a rejection-sampling instance generator and
+the JSON instance format used by the CLI.  The skew-bisubmodularity checker
+is in `checker`.
 
 Every oracle also reads its values as integers: `numerator(a)` is
 f(a) * `denominator`, for one fixed denominator D > 0 per oracle, so exact
@@ -15,13 +15,21 @@ reports.
 
 A sum is compiled once, when it is built: every term value is scaled to an
 integer numerator over one common denominator D, the lcm of all their
-denominators, and each term keeps its scope and a flat list of those
-numerators in the lex order of `all_labelings`.  A read turns the labeling
-into base-3 digits once and adds plain ints; `evaluate` makes one Fraction
-of the total.  A table is scaled to integers over the lcm of its values'
-denominators on its first integer read, not when it is built, so code that
-reads only Fractions (the checker) never pays for it; `evaluate` returns
-the stored Fraction.
+denominators, and the terms are merged into as few integer tables as their
+scopes allow.  Terms on the same set of coordinates, in any order, become
+one table over the sorted scope, and each unary term is added into a table
+that covers its coordinate.  A read turns the labeling into base-3 digits
+once and adds one plain int per merged table; `evaluate` makes one
+Fraction of the total.  A table is scaled to integers over the lcm of its
+values' denominators on its first integer read, not when it is built, so
+code that reads only Fractions (the checker) never pays for it; `evaluate`
+returns the stored Fraction.
+
+A document is read in one pass, through `_table_values`, the one copy of
+the key and value rules, for a table and for each term of a sum alike.  A
+sum's term values go straight to (numerator, denominator) pairs in lex
+order, with no Fraction made, and its `Term` tables are built only when
+`terms` is first read.
 
 Oracle-call accounting: `evaluate` and `numerator` each bump `call_count`
 by exactly one per call.  The counter is a plain attribute with no locking;
@@ -32,23 +40,27 @@ evaluation has quiesced.
 from __future__ import annotations
 
 import abc
+import math
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
-from itertools import islice
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from functools import lru_cache
+from operator import add
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from .checker import check_alpha_bisubmodular
 from .lattice import (
-    Alpha,
-    ArityMismatchError,
-    LEX_ORDER,
-    Label,
-    Labeling,
+    DEFAULT_ENUM_CAP,
     POS,
     ZERO,
+    Alpha,
+    ArityMismatchError,
+    CapExceededError,
+    Label,
+    Labeling,
+    _LEX_DIGIT,
     all_labelings,
+    exceeds_cap,
     format_labeling,
     join,
     lex_index,
@@ -57,26 +69,8 @@ from .lattice import (
 )
 from .rationals import common_denominator, format_rational, parse_rational
 
-#: Enumeration guard: operations that touch all 3^n points refuse to run
-#: past this many, so a fat-fingered arity fails loudly instead of hanging.
-#: At 3^8 points `check_alpha_bisubmodular` accepts in about 0.5 s on a
-#: 2-vCPU VM.
-DEFAULT_ENUM_CAP = 3**8
-
 #: `generate_instance` draws its integer term values uniformly from here.
 _VALUE_RANGE = (-10, 10)
-
-
-def exceeds_cap(n: int, cap: int) -> bool:
-    """Whether 3^n > cap, without computing 3^n when n alone settles it.
-
-    3^n >= 2^n > cap once n >= cap.bit_length(), so a huge n costs nothing.
-    """
-    return n >= cap.bit_length() or 3**n > cap
-
-
-class CapExceededError(ValueError):
-    """An exhaustive operation was asked to enumerate more points than its cap."""
 
 
 class GenerationBudgetError(RuntimeError):
@@ -151,40 +145,93 @@ _parsed_labeling = lru_cache(maxsize=1 << 12)(parse_labeling)
 _parsed_rational = lru_cache(maxsize=1 << 12)(parse_rational)
 
 
-def _normalize_table(
-    arity: int, values: Mapping[object, object], where: str = "values"
-) -> Dict[Labeling, Fraction]:
-    table: Dict[Labeling, Fraction] = {}
+@lru_cache(maxsize=1 << 12)
+def _parsed_ratio(text: str) -> Tuple[int, int]:
+    # A value text as (numerator, denominator), for a sum's integer tables.
+    return _parsed_rational(text).as_integer_ratio()
+
+
+def _rational(raw: object) -> Fraction:
+    # A value that is not a str.  Fraction is an abstract base class's
+    # subclass, so the isinstance test is a Python-level call.
+    return raw if isinstance(raw, Fraction) else parse_rational(raw)
+
+
+def _ratio(raw: object) -> Tuple[int, int]:
+    return _rational(raw).as_integer_ratio()
+
+
+def _is_mapping(obj: object) -> bool:
+    # JSON objects are dicts; isinstance against the Mapping ABC is a
+    # Python-level call.
+    return type(obj) is dict or isinstance(obj, Mapping)
+
+
+@lru_cache(maxsize=16)
+def _lex_labelings(arity: int) -> Tuple[Labeling, ...]:
+    # `all_labelings(arity)` as a tuple, made once per arity.  The arity is
+    # a validated int, and the loader asks only for arities whose 3^arity
+    # labelings the document itself has as keys.
+    return tuple(all_labelings(arity))
+
+
+@lru_cache(maxsize=16)
+def _labelings_by_key(arity: int) -> Dict[object, Labeling]:
+    # Every labeling of length `arity` by itself and by its text.
+    labelings = _lex_labelings(arity)
+    return {**dict(zip(labelings, labelings)), **{format_labeling(u): u for u in labelings}}
+
+
+def _key_labeling(key: object, arity: int, where: str) -> Labeling:
+    """The labeling a key names, or InstanceFormatError saying what is wrong."""
+    if isinstance(key, str):
+        labeling = _parsed_labeling(key)
+    elif isinstance(key, tuple) and all(isinstance(l, Label) for l in key):
+        labeling = key
+    else:
+        raise InstanceFormatError(f"{where}: bad labeling key {key!r}")
+    if len(labeling) != arity:
+        raise InstanceFormatError(
+            f"{where}: key {format_labeling(labeling)!r} has length "
+            f"{len(labeling)}, expected {arity}"
+        )
+    return labeling
+
+
+def _table_values(
+    arity: int,
+    values: Mapping[object, object],
+    read_text: Callable[[str], object],
+    read_other: Callable[[object], object],
+    where: str = "values",
+) -> Dict[Labeling, object]:
+    """A complete table's values by labeling, in the order of `values`.
+
+    Keys are label tuples or '-','0','+' strings; a str value is read by
+    `read_text` and any other by `read_other`.  These are the one copy of
+    the key and value rules: a bad or misplaced key, a repeated labeling, a
+    bad value and a missing labeling each raise InstanceFormatError, the
+    first of them in the order of `values`, a missing one after all keys.
+    """
+    # Distinct keys of length `arity` number at most 3^arity, so a table
+    # with fewer keys lacks one, and its labelings are not made up front.
+    known = {} if exceeds_cap(arity, len(values)) else _labelings_by_key(arity)
+    table: Dict[Labeling, object] = {}
     for key, raw in values.items():
-        if isinstance(key, str):
-            labeling = _parsed_labeling(key)
-        elif isinstance(key, tuple) and all(isinstance(l, Label) for l in key):
-            labeling = key
-        else:
-            raise InstanceFormatError(f"{where}: bad labeling key {key!r}")
-        if len(labeling) != arity:
-            raise InstanceFormatError(
-                f"{where}: key {format_labeling(labeling)!r} has length "
-                f"{len(labeling)}, expected {arity}"
-            )
+        labeling = known.get(key)
+        if labeling is None:
+            labeling = _key_labeling(key, arity, where)
         if labeling in table:
             raise InstanceFormatError(
                 f"{where}: duplicate key {format_labeling(labeling)!r}"
             )
         try:
-            # Strings first: a str is never a Fraction, and isinstance against
-            # Fraction, an abstract base class, makes a Python-level call.
-            if isinstance(raw, str):
-                table[labeling] = _parsed_rational(raw)
-            elif isinstance(raw, Fraction):
-                table[labeling] = raw
-            else:
-                table[labeling] = parse_rational(raw)
+            # Strings first: a str is never a Fraction.
+            table[labeling] = read_text(raw) if type(raw) is str else read_other(raw)
         except ValueError:
             # Parse again to name the key in the message.
             parse_rational(raw, where=f"{where}[{format_labeling(labeling)!r}]")
-    # Distinct keys of length `arity` number at most 3^arity.
-    if exceeds_cap(arity, len(table)):
+    if not known:
         for labeling in all_labelings(arity):
             if labeling not in table:
                 raise InstanceFormatError(
@@ -205,7 +252,7 @@ class TableFunction(ValueOracle):
 
     def __init__(self, arity: int, alpha: Alpha, values: Mapping[object, object]):
         super().__init__(arity, alpha)
-        self._table = _normalize_table(arity, values)
+        self._table = _table_values(arity, values, _parsed_rational, _rational)
 
     def __getitem__(self, labeling: Labeling) -> Fraction:
         """Direct table read; does not count as an oracle call."""
@@ -239,6 +286,44 @@ class Term(NamedTuple):
     table: TableFunction
 
 
+def _scope_order(scope: Tuple[int, ...]) -> List[int]:
+    """For each lex index over sorted(scope), the index of the same labeling over scope."""
+    weights = [3 ** (len(scope) - 1 - t) for t in range(len(scope))]
+    order = [0]
+    for t in sorted(range(len(scope)), key=scope.__getitem__):
+        order = [k + digit * weights[t] for k in order for digit in range(3)]
+    return order
+
+
+def _merged_tables(
+    scopes: Sequence[Tuple[int, ...]], rows: Sequence[List[int]]
+) -> Dict[Tuple[int, ...], List[int]]:
+    """One integer table per set of coordinates, equal in sum to the terms'.
+
+    Each term's row is reordered to its sorted scope and added to the one
+    table of that scope; then each unary table is added into the first
+    table of two or more coordinates that covers its coordinate, if any.
+    A table's entry k is the labeling whose lex digits, read in sorted
+    scope order, spell k in base 3.
+    """
+    merged: Dict[Tuple[int, ...], List[int]] = {}
+    for scope, row in zip(scopes, rows):
+        key = tuple(sorted(scope))
+        if key != scope:
+            row = [row[k] for k in _scope_order(scope)]
+        merged[key] = list(map(add, merged[key], row)) if key in merged else row
+    for unary in [key for key in merged if len(key) == 1]:
+        (j,) = unary
+        cover = next((key for key in merged if len(key) > 1 and j in key), None)
+        if cover is not None:
+            values = merged.pop(unary)
+            weight = 3 ** (len(cover) - 1 - cover.index(j))
+            merged[cover] = [
+                v + values[k // weight % 3] for k, v in enumerate(merged[cover])
+            ]
+    return merged
+
+
 class SumFunction(ValueOracle):
     """A function given as a sum of low-arity table terms over scopes.
 
@@ -247,15 +332,20 @@ class SumFunction(ValueOracle):
     cheap to evaluate and provably skew bisubmodular (the property is closed
     under coordinate lifting and addition).
 
-    The terms are compiled in `__init__`.  D is the lcm of the denominators
-    of every term value, and each term becomes its scope plus a list of
-    integer numerators over D.  Entry k of the list is the k-th labeling of
-    `all_labelings(len(scope))`, i.e. the one whose lex digits ('-' -> 0,
-    '0' -> 1, '+' -> 2), read in scope order, spell k in base 3.  So
-    `numerator` adds one list entry per term on plain ints, and `evaluate`
+    The terms are compiled when the sum is built.  D is the lcm of the
+    denominators of every term value, and each term becomes a list of
+    integer numerators over D in the lex order of its scope.  Terms on the
+    same set of coordinates, in any order, are added into one table, and
+    each unary table into one table that covers its coordinate
+    (`_merged_tables`).  So `numerator` turns the labeling into lex digits
+    once and adds one entry per merged table on plain ints, and `evaluate`
     returns Fraction(total, D), which equals the Fraction sum of the term
-    values.
+    values.  `terms` still gives the terms as built, unmerged and in order.
     """
+
+    #: A loaded sum's scopes and lex rows of (numerator, denominator)
+    #: pairs, until `terms` first builds the tables from them.
+    _rows: Optional[Tuple[List[Tuple[int, ...]], List[List[Tuple[int, int]]]]] = None
 
     def __init__(self, arity: int, alpha: Alpha, terms: Sequence[Term]):
         super().__init__(arity, alpha)
@@ -274,17 +364,61 @@ class SumFunction(ValueOracle):
                 )
             if term.table.alpha != alpha:
                 raise ValueError(f"term {pos}: table alpha differs from instance alpha")
-        self._terms = tuple(terms)
-        self._denominator, numerators = common_denominator(
-            [table[u] for scope, table in self._terms for u in all_labelings(len(scope))]
+        self._terms: Optional[Tuple[Term, ...]] = tuple(terms)
+        self._compile(
+            [tuple(scope) for scope, _ in self._terms],
+            [
+                [table[u].as_integer_ratio() for u in all_labelings(table.arity)]
+                for _, table in self._terms
+            ],
         )
-        rows = iter(numerators)
-        self._compiled = tuple([
-            (scope, list(islice(rows, 3 ** len(scope)))) for scope, _ in self._terms
-        ])
+
+    @classmethod
+    def _loaded(
+        cls,
+        arity: int,
+        alpha: Alpha,
+        scopes: List[Tuple[int, ...]],
+        rows: List[List[Tuple[int, int]]],
+    ) -> "SumFunction":
+        """The sum of the terms that `instance_from_json` read and checked.
+
+        Term t has scope scopes[t] and the values rows[t], (numerator,
+        denominator) pairs in lex order; its table is made when `terms` is
+        first read.
+        """
+        f = cls.__new__(cls)
+        ValueOracle.__init__(f, arity, alpha)
+        f._terms = None
+        f._rows = scopes, rows
+        f._compile(scopes, rows)
+        return f
+
+    def _compile(
+        self, scopes: Sequence[Tuple[int, ...]], rows: Sequence[List[Tuple[int, int]]]
+    ) -> None:
+        self._denominator = scale = math.lcm(*[den for row in rows for _, den in row])
+        merged = _merged_tables(
+            scopes, [[num * (scale // den) for num, den in row] for row in rows]
+        )
+        # Pairs, most of a generated sum, are read without a loop over the scope.
+        self._pairs = tuple([(*key, row) for key, row in merged.items() if len(key) == 2])
+        self._others = tuple([(key, row) for key, row in merged.items() if len(key) != 2])
 
     @property
     def terms(self) -> Tuple[Term, ...]:
+        if self._terms is None:
+            scopes, rows = self._rows
+            alpha = self.alpha
+            self._terms = tuple([
+                Term(scope, TableFunction(
+                    len(scope),
+                    alpha,
+                    dict(zip(_lex_labelings(len(scope)), [Fraction(*v) for v in row])),
+                ))
+                for scope, row in zip(scopes, rows)
+            ])
+            self._rows = None
         return self._terms
 
     @property
@@ -292,212 +426,16 @@ class SumFunction(ValueOracle):
         return self._denominator
 
     def _numerator(self, labeling: Labeling) -> int:
-        digits = list(map(LEX_ORDER.index, labeling))
+        digits = list(map(_LEX_DIGIT.__getitem__, labeling))
         total = 0
-        for scope, numerators in self._compiled:
+        for i, j, row in self._pairs:
+            total += row[3 * digits[i] + digits[j]]
+        for scope, row in self._others:
             k = 0
             for i in scope:
                 k = 3 * k + digits[i]
-            total += numerators[k]
+            total += row[k]
         return total
-
-
-@dataclass(frozen=True)
-class ViolationWitness:
-    """A pair at which the skew-bisubmodularity inequality fails (lhs > rhs)."""
-
-    a: Labeling
-    b: Labeling
-    lhs: Fraction
-    rhs: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "a": format_labeling(self.a),
-            "b": format_labeling(self.b),
-            "lhs": format_rational(self.lhs),
-            "rhs": format_rational(self.rhs),
-        }
-
-
-def _digit_table(op) -> Tuple[Tuple[int, ...], ...]:
-    # A componentwise operation on single labels as lex digits ('-' -> 0,
-    # '0' -> 1, '+' -> 2): entry [x][y] is the digit of op(x, y).
-    return tuple(tuple(LEX_ORDER.index(op((x,), (y,))[0]) for y in LEX_ORDER) for x in LEX_ORDER)
-
-
-#: meet0, join0 and join1 as digit tables, in the order of the weights q, p
-#: and q - p the checker's integer inequality gives them (alpha = p/q).
-_PAIR_OP_DIGITS = (
-    _digit_table(meet0),
-    _digit_table(partial(join, tiebreak=ZERO)),
-    _digit_table(partial(join, tiebreak=POS)),
-)
-
-
-def _shift_groups(row: Tuple[int, ...]) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-    # The digits e of a digit table's row, grouped by d - e: the fields of
-    # b whose digit is e move up by d - e blocks to the place of digit d.
-    grouped: Dict[int, Tuple[int, ...]] = {}
-    for d, e in enumerate(row):
-        grouped[d - e] = grouped.get(d - e, ()) + (e,)
-    return tuple(grouped.items())
-
-
-#: For each digit x of a: the shift groups of meet0, join0 and join1.
-_PAIR_OP_SHIFTS = tuple(
-    tuple(_shift_groups(table[x]) for table in _PAIR_OP_DIGITS) for x in range(3)
-)
-_SHIFT_DIGITS = {digits for row in _PAIR_OP_SHIFTS for groups in row for _, digits in groups}
-
-
-def check_alpha_bisubmodular(
-    f: ValueOracle, cap: int = DEFAULT_ENUM_CAP
-) -> Optional[ViolationWitness]:
-    """Exhaustively test f(a meet b) + alpha f(a join0 b) + (1-alpha) f(a join1 b) <= f(a) + f(b).
-
-    Returns None when the inequality holds at all ordered pairs, else the
-    lexicographically first violating pair (under '-' < '0' < '+').
-
-    Each of the 3^n values is read once, in lex order, and scaled to an
-    integer by the lcm of the denominators.  For alpha = p/q the test is
-    then q f(meet) + p f(join0) + (q - p) f(join1) > q (f(a) + f(b)) on
-    plain ints; lhs and rhs are computed as Fractions only at the witness.
-
-    Only the pairs with a <=lex b are tested, and the witness is the same:
-    meet0 and both joins are commutative, so the inequality is symmetric in
-    (a, b), and at a = b both sides equal 2 f(a).  If the first violating
-    ordered pair had b <lex a, then (b, a) would violate too and come first;
-    so it has a <lex b, and the scan, which takes each a in lex order and
-    then its least violating b >= a, finds it.
-
-    All b of one a are tested at once, on packed integers: a vector over
-    lex indices is one int with one B-bit field per index.  With M the
-    largest |f|, the vectors q (f + M), p (f + M) and (q - p) (f + M) are
-    packed, with fields in [0, 2qM], and `_prefix_gathers` turns them, for
-    each a, into the vectors whose field b - a holds the value at
-    meet0(a, b), join0(a, b) and join1(a, b), for b >=lex a.  Their sum has
-    fields in [0, 4qM].  The packed q (M - f) + 2^(B-1) - 1 - 3qM, less
-    q f(a) in every field and shifted down by a's index, lines up with
-    them, with fields in [2^(B-1) - 1 - 4qM, 2^(B-1) - 1].  Field b - a of
-    the total is then 2^(B-1) - 1 + e(b), where
-    e(b) = q f(meet) + p f(join0) + (q - p) f(join1) - q (f(a) + f(b))
-    is the pair's excess, in [-4qM, 4qM].  B is the least width with
-    2^(B-1) > 4qM, so every field of every term and of the total stays in
-    [0, 2^B): none borrows from or carries into the next, and the packed
-    int is the exact sum, field by field.  The top bit of field b - a is
-    set exactly when e(b) >= 1, i.e. at the violating b.  One AND with the
-    top bits and the lowest set bit give the least violating b >= a.
-    """
-    n = f.arity
-    if exceeds_cap(n, cap):
-        raise CapExceededError(f"3^{n} points exceed the enumeration cap {cap}")
-    labelings = list(all_labelings(n))
-    values = [f.evaluate(a) for a in labelings]
-    _, ints = common_denominator(values)
-    p = f.alpha.value.numerator
-    q = f.alpha.value.denominator
-    peak = max(map(abs, ints))
-    width = (4 * q * peak).bit_length() + 1
-    ones = ((1 << len(ints) * width) - 1) // ((1 << width) - 1)
-    lifted = _pack([v + peak for v in ints], width)
-    # Field b of base: q (M - f(b)) + 2^(B-1) - 1 - 3qM.
-    base = q * (2 * peak * ones - lifted) + ((1 << (width - 1)) - 1 - 3 * q * peak) * ones
-    signs = ones << (width - 1)
-    weighted = (q * lifted, p * lifted, (q - p) * lifted)
-    for i, gathered in enumerate(_prefix_gathers(weighted, _digit_moves(n, width))):
-        hits = (sum(gathered) + ((base - q * ints[i] * ones) >> i * width)) & signs
-        if hits:
-            j = i + ((hits & -hits).bit_length() - 1) // width
-            a, b = labelings[i], labelings[j]
-            meet, join0, join1 = (
-                values[lex_index(u)] for u in (meet0(a, b), join(a, b, ZERO), join(a, b, POS))
-            )
-            al = f.alpha.value
-            lhs = meet + al * join0 + (1 - al) * join1
-            return ViolationWitness(a, b, lhs, values[i] + values[j])
-    return None
-
-
-def _pack(fields: List[int], width: int) -> int:
-    # One int with fields[k] at bit k * width, each field in [0, 2^width).
-    # Neighbours are merged pairwise, so the work is N log N, not N^2.
-    while len(fields) > 1:
-        if len(fields) % 2:
-            fields.append(0)
-        fields = [lo | hi << width for lo, hi in zip(fields[::2], fields[1::2])]
-        width *= 2
-    return fields[0]
-
-
-#: `_digit_moves` keeps its results for the (n, B) whose masks, of 3^n B
-#: bits each, fit in this many bits.  A result holds, for each of the n
-#: digits of a, one mask per digit set in `_SHIFT_DIGITS` (7 sets), and
-#: 3^8 * 2 bits are too many, so a kept result has n <= 7 and at most 49
-#: masks of 1 KiB: the 16 kept results hold at most 784 KiB of masks.
-_KEPT_MASK_BITS = 2**13
-
-
-def _digit_moves(n: int, width: int):
-    if 3**n * width > _KEPT_MASK_BITS:
-        return _build_digit_moves(n, width)
-    return _kept_digit_moves(n, width)
-
-
-def _build_digit_moves(n: int, width: int):
-    # For each lex digit t of a, most significant first, and each value x of
-    # it: the moves of meet0, join0 and join1 along digit t.  Field k of a
-    # gather is field k' of its source, where k' is k with its digit t, say
-    # d, replaced by e = row[d], the operation's digit on (x, d).  Fields
-    # of digit e move up by d - e blocks of 3^(n-1-t) fields, so one move
-    # is an AND with the mask of each digit e that moves by the same amount,
-    # then one shift.  Each shift also goes x blocks further down: the
-    # source starts at the first b whose first t digits are a's, the result
-    # at the first b whose first t + 1 digits are a's, and the b that fall
-    # below a's prefix are shifted out.  Every drop is whole blocks, so the
-    # masks stay aligned.
-    total = 3**n * width
-    levels = []
-    for t in range(n):
-        step = 3 ** (n - 1 - t) * width
-        block = (1 << step) - 1
-        repeat = ((1 << total) - 1) // ((1 << 3 * step) - 1)
-        masks = {
-            digits: sum([block << e * step for e in digits]) * repeat
-            for digits in _SHIFT_DIGITS
-        }
-        levels.append(tuple([
-            tuple([
-                tuple([(masks[digits], (up - x) * step) for up, digits in groups])
-                for groups in _PAIR_OP_SHIFTS[x]
-            ])
-            for x in range(3)
-        ]))
-    return tuple(levels)
-
-
-_kept_digit_moves = lru_cache(maxsize=16)(_build_digit_moves)
-
-
-def _gather(v: int, moves: Tuple[Tuple[int, int], ...]) -> int:
-    out = 0
-    for mask, shift in moves:
-        part = v & mask
-        out |= part << shift if shift >= 0 else part >> -shift
-    return out
-
-
-def _prefix_gathers(vectors, levels):
-    # For each a in lex order, the packed vectors gathered along all of a's
-    # digits: field b - a of the o-th one is field op_o(a, b) of vectors[o],
-    # for every b >=lex a.  A prefix's gathers serve every a that extends it.
-    if not levels:
-        yield vectors
-        return
-    for moves in levels[0]:
-        yield from _prefix_gathers(
-            tuple([_gather(v, m) for v, m in zip(vectors, moves)]), levels[1:]
-        )
 
 
 def expand_to_table(f: ValueOracle, cap: int = DEFAULT_ENUM_CAP) -> TableFunction:
@@ -640,7 +578,7 @@ def _require_key(obj: Mapping, key: str) -> object:
 
 def instance_from_json(obj: object) -> ValueOracle:
     """Parse a table-form or sum-form JSON document into an oracle."""
-    if not isinstance(obj, Mapping):
+    if not _is_mapping(obj):
         raise InstanceFormatError("instance document must be a JSON object")
     fmt = _require_key(obj, "format")
     raw_n = _require_key(obj, "n")
@@ -653,7 +591,7 @@ def instance_from_json(obj: object) -> ValueOracle:
         raise InstanceFormatError(str(exc)) from None
     if fmt == "table":
         values = _require_key(obj, "values")
-        if not isinstance(values, Mapping):
+        if not _is_mapping(values):
             raise InstanceFormatError("'values' must be an object")
         try:
             return TableFunction(n, alpha, values)
@@ -663,9 +601,10 @@ def instance_from_json(obj: object) -> ValueOracle:
         raw_terms = _require_key(obj, "terms")
         if not isinstance(raw_terms, list) or not raw_terms:
             raise InstanceFormatError("'terms' must be a non-empty array")
-        terms = []
+        scopes = []
+        rows = []
         for pos, raw_term in enumerate(raw_terms):
-            if not isinstance(raw_term, Mapping):
+            if not _is_mapping(raw_term):
                 raise InstanceFormatError(f"terms[{pos}] must be an object")
             raw_scope = _require_key(raw_term, "scope")
             if (
@@ -684,17 +623,15 @@ def instance_from_json(obj: object) -> ValueOracle:
             if len(set(raw_scope)) != len(raw_scope):
                 raise InstanceFormatError(f"terms[{pos}].scope has repeated indices")
             values = _require_key(raw_term, "values")
-            if not isinstance(values, Mapping):
+            if not _is_mapping(values):
                 raise InstanceFormatError(f"terms[{pos}].values must be an object")
             try:
-                table = TableFunction(len(raw_scope), alpha, values)
+                table = _table_values(len(raw_scope), values, _parsed_ratio, _ratio)
             except ValueError as exc:
                 raise InstanceFormatError(f"terms[{pos}]: {exc}") from None
-            terms.append(Term(tuple(raw_scope), table))
-        try:
-            return SumFunction(n, alpha, terms)
-        except ValueError as exc:
-            raise InstanceFormatError(str(exc)) from None
+            scopes.append(tuple(raw_scope))
+            rows.append(list(map(table.__getitem__, _lex_labelings(len(raw_scope)))))
+        return SumFunction._loaded(n, alpha, scopes, rows)
     raise InstanceFormatError(f"unknown format {fmt!r} (expected 'table' or 'sum')")
 
 

@@ -18,8 +18,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .functions import CapExceededError, DEFAULT_ENUM_CAP, ValueOracle, exceeds_cap
-from .lattice import Alpha, Labeling, NEG, POS, all_labelings, lex_index
+from .functions import ValueOracle
+from .lattice import (
+    DEFAULT_ENUM_CAP,
+    NEG,
+    POS,
+    Alpha,
+    CapExceededError,
+    Labeling,
+    all_labelings,
+    exceeds_cap,
+    lex_index,
+)
 from .lovasz import (
     FractionalPoint,
     _check_oracle_point,
@@ -28,7 +38,7 @@ from .lovasz import (
     midpoint,
 )
 from .rationals import common_denominator
-from .simplex import linear_min
+from .simplex import IntegerRows, linear_min
 
 #: The closure LP has one variable per domain point.  Started at the chain
 #: basis, one exact solve at 3^6 = 729 columns takes 1.6-2.4 ms on a
@@ -73,18 +83,21 @@ def check_lp_cap(n: int, cap: int = DEFAULT_LP_CAP) -> None:
 
 
 @functools.lru_cache(maxsize=8)
-def _closure_rows(n: int, p: int, q: int) -> Tuple[Tuple[int, ...], ...]:
+def _closure_rows(n: int, p: int, q: int) -> IntegerRows:
     """The closure LP's rows over all 3^n labelings in lex order, in integers.
 
     Row 0 is the normalization row of ones; row 1 + j holds q u_j, the j-th
     coordinate of each point u of {-p/q, 0, 1}^n scaled by q: -p, 0 or q.
-    A run meets only a few (n, alpha); at n = 6 one entry is 7 x 729 ints.
+    They come with their columns (`simplex.IntegerRows`), so every closure
+    LP of a run shares one column form.  A run meets only a few (n, alpha);
+    at n = 6 one entry is 7 x 729 ints, held once by rows and once by
+    columns.
     """
     entry = {NEG: -p, POS: q}
     labelings = list(all_labelings(n))
     rows = [(1,) * len(labelings)]
     rows.extend(tuple([entry.get(u[j], 0) for u in labelings]) for j in range(n))
-    return tuple(rows)
+    return IntegerRows(rows, len(labelings))
 
 
 def convex_closure(

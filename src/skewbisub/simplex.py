@@ -74,8 +74,14 @@ column, so the optimum found is the optimum of the program whatever S was.
 A column appended to M and C (`append`) changes neither B nor R nor
 d B^-1 r nor pi, so the state stays a feasible basis of the larger program
 and `optimize` resumes from it; only the new column can price negative
-there.  `linear_min` starts a program at the caller's basis and optimizes
-it once; Kelley's master LP in `minimize` grows one, one column per cut.
+there.  So the program counts in `priced` the leading columns known to
+price nonnegative at its basis: all of them when a pass finds no negative
+price, none after a pivot, and `append` leaves the count as it is.  A pass
+starts after them, so a resume at an optimum prices the appended column
+alone, and enters it if its price is negative, as Bland's full pass would:
+every column before it prices nonnegative.  The pivots are Bland's.
+`linear_min` starts a program at the caller's basis and optimizes it once;
+Kelley's master LP in `minimize` grows one, one column per cut.
 
 The step prices a leading block of unit columns in closed form.  `units`
 counts the pairs in it: M's first 2 units columns are u_j = -e_j, then
@@ -132,16 +138,34 @@ def _eliminate(
     return p
 
 
+class IntegerRows(tuple):
+    """An integer matrix as the tuple of its rows, holding its columns too.
+
+    The solver keeps a matrix by columns.  A caller that solves many
+    programs with one integer matrix builds it once in this form, and
+    `linear_min` takes its columns as they are instead of checking every
+    entry's type and transposing the rows again on every call.
+    """
+
+    def __new__(cls, rows: Sequence[Sequence[int]], n: int) -> "IntegerRows":
+        self = super().__new__(cls, rows)
+        #: The columns, n of them.
+        self.columns = tuple(zip(*rows)) if rows else ((),) * n
+        return self
+
+
 def _integer_program(
     c: Sequence[Fraction],
     A: Sequence[Sequence[Fraction]],
     b: Sequence[Fraction],
     start: Sequence[int],
-) -> Tuple[Sequence[int], List[Sequence[int]], List[int]]:
+) -> Tuple[Sequence[int], Sequence[Sequence[int]], List[int]]:
     """(C, M, r): the objective and each row [A_i | b_i] scaled to integers.
 
-    M comes back as its list of columns.  Raises ValueError on inconsistent
-    dimensions or a start of the wrong size or out of range.
+    M comes back as its list of columns, which an `IntegerRows` A holds
+    already; its rows are scaled only when b is not all integers.  Raises
+    ValueError on inconsistent dimensions or a start of the wrong size or
+    out of range.
     """
     m = len(A)
     n = len(c)
@@ -149,15 +173,18 @@ def _integer_program(
         raise ValueError("inconsistent LP dimensions")
     if len(start) != m or not all(0 <= j < n for j in start):
         raise ValueError(f"a start basis needs {m} columns in range(0, {n}), got {list(start)}")
-    rows: List[Sequence[int]] = []
-    r: List[int] = []
-    for row, rhs in zip(A, b):
-        if type(rhs) is not int or not set(map(type, row)) <= {int}:
-            _, ints = common_denominator([*row, rhs])
-            row, rhs = ints[:-1], ints[-1]
-        rows.append(row)
-        r.append(rhs)
-    columns = list(zip(*rows)) if rows else [()] * n
+    if isinstance(A, IntegerRows) and set(map(type, b)) <= {int}:
+        columns, r = A.columns, list(b)
+    else:
+        rows: List[Sequence[int]] = []
+        r = []
+        for row, rhs in zip(A, b):
+            if type(rhs) is not int or not set(map(type, row)) <= {int}:
+                _, ints = common_denominator([*row, rhs])
+                row, rhs = ints[:-1], ints[-1]
+            rows.append(row)
+            r.append(rhs)
+        columns = list(zip(*rows)) if rows else [()] * n
     if not set(map(type, c)) <= {int}:
         c = common_denominator(c)[1]
     return c, columns, r
@@ -231,6 +258,8 @@ class _Program:
         self.pi = _duals(inverse, basis, costs)
         #: Bland pivots made by `optimize`.
         self.pivots = 0
+        #: The leading columns known to price nonnegative at this basis.
+        self.priced = 0
 
     def append(self, cost: int, column: Sequence[int]) -> None:
         """Add a column; the basis stays feasible, and `optimize` resumes from it."""
@@ -247,21 +276,29 @@ class _Program:
         return self
 
     def _step(self) -> bool:
-        """Make one pivot of Bland's rule; False when no column prices negative."""
+        """Make one pivot of Bland's rule; False when no column prices negative.
+
+        Bland's rule enters the first column that prices negative, so the
+        pass starts after the `priced` leading columns, which cannot.
+        """
         costs, pi, d, units = self.costs, self.pi, self.d, self.units
-        for sign, first in ((-1, 0), (1, units)):
-            for j in range(units):
-                price = d * costs[first + j] - sign * pi[j]
-                if price < 0:
-                    self._enter(first + j, [sign * r[j] for r in self.inverse], price)
-                    return True
+        first = max(self.priced, 2 * units)
+        if self.priced < 2 * units:
+            for sign, base in ((-1, 0), (1, units)):
+                for j in range(units):
+                    price = d * costs[base + j] - sign * pi[j]
+                    if price < 0:
+                        self._enter(base + j, [sign * r[j] for r in self.inverse], price)
+                        return True
         for col, (cj, a) in enumerate(
-            zip(islice(costs, 2 * units, None), self.columns), 2 * units
+            zip(islice(costs, first, None), islice(self.columns, first - 2 * units, None)),
+            first,
         ):
             price = d * cj - sum(map(mul, pi, a))
             if price < 0:
                 self._enter(col, _entering(self.inverse, a), price)
                 return True
+        self.priced = len(costs)
         return False
 
     def _enter(self, col: int, w: List[int], price: int) -> None:
@@ -286,6 +323,7 @@ class _Program:
         # pi' = (w_s pi + P_j R_s) / d, exact; zip stops before the right-hand side.
         self.pi = [(best_a * v + price * r) // d for v, r in zip(self.pi, inverse[best_row])]
         self.d = _eliminate(inverse, w, basis, d, best_row, col)
+        self.priced = 0
 
 
 # Kept for speed, not for a different result: pivoting the same basis in
@@ -315,7 +353,10 @@ def _unit_pair_start(column: Sequence[int], p: int, q: int) -> _Program:
     inverse.append([0] * n + [1, 1])
     basis = [j if v > 0 else n + j for j, v in enumerate(column[:n])]
     basis.append(2 * n)
-    return _Program([p] * n + [q] * n + [0], [column], inverse, basis, column[n], n)
+    program = _Program([p] * n + [q] * n + [0], [column], inverse, basis, column[n], n)
+    # The basis is optimal: no column prices negative.
+    program.priced = len(program.costs)
+    return program
 
 
 def linear_min(
@@ -326,11 +367,13 @@ def linear_min(
 ) -> Tuple[Fraction, List[Fraction]]:
     """Solve min c.x s.t. A x = b, x >= 0 exactly from a feasible basis.
 
-    `start` lists the m columns of a feasible basis of A x = b.  Returns
-    (optimal value, one optimal basic solution); the optimum does not
-    depend on `start`, the basic solution returned may.  Raises
-    LPUnboundedError when the objective is unbounded below, and ValueError
-    on inconsistent dimensions or when `start` is not a feasible basis.
+    A is the sequence of its rows; an `IntegerRows` A hands the solver its
+    columns as they are.  `start` lists the m columns of a feasible basis
+    of A x = b.  Returns (optimal value, one optimal basic solution); the
+    optimum does not depend on `start`, the basic solution returned may.
+    Raises LPUnboundedError when the objective is unbounded below, and
+    ValueError on inconsistent dimensions or when `start` is not a feasible
+    basis.
     """
     C, M, r = _integer_program(c, A, b, start)
     program = _Program(C, M, *_start_basis(M, r, start)).optimize()

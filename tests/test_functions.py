@@ -133,6 +133,62 @@ def test_sum_evaluation_matches_the_fraction_reference(case):
         assert f.call_count == calls
 
 
+def _term(scope, values):
+    """A sum document's term on `scope` with `values` in lex order."""
+    labelings = all_labelings(len(scope))
+    return {
+        "scope": list(scope),
+        "values": {format_labeling(u): format_rational(Fraction(v)) for u, v in zip(labelings, values)},
+    }
+
+
+_HUGE = 10**400
+
+#: (sum terms at n = 4, the number of tables they merge into).
+_MERGED_SUMS = {
+    "repeated scope": ([_term((0, 1), range(9)), _term((0, 1), range(0, 27, 3))], 1),
+    "pair and its reverse": ([_term((0, 2), range(9)), _term((2, 0), [5, -1, 2, 7, 0, 3, -4, 8, 1])], 1),
+    "covered unary": ([_term((1,), [1, 0, 2]), _term((1, 3), range(9))], 1),
+    "covered unary after its cover": ([_term((3, 1), range(9)), _term((1,), ["1/2", 0, 3])], 1),
+    "uncovered unary": ([_term((3,), [4, 0, -1]), _term((0, 1), range(9)), _term((3,), [1, 1, 1])], 2),
+    "3-ary term covers unary": (
+        [_term((2, 0, 3), range(27)), _term((3,), [-2, 0, "5/3"]), _term((0,), [1, 2, 3])],
+        1,
+    ),
+    "10^400 values": (
+        [
+            _term((1, 0), [_HUGE, 0, -_HUGE, 1, 2, 3, Fraction(-_HUGE, 7), 4, 5]),
+            _term((0, 1), [Fraction(_HUGE, 3)] * 9),
+            _term((0,), [-_HUGE, _HUGE, 0]),
+            _term((2,), [0, Fraction(1, 7), _HUGE]),
+        ],
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_MERGED_SUMS))
+def test_merged_tables_read_the_term_sum(name):
+    # Terms on one set of coordinates, in any order, and the unary terms that
+    # a larger scope covers are read from one merged table; every read is
+    # still the sum of the term values and one oracle call.
+    terms, tables = _MERGED_SUMS[name]
+    doc = {"format": "sum", "n": 4, "alpha": "1/3", "terms": terms}
+    f = instance_from_json(doc)
+    assert len(f._pairs) + len(f._others) == tables
+    for calls, u in enumerate(all_labelings(4), start=1):
+        numerator = f.numerator(u)
+        value = f.evaluate(u)
+        assert f.call_count == 2 * calls
+        assert value == Fraction(numerator, f.denominator) == reference_sum_value(f, u)
+    # The terms come back as given, unmerged and in order.
+    assert len(f.terms) == len(terms)
+    assert instance_to_json(instance_from_json(doc)) == doc
+    built = SumFunction(4, f.alpha, f.terms)
+    assert all(built.numerator(u) * f.denominator == f.numerator(u) * built.denominator
+               for u in all_labelings(4))
+
+
 @st.composite
 def table_documents(draw):
     """A table-form JSON document, n <= 4, and points to read it at."""

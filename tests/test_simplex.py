@@ -424,6 +424,42 @@ def test_carried_duals_on_master_cuts(case):
     assert len(checked) >= master.pivots
 
 
+def _state(program):
+    return program.inverse, program.basis, program.d, program.pi
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cut_sequences())
+def test_a_resumed_step_is_the_full_bland_step(case):
+    # After each appended cut the master resumes from its optimum, where
+    # every earlier column is known to price nonnegative, so its first step
+    # prices the new column alone.  Each step of the resume leaves the state
+    # that a full Bland pass leaves on a copy with nothing marked priced.
+    n, alpha, cuts = case
+    master = add_cut(None, cut_column(cuts[0]), alpha)
+    assert master.priced == len(master.costs)
+    for g in cuts[1:]:
+        master.append(0, cut_column(g))
+        assert master.priced == len(master.costs) - 1
+        while True:
+            full = simplex._Program(
+                master.costs[:],
+                master.columns[:],
+                [row[:] for row in master.inverse],
+                master.basis[:],
+                master.d,
+                master.units,
+            )
+            assert full.priced == 0 and full.pi == master.pi
+            made = master._step()
+            assert made == full._step()
+            assert _state(master) == _state(full)
+            if not made:
+                break
+            assert master.priced == 0
+        assert master.priced == len(master.costs)
+
+
 def test_a_minimize_run_carries_exact_duals():
     # A run with pivots in most rounds: every one of them is checked.
     f = generate_instance(12, ALPHA_GRID[1], num_terms=24, max_scope=2, seed=5)
