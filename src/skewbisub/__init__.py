@@ -8,10 +8,8 @@ together.
 """
 
 from .lattice import (
-    DEFAULT_ENUM_CAP,
     Alpha,
     ArityMismatchError,
-    CapExceededError,
     Label,
     Labeling,
     LEX_ORDER,
@@ -27,8 +25,9 @@ from .lattice import (
     numeric,
     parse_labeling,
 )
-from .checker import ViolationWitness, check_alpha_bisubmodular
 from .functions import (
+    CapExceededError,
+    DEFAULT_ENUM_CAP,
     GenerationBudgetError,
     InstanceFormatError,
     SumFunction,
@@ -40,6 +39,7 @@ from .functions import (
     instance_from_json,
     instance_to_json,
 )
+from .checker import ViolationWitness, check_alpha_bisubmodular
 from .lovasz import (
     ChainDecomposition,
     FractionalPoint,

@@ -19,27 +19,17 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .checker import check_alpha_bisubmodular
 from .functions import (
+    CapExceededError,
     GenerationBudgetError,
     InstanceFormatError,
     ValueOracle,
+    check_alpha_bisubmodular,
     generate_instance,
     instance_from_json,
     instance_to_json,
 )
-from .lattice import (
-    NEG,
-    POS,
-    ZERO,
-    Alpha,
-    CapExceededError,
-    Labeling,
-    all_labelings,
-    join,
-    meet0,
-    numeric,
-)
+from .lattice import Alpha, Labeling, NEG, POS, ZERO, all_labelings, join, meet0, numeric
 from .lovasz import FractionalPoint, decompose, extension_value
 from .minimize import NOT_CONVEX, MinimizeConfig, minimize
 from .oracles import brute_force_min, check_lp_cap, convex_closure, random_box_point

@@ -171,7 +171,8 @@ def _is_mapping(obj: object) -> bool:
 def _lex_labelings(arity: int) -> Tuple[Labeling, ...]:
     # `all_labelings(arity)` as a tuple, made once per arity.  The arity is
     # a validated int, and the loader asks only for arities whose 3^arity
-    # labelings the document itself has as keys.
+    # labelings the document itself has as keys, so an entry here and in
+    # `_labelings_by_key` is about as large as the document that made it.
     return tuple(all_labelings(arity))
 
 

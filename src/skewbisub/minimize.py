@@ -84,19 +84,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .functions import ValueOracle
-from .lattice import (
-    NEG,
-    POS,
-    ZERO,
-    Alpha,
-    CapExceededError,
-    Label,
-    Labeling,
-    format_labeling,
-    labeling_at,
-    numeric,
-)
+from .functions import CapExceededError, ValueOracle
+from .lattice import NEG, POS, ZERO, Alpha, Label, Labeling, format_labeling, labeling_at, numeric
 from .lovasz import FractionalPoint, _check_oracle_point, _cut_column, chain_order
 
 # Not used here; bench/tracing.py wraps these names on this module.

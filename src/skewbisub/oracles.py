@@ -18,18 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .functions import ValueOracle
-from .lattice import (
-    DEFAULT_ENUM_CAP,
-    NEG,
-    POS,
-    Alpha,
-    CapExceededError,
-    Labeling,
-    all_labelings,
-    exceeds_cap,
-    lex_index,
-)
+from .functions import CapExceededError, DEFAULT_ENUM_CAP, ValueOracle, exceeds_cap
+from .lattice import Alpha, Labeling, NEG, POS, all_labelings, lex_index
 from .lovasz import (
     FractionalPoint,
     _check_oracle_point,
