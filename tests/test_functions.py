@@ -136,10 +136,8 @@ def test_sum_evaluation_matches_the_fraction_reference(case):
 def _term(scope, values):
     """A sum document's term on `scope` with `values` in lex order."""
     labelings = all_labelings(len(scope))
-    return {
-        "scope": list(scope),
-        "values": {format_labeling(u): format_rational(Fraction(v)) for u, v in zip(labelings, values)},
-    }
+    texts = {format_labeling(u): format_rational(Fraction(v)) for u, v in zip(labelings, values)}
+    return {"scope": list(scope), "values": texts}
 
 
 _HUGE = 10**400
@@ -147,10 +145,16 @@ _HUGE = 10**400
 #: (sum terms at n = 4, the number of tables they merge into).
 _MERGED_SUMS = {
     "repeated scope": ([_term((0, 1), range(9)), _term((0, 1), range(0, 27, 3))], 1),
-    "pair and its reverse": ([_term((0, 2), range(9)), _term((2, 0), [5, -1, 2, 7, 0, 3, -4, 8, 1])], 1),
+    "pair and its reverse": (
+        [_term((0, 2), range(9)), _term((2, 0), [5, -1, 2, 7, 0, 3, -4, 8, 1])],
+        1,
+    ),
     "covered unary": ([_term((1,), [1, 0, 2]), _term((1, 3), range(9))], 1),
     "covered unary after its cover": ([_term((3, 1), range(9)), _term((1,), ["1/2", 0, 3])], 1),
-    "uncovered unary": ([_term((3,), [4, 0, -1]), _term((0, 1), range(9)), _term((3,), [1, 1, 1])], 2),
+    "uncovered unary": (
+        [_term((3,), [4, 0, -1]), _term((0, 1), range(9)), _term((3,), [1, 1, 1])],
+        2,
+    ),
     "3-ary term covers unary": (
         [_term((2, 0, 3), range(27)), _term((3,), [-2, 0, "5/3"]), _term((0,), [1, 2, 3])],
         1,
