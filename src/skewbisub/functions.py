@@ -219,7 +219,11 @@ def _table_values(
     known = {} if exceeds_cap(arity, len(values)) else _labelings_by_key(arity)
     table: Dict[Labeling, object] = {}
     for key, raw in values.items():
-        labeling = known.get(key)
+        try:
+            labeling = known.get(key)
+        except TypeError:
+            # An unhashable key, which a Mapping other than a dict can have.
+            labeling = None
         if labeling is None:
             labeling = _key_labeling(key, arity, where)
         if labeling in table:

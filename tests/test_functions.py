@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -533,6 +534,26 @@ class TestJson:
         with pytest.raises(InstanceFormatError) as raised:
             TableFunction(1, alpha_half, values)
         assert str(raised.value) == message
+
+    def test_an_unhashable_key_is_a_bad_key(self, alpha_half):
+        # A Mapping other than a dict can yield a key that cannot be hashed.
+        class Pairs(Mapping):
+            def __init__(self, items):
+                self._items = items
+
+            def __getitem__(self, key):
+                return next(v for k, v in self._items if k == key)
+
+            def __iter__(self):
+                return iter([k for k, _ in self._items])
+
+            def __len__(self):
+                return len(self._items)
+
+        for values in (Pairs([("-", 0), (["0"], 1), ("+", 2)]), Pairs([(["0"], 1)])):
+            with pytest.raises(InstanceFormatError) as raised:
+                TableFunction(1, alpha_half, values)
+            assert str(raised.value) == "values: bad labeling key ['0']"
 
     def test_malformed_sum_scope(self, alpha_half):
         doc = instance_to_json(generate_instance(3, alpha_half, num_terms=1, max_scope=2, seed=2))
