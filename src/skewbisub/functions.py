@@ -20,21 +20,25 @@ scopes allow.  Terms on the same set of coordinates, in any order, become
 one table over the sorted scope, and each unary term is added into a table
 that covers its coordinate.  A read turns the labeling into base-3 digits
 once and adds one plain int per merged table; `evaluate` makes one
-Fraction of the total.  A table is scaled to integers over the lcm of its
-values' denominators on its first integer read, not when it is built, so
-code that reads only Fractions (the checker) never pays for it; `evaluate`
-returns the stored Fraction.
+Fraction of the total.  A table is integer from the moment it is built:
+its 3^n values are held as numerators over the lcm D of their
+denominators, in lex order, and a Fraction is made only when one is read
+(`evaluate`, `TableFunction.__getitem__`, `instance_to_json`).
+
+`numerators()` is the one bulk read: all 3^n numerators in lex order, as a
+tuple, for code that reads every point (the checker, brute force, the
+closure LP's costs).  A table hands over its stored row.
 
 A document is read in one pass, through `_table_values`, the one copy of
-the key and value rules, for a table and for each term of a sum alike.  A
-sum's term values go straight to (numerator, denominator) pairs in lex
-order, with no Fraction made, and its `Term` tables are built only when
+the key and value rules, for a table and for each term of a sum alike.
+Values go straight to (numerator, denominator) pairs, each distinct text
+parsed once per process, and a sum's `Term` tables are built only when
 `terms` is first read.
 
 Oracle-call accounting: `evaluate` and `numerator` each bump `call_count`
-by exactly one per call.  The counter is a plain attribute with no locking;
-either confine an oracle to one thread or only trust the count after all
-evaluation has quiesced.
+by exactly one per call, and `numerators` by 3^n.  The counter is a plain
+attribute with no locking; either confine an oracle to one thread or only
+trust the count after all evaluation has quiesced.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from __future__ import annotations
 import abc
 import math
 import random
+from collections import defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
@@ -67,7 +72,7 @@ from .lattice import (
     meet0,
     parse_labeling,
 )
-from .rationals import common_denominator, format_rational, parse_rational
+from .rationals import format_rational, parse_rational
 
 #: `generate_instance` draws its integer term values uniformly from here.
 _VALUE_RANGE = (-10, 10)
@@ -101,7 +106,7 @@ class ValueOracle(abc.ABC):
 
     @property
     def call_count(self) -> int:
-        """Number of `evaluate` and `numerator` calls made so far."""
+        """Oracle calls so far: one per `evaluate` or `numerator`, 3^n per `numerators`."""
         return self._call_count
 
     @property
@@ -128,6 +133,14 @@ class ValueOracle(abc.ABC):
         self._call_count += 1
         return self._numerator(labeling)
 
+    def numerators(self) -> Tuple[int, ...]:
+        """`numerator` at all 3^n labelings in lex order; counts 3^n oracle calls.
+
+        Callers that read every point check the arity against their
+        enumeration cap first.
+        """
+        return tuple(map(self.numerator, all_labelings(self._arity)))
+
     @abc.abstractmethod
     def _numerator(self, labeling: Labeling) -> int:
         raise NotImplementedError
@@ -147,18 +160,14 @@ _parsed_rational = lru_cache(maxsize=1 << 12)(parse_rational)
 
 @lru_cache(maxsize=1 << 12)
 def _parsed_ratio(text: str) -> Tuple[int, int]:
-    # A value text as (numerator, denominator), for a sum's integer tables.
+    # A value text as (numerator, denominator), for the integer tables.
     return _parsed_rational(text).as_integer_ratio()
 
 
-def _rational(raw: object) -> Fraction:
+def _ratio(raw: object) -> Tuple[int, int]:
     # A value that is not a str.  Fraction is an abstract base class's
     # subclass, so the isinstance test is a Python-level call.
-    return raw if isinstance(raw, Fraction) else parse_rational(raw)
-
-
-def _ratio(raw: object) -> Tuple[int, int]:
-    return _rational(raw).as_integer_ratio()
+    return (raw if isinstance(raw, Fraction) else parse_rational(raw)).as_integer_ratio()
 
 
 def _is_mapping(obj: object) -> bool:
@@ -170,17 +179,21 @@ def _is_mapping(obj: object) -> bool:
 @lru_cache(maxsize=16)
 def _lex_labelings(arity: int) -> Tuple[Labeling, ...]:
     # `all_labelings(arity)` as a tuple, made once per arity.  The arity is
-    # a validated int, and the loader asks only for arities whose 3^arity
-    # labelings the document itself has as keys, so an entry here and in
-    # `_labelings_by_key` is about as large as the document that made it.
+    # a validated int, and only tables ask for it, once their 3^arity values
+    # are in hand, so an entry here and in `_indices_by_key` is about as
+    # large as the table that made it.
     return tuple(all_labelings(arity))
 
 
 @lru_cache(maxsize=16)
-def _labelings_by_key(arity: int) -> Dict[object, Labeling]:
-    # Every labeling of length `arity` by itself and by its text.
+def _indices_by_key(arity: int) -> Dict[object, int]:
+    # The lex index of every labeling of length `arity`, by the labeling
+    # and by its text.
     labelings = _lex_labelings(arity)
-    return {**dict(zip(labelings, labelings)), **{format_labeling(u): u for u in labelings}}
+    return {
+        **{u: k for k, u in enumerate(labelings)},
+        **{format_labeling(u): k for k, u in enumerate(labelings)},
+    }
 
 
 def _key_labeling(key: object, arity: int, where: str) -> Labeling:
@@ -205,8 +218,8 @@ def _table_values(
     read_text: Callable[[str], object],
     read_other: Callable[[object], object],
     where: str = "values",
-) -> Dict[Labeling, object]:
-    """A complete table's values by labeling, in the order of `values`.
+) -> List[object]:
+    """A complete table's values in lex order.
 
     Keys are label tuples or '-','0','+' strings; a str value is read by
     `read_text` and any other by `read_other`.  These are the one copy of
@@ -214,74 +227,112 @@ def _table_values(
     bad value and a missing labeling each raise InstanceFormatError, the
     first of them in the order of `values`, a missing one after all keys.
     """
-    # Distinct keys of length `arity` number at most 3^arity, so a table
-    # with fewer keys lacks one, and its labelings are not made up front.
-    known = {} if exceeds_cap(arity, len(values)) else _labelings_by_key(arity)
-    table: Dict[Labeling, object] = {}
+    # Distinct keys of length `arity` number at most 3^arity.  A table with
+    # as many keys holds each value at its labeling's lex index, and every
+    # key that is not one of the table's texts or labelings is bad.  A
+    # table with fewer keys lacks one: it holds its values by labeling, so
+    # no lex index or list of labelings is made, whatever the arity.  An
+    # empty slot reads None either way; no reader returns None.
+    if exceeds_cap(arity, len(values)):
+        known: Dict[object, int] = {}
+        table = defaultdict(lambda: None)
+    else:
+        known = _indices_by_key(arity)
+        table = [None] * len(_lex_labelings(arity))
     for key, raw in values.items():
         try:
-            labeling = known.get(key)
+            slot = known.get(key)
         except TypeError:
             # An unhashable key, which a Mapping other than a dict can have.
-            labeling = None
-        if labeling is None:
-            labeling = _key_labeling(key, arity, where)
-        if labeling in table:
+            slot = None
+        if slot is None:
+            slot = _key_labeling(key, arity, where)
+        if table[slot] is not None:
             raise InstanceFormatError(
-                f"{where}: duplicate key {format_labeling(labeling)!r}"
+                f"{where}: duplicate key {_slot_text(slot, arity)!r}"
             )
         try:
             # Strings first: a str is never a Fraction.
-            table[labeling] = read_text(raw) if type(raw) is str else read_other(raw)
+            table[slot] = read_text(raw) if type(raw) is str else read_other(raw)
         except ValueError:
             # Parse again to name the key in the message.
-            parse_rational(raw, where=f"{where}[{format_labeling(labeling)!r}]")
+            parse_rational(raw, where=f"{where}[{_slot_text(slot, arity)!r}]")
     if not known:
-        for labeling in all_labelings(arity):
-            if labeling not in table:
-                raise InstanceFormatError(
-                    f"{where}: missing value for labeling {format_labeling(labeling)!r}"
-                )
+        missing = next(u for u in all_labelings(arity) if table[u] is None)
+        raise InstanceFormatError(
+            f"{where}: missing value for labeling {format_labeling(missing)!r}"
+        )
     return table
+
+
+def _slot_text(slot: object, arity: int) -> str:
+    # The text of a labeling that `_table_values` holds a value at.
+    return format_labeling(_lex_labelings(arity)[slot] if type(slot) is int else slot)
+
+
+def _over_lcm(ratios: Sequence[Tuple[int, int]]) -> Tuple[int, List[int]]:
+    """The lcm D of the (numerator, denominator) pairs' denominators, and
+    each pair's value times D, an exact int."""
+    scale = math.lcm(*{den for _, den in ratios})
+    if scale == 1:
+        return 1, [num for num, _ in ratios]
+    return scale, [num * (scale // den) for num, den in ratios]
 
 
 class TableFunction(ValueOracle):
     """An explicit function given by its complete 3^n value table.
 
     Keys may be label tuples or '-','0','+' strings; values anything
-    `parse_rational` accepts, or Fractions.
+    `parse_rational` accepts, or Fractions.  The table is held as a row of
+    integer numerators over D, the lcm of the values' denominators, in lex
+    order, which `numerators` hands over.  The first read of one labeling
+    makes the table by labeling, so that every such read is one dict
+    lookup; code that reads only the row (the checker) never makes it.
     """
 
-    #: The table scaled to integers over `_denominator`, made on first use.
-    _numerators: Optional[Dict[Labeling, int]] = None
+    #: The row by labeling, made on the first read of one labeling.
+    _by_labeling: Optional[Dict[Labeling, int]] = None
 
     def __init__(self, arity: int, alpha: Alpha, values: Mapping[object, object]):
         super().__init__(arity, alpha)
-        self._table = _table_values(arity, values, _parsed_rational, _rational)
+        self._store(*_over_lcm(_table_values(arity, values, _parsed_ratio, _ratio)))
 
-    def __getitem__(self, labeling: Labeling) -> Fraction:
-        """Direct table read; does not count as an oracle call."""
-        return self._table[labeling]
+    @classmethod
+    def _of_row(
+        cls, arity: int, alpha: Alpha, denominator: int, row: Sequence[int]
+    ) -> "TableFunction":
+        """The table f(u) = row[lex_index(u)] / denominator, for a row of 3^arity
+        ints over a denominator that no smaller one serves."""
+        f = cls.__new__(cls)
+        ValueOracle.__init__(f, arity, alpha)
+        f._store(denominator, row)
+        return f
 
-    def _compile(self) -> Dict[Labeling, int]:
-        self._denominator, ints = common_denominator(list(self._table.values()))
-        self._numerators = dict(zip(self._table, ints))
-        return self._numerators
+    def _store(self, denominator: int, row: Sequence[int]) -> None:
+        self._denominator = denominator
+        self._row = tuple(row)
 
     @property
     def denominator(self) -> int:
-        if self._numerators is None:
-            self._compile()
         return self._denominator
 
-    def _numerator(self, labeling: Labeling) -> int:
-        numerators = self._numerators
-        if numerators is None:
-            numerators = self._compile()
-        return numerators[labeling]
+    def numerators(self) -> Tuple[int, ...]:
+        self._call_count += len(self._row)
+        return self._row
 
-    def _value(self, labeling: Labeling) -> Fraction:
-        return self._table[labeling]
+    def _lookup(self, labeling: Labeling) -> int:
+        by_labeling = self._by_labeling
+        if by_labeling is None:
+            by_labeling = self._by_labeling = dict(zip(_lex_labelings(self.arity), self._row))
+        return by_labeling[labeling]
+
+    _numerator = _lookup
+
+    def __getitem__(self, labeling: Labeling) -> Fraction:
+        """Direct table read; does not count as an oracle call."""
+        return Fraction(self._lookup(labeling), self._denominator)
+
+    _value = __getitem__
 
 
 class Term(NamedTuple):
@@ -372,10 +423,7 @@ class SumFunction(ValueOracle):
         self._terms: Optional[Tuple[Term, ...]] = tuple(terms)
         self._compile(
             [tuple(scope) for scope, _ in self._terms],
-            [
-                [table[u].as_integer_ratio() for u in all_labelings(table.arity)]
-                for _, table in self._terms
-            ],
+            [[(v, table.denominator) for v in table._row] for _, table in self._terms],
         )
 
     @classmethod
@@ -416,11 +464,7 @@ class SumFunction(ValueOracle):
             scopes, rows = self._rows
             alpha = self.alpha
             self._terms = tuple([
-                Term(scope, TableFunction(
-                    len(scope),
-                    alpha,
-                    dict(zip(_lex_labelings(len(scope)), [Fraction(*v) for v in row])),
-                ))
+                Term(scope, TableFunction._of_row(len(scope), alpha, *_over_lcm(row)))
                 for scope, row in zip(scopes, rows)
             ])
             self._rows = None
@@ -447,8 +491,12 @@ def expand_to_table(f: ValueOracle, cap: int = DEFAULT_ENUM_CAP) -> TableFunctio
     """Materialize any oracle into an explicit complete table."""
     if exceeds_cap(f.arity, cap):
         raise CapExceededError(f"3^{f.arity} points exceed the enumeration cap {cap}")
-    values = {a: f.evaluate(a) for a in all_labelings(f.arity)}
-    return TableFunction(f.arity, f.alpha, values)
+    row = f.numerators()
+    # The lcm of the values' denominators is D over the gcd of D and the row.
+    common = math.gcd(f.denominator, *row)
+    return TableFunction._of_row(
+        f.arity, f.alpha, f.denominator // common, [v // common for v in row]
+    )
 
 
 @lru_cache(maxsize=64)
@@ -553,9 +601,7 @@ def generate_instance(
             int_values = _randints(rng, lo, hi, 3**k)
             if not _accepts(int_values, pairs, p, q):
                 continue
-            table = TableFunction(
-                k, alpha, {u: Fraction(v) for u, v in zip(all_labelings(k), int_values)}
-            )
+            table = TableFunction._of_row(k, alpha, 1, int_values)
             witness = check_alpha_bisubmodular(table)
             if witness is not None:  # pragma: no cover - guards the fast path
                 raise AssertionError(
@@ -631,11 +677,11 @@ def instance_from_json(obj: object) -> ValueOracle:
             if not _is_mapping(values):
                 raise InstanceFormatError(f"terms[{pos}].values must be an object")
             try:
-                table = _table_values(len(raw_scope), values, _parsed_ratio, _ratio)
+                row = _table_values(len(raw_scope), values, _parsed_ratio, _ratio)
             except ValueError as exc:
                 raise InstanceFormatError(f"terms[{pos}]: {exc}") from None
             scopes.append(tuple(raw_scope))
-            rows.append(list(map(table.__getitem__, _lex_labelings(len(raw_scope)))))
+            rows.append(row)
         return SumFunction._loaded(n, alpha, scopes, rows)
     raise InstanceFormatError(f"unknown format {fmt!r} (expected 'table' or 'sum')")
 
@@ -648,7 +694,8 @@ def instance_to_json(f: ValueOracle) -> dict:
             "n": f.arity,
             "alpha": str(f.alpha),
             "values": {
-                format_labeling(a): format_rational(f[a]) for a in all_labelings(f.arity)
+                format_labeling(a): format_rational(Fraction(v, f.denominator))
+                for a, v in zip(all_labelings(f.arity), f._row)
             },
         }
     if isinstance(f, SumFunction):

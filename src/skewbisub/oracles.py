@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .functions import CapExceededError, DEFAULT_ENUM_CAP, ValueOracle, exceeds_cap
-from .lattice import Alpha, Labeling, NEG, POS, all_labelings, lex_index
+from .lattice import Alpha, Labeling, NEG, POS, all_labelings, labeling_at, lex_index
 from .lovasz import (
     FractionalPoint,
     _check_oracle_point,
@@ -56,14 +56,10 @@ def brute_force_min(
     """Scan all 3^n points; ties go to the lexicographically first labeling."""
     if exceeds_cap(f.arity, cap):
         raise CapExceededError(f"3^{f.arity} points exceed the enumeration cap {cap}")
-    best_labeling: Optional[Labeling] = None
-    best_value: Optional[int] = None
-    for a in all_labelings(f.arity):
-        v = f.numerator(a)
-        if best_value is None or v < best_value:
-            best_labeling, best_value = a, v
-    assert best_labeling is not None and best_value is not None
-    return best_labeling, Fraction(best_value, f.denominator)
+    values = f.numerators()
+    # min keeps the first of equal keys, and the values are in lex order.
+    best = min(range(len(values)), key=values.__getitem__)
+    return labeling_at(best, f.arity), Fraction(values[best], f.denominator)
 
 
 def check_lp_cap(n: int, cap: int = DEFAULT_LP_CAP) -> None:
@@ -122,7 +118,7 @@ def convex_closure(
     labelings = list(all_labelings(n))
     # The costs are f's integer numerators over D, so the value comes back
     # times D.
-    costs = [f.numerator(a) for a in labelings]
+    costs = f.numerators()
     # Row 0 asks for total weight 1 and row 1 + j for the mean q x_j.  With
     # x = N / X, X = scale, the weights times X solve the same rows with the
     # integer right-hand side (X, q N), so weights and value come back

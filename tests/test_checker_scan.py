@@ -1,12 +1,15 @@
 """The packed-integer checker against a naive Fraction scan of all pairs.
 
-`check_alpha_bisubmodular` scales the values to integers, packs them into
-one wide int per vector and tests all b >=lex a of one a at once.  The
-reference below evaluates the inequality in Fractions at every one of the
-9^n ordered pairs, in lex order, and returns the first violating one.  Both
-must agree on the witness, or on None.
+`check_alpha_bisubmodular` reads the values as integers over one
+denominator, packs them into one wide int per vector and tests all
+b >=lex a of one a at once.  The reference below evaluates the inequality
+in Fractions at every one of the 9^n ordered pairs, in lex order, and
+returns the first violating one.  Both must agree on the witness, or on
+None, for a table built from a mapping and for the same table loaded from
+a JSON document.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -21,9 +24,12 @@ from skewbisub import (
     all_labelings,
     check_alpha_bisubmodular,
     expand_to_table,
+    format_labeling,
     generate_instance,
+    instance_from_json,
     numeric,
 )
+from skewbisub.rationals import format_rational
 from conftest import boundary_shift, pair_sides
 
 _ALPHAS = [Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(2, 7), Fraction(5, 9)]
@@ -39,12 +45,12 @@ def _naive_witness(values, n, alpha):
     return None
 
 
-def _assert_checker_matches(values, n, alpha):
-    f = TableFunction(n, Alpha(alpha), values)
+def _assert_checks_match(f, expected):
+    """f's witness is `expected`, and each check reads f once: 3^n calls."""
+    n = f.arity
     before = f.call_count
     witness = check_alpha_bisubmodular(f)
     assert f.call_count - before == 3**n
-    expected = _naive_witness(values, n, alpha)
     if expected is None:
         assert witness is None
     else:
@@ -53,6 +59,25 @@ def _assert_checker_matches(values, n, alpha):
     # A second check reads every value once more.
     check_alpha_bisubmodular(f)
     assert f.call_count - before == 2 * 3**n
+
+
+def _loaded(texts, n, alpha):
+    """The table document with the given value per labeling, loaded."""
+    doc = {
+        "format": "table",
+        "n": n,
+        "alpha": format_rational(alpha),
+        "values": {format_labeling(u): texts[u] for u in all_labelings(n)},
+    }
+    return instance_from_json(json.loads(json.dumps(doc)))
+
+
+def _assert_checker_matches(values, n, alpha):
+    # The same table built from the mapping and loaded from its document.
+    expected = _naive_witness(values, n, alpha)
+    _assert_checks_match(TableFunction(n, Alpha(alpha), values), expected)
+    texts = {u: format_rational(v) for u, v in values.items()}
+    _assert_checks_match(_loaded(texts, n, alpha), expected)
 
 
 @st.composite
@@ -250,3 +275,52 @@ def test_equality_at_the_largest_magnitude_is_not_a_violation(n, alpha, last):
     values[u] += Fraction(1, 7 * 10**9)
     assert _violating_pairs(values, n, alpha) == [(a, b)]
     _assert_checker_matches(values, n, alpha)
+
+
+@st.composite
+def mixed_documents(draw):
+    # Table documents as people write them: plain JSON ints, 'p/q' texts
+    # over mixed and unreduced denominators, and a sign on either; at unit
+    # scale or with every numerator times about 10^40, so the integer
+    # numerators over the lcm are far wider than 64 bits.
+    n = draw(st.integers(1, 3))
+    alpha = draw(st.sampled_from(_ALPHAS))
+    scale = draw(st.sampled_from((1, 10**40 + 7)))
+    texts = {}
+    values = {}
+    for u in all_labelings(n):
+        num = draw(st.integers(-30, 30)) * scale
+        den = draw(st.sampled_from((1, 1, 2, 3, 4, 6, 7, 12)))
+        if den == 1 and draw(st.booleans()):
+            texts[u] = num
+        else:
+            texts[u] = f"{'+' if num >= 0 and draw(st.booleans()) else ''}{num}/{den}"
+        values[u] = Fraction(num, den)
+    return texts, values, n, alpha
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_documents())
+def test_loaded_documents_with_mixed_values(case):
+    texts, values, n, alpha = case
+    _assert_checks_match(_loaded(texts, n, alpha), _naive_witness(values, n, alpha))
+
+
+@pytest.mark.parametrize("alpha", _ALPHAS)
+@pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
+def test_loaded_single_violations_at_every_alpha(alpha, last):
+    # The tables of `_single_violation` at n = 3, times 10^40 / 7, written
+    # with mixed denominators: the bump that makes (a, b) an exact
+    # equality, then 1/(7 10^9) more, which makes it the only violation.
+    n = 3
+    values, u, a, b = _single_violation(n, last, Fraction(1))
+    values = {v: Fraction(10**40, 7) * x for v, x in values.items()}
+    for extra in (Fraction(0), Fraction(1, 7 * 10**9)):
+        bumped = {**values, u: values[u] + extra}
+        texts = {
+            v: x.numerator if x.denominator == 1 else format_rational(x)
+            for v, x in bumped.items()
+        }
+        expected = _naive_witness(bumped, n, alpha)
+        assert expected is None if extra == 0 else expected[:2] == (a, b)
+        _assert_checks_match(_loaded(texts, n, alpha), expected)

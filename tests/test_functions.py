@@ -34,7 +34,7 @@ from skewbisub import (
     numeric,
     parse_labeling,
 )
-from skewbisub import functions
+from skewbisub import checker, functions
 from skewbisub.functions import exceeds_cap
 from skewbisub.rationals import format_rational, parse_rational
 
@@ -225,22 +225,58 @@ def test_integer_reads_are_the_values_over_one_denominator(case):
     assert f.call_count == 2 * len(points)
 
 
-def test_a_table_is_scaled_to_integers_on_its_first_integer_read(alpha_half, monkeypatch):
-    # Reading Fractions, the checker included, never scales the table.
-    compiled = []
-    compile_table = TableFunction._compile
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(sum_documents(), table_documents()))
+def test_the_bulk_read_is_every_numerator_in_lex_order(case):
+    # numerators() is the tuple of numerator(u) over all u in lex order and
+    # counts exactly 3^n calls, for a loaded sum or table and for a table
+    # built from a mapping of the same values.
+    doc, _ = case
+    f = instance_from_json(doc)
+    g = TableFunction(f.arity, f.alpha, {u: f.evaluate(u) for u in all_labelings(f.arity)})
+    points = 3**f.arity
+    for oracle in (f, g):
+        before = oracle.call_count
+        row = oracle.numerators()
+        assert type(row) is tuple and all(type(v) is int for v in row)
+        assert oracle.call_count - before == points
+        assert list(row) == [oracle.numerator(u) for u in all_labelings(oracle.arity)]
+        assert oracle.call_count - before == 2 * points
+    assert [Fraction(v, f.denominator) for v in f.numerators()] == [
+        Fraction(v, g.denominator) for v in g.numerators()
+    ]
 
-    def counting(table):
-        compiled.append(table)
-        return compile_table(table)
 
-    monkeypatch.setattr(TableFunction, "_compile", counting)
-    f = TableFunction(1, alpha_half, {"-": "1/2", "0": "2/3", "+": 3})
+def test_a_table_is_integer_from_the_moment_it_is_loaded(monkeypatch):
+    # A loaded table holds integer numerators over the lcm of its values'
+    # denominators, and the oracle makes no Fraction to get there (the
+    # parser's cached ones aside).  The checker reads them in one bulk read
+    # of 3^n counted calls and makes a Fraction only for a witness's two
+    # sides; `evaluate` makes one per counted call.
+    made = []
+
+    class CountedFraction(Fraction):
+        def __new__(cls, *args):
+            made.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(functions, "Fraction", CountedFraction)
+    monkeypatch.setattr(checker, "Fraction", CountedFraction)
+    doc = {"format": "table", "n": 1, "alpha": "1/2", "values": {"-": "1/2", "0": "2/3", "+": 3}}
+    f = instance_from_json(doc)
+    assert f.numerators() == (3, 4, 18) and f.denominator == 6
+    assert f.call_count == 3 and made == []
     assert check_alpha_bisubmodular(f) is None
-    assert f.evaluate((NEG,)) == Fraction(1, 2) and compiled == []
-    assert [f.numerator(u) for u in all_labelings(1)] == [3, 4, 18]
-    assert f.denominator == 6 and compiled == [f]
-    assert f.call_count == 3 + 1 + 3
+    assert f.call_count == 6 and made == []
+    values = [f.evaluate(u) for u in all_labelings(1)]
+    assert values == [Fraction(1, 2), Fraction(2, 3), Fraction(3)]
+    assert f.call_count == 9 and len(made) == 3
+
+    made.clear()
+    spike = instance_from_json({**doc, "values": {"-": 0, "0": 1, "+": 0}})
+    assert made == []
+    witness = check_alpha_bisubmodular(spike)
+    assert witness is not None and spike.call_count == 3 and len(made) == 2
 
 
 class TestSumFunction:

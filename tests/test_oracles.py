@@ -18,6 +18,8 @@ from skewbisub import (
     extension_value,
     format_labeling,
     generate_instance,
+    instance_from_json,
+    instance_to_json,
     midpoint_convexity_probe,
     numeric,
     random_box_point,
@@ -62,6 +64,26 @@ class TestBruteForce:
         f = TableFunction(3, alpha_half, {u: 0 for u in all_labelings(3)})
         with pytest.raises(CapExceededError):
             brute_force_min(f, cap=9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_ties_and_calls_on_every_kind_of_oracle(self, n):
+        # Values in {-1, 0, 1} over mixed denominators tie often: the lex
+        # first of the least labelings wins, for a table built from a
+        # mapping, the same table loaded from its document and a sum, and
+        # one scan reads each point once, 3^n counted calls.
+        rng = random.Random(70 + n)
+        alpha = ALPHA_GRID[n % 4]
+        values = {u: Fraction(rng.randint(-1, 1), rng.choice((1, 3))) for u in all_labelings(n)}
+        table = TableFunction(n, alpha, values)
+        loaded = instance_from_json(instance_to_json(table))
+        total = generate_instance(n, alpha, num_terms=n + 2, max_scope=2, seed=70 + n)
+        for f in (table, loaded, total):
+            expected = min(all_labelings(n), key=lambda u: f.numerator(u))
+            before = f.call_count
+            labeling, value = brute_force_min(f)
+            assert f.call_count - before == 3**n
+            assert labeling == expected
+            assert value == Fraction(f.numerator(expected), f.denominator)
 
 
 class TestConvexClosure:
@@ -150,7 +172,8 @@ class TestConvexClosure:
         # The paper's cost model counts oracle calls.  One closure LP prices
         # every point, so it evaluates f exactly 3^n times, whether the
         # chain start is optimal (a generated f) or Bland's pivots run on
-        # from it (a random table).
+        # from it (a random table), and whether f is a table built from a
+        # mapping, a loaded table or a sum.
         rng = random.Random(60 + n)
         alpha = ALPHA_GRID[n % 4]
         skew = expand_to_table(
@@ -159,7 +182,9 @@ class TestConvexClosure:
         rough = TableFunction(
             n, alpha, {u: Fraction(rng.randint(-10, 10)) for u in all_labelings(n)}
         )
-        for f in (skew, rough):
+        total = generate_instance(n, alpha, num_terms=n, max_scope=2, seed=60 + n)
+        loaded = instance_from_json(instance_to_json(rough))
+        for f in (skew, rough, total, loaded):
             for _ in range(3):
                 x = random_box_point(n, alpha, rng)
                 before = f.call_count
