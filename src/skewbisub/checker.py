@@ -1,9 +1,10 @@
 """The skew-bisubmodularity checker: an exhaustive test of every pair.
 
-`check_alpha_bisubmodular` reads all 3^n values of an oracle once, as
-integer numerators in one counted bulk read, and tests the defining
-inequality at every pair of points on packed integers; a failing pair
-comes back as a `ViolationWitness`, the one place Fractions are made.
+`check_alpha_bisubmodular` queries all 3^n values of an oracle once,
+through `evaluate`, reads each as its integer numerator over the oracle's
+denominator, and tests the defining inequality at every pair of points on
+packed integers; a failing pair comes back as a `ViolationWitness`, the
+one place the checker itself makes Fractions.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .lattice import (
     ZERO,
     CapExceededError,
     Labeling,
+    all_labelings,
     exceeds_cap,
     format_labeling,
     join,
@@ -95,10 +97,11 @@ def check_alpha_bisubmodular(
     Returns None when the inequality holds at all ordered pairs, else the
     lexicographically first violating pair (under '-' < '0' < '+').
 
-    The 3^n values are read once, as the integer numerators over f's
-    denominator D (`ValueOracle.numerators`).  For alpha = p/q the test is
-    then q f(meet) + p f(join0) + (q - p) f(join1) > q (f(a) + f(b)) on
-    plain ints, and only the witness's lhs and rhs are made Fractions.
+    Each of the 3^n values is queried once, in lex order, through
+    `evaluate`, and read as its integer numerator over f's denominator D.
+    For alpha = p/q the test is then
+    q f(meet) + p f(join0) + (q - p) f(join1) > q (f(a) + f(b)) on plain
+    ints, and only the witness's lhs and rhs are made Fractions.
 
     Only the pairs with a <=lex b are tested, and the witness is the same:
     meet0 and both joins are commutative, so the inequality is symmetric in
@@ -129,7 +132,10 @@ def check_alpha_bisubmodular(
     n = f.arity
     if exceeds_cap(n, cap):
         raise CapExceededError(f"3^{n} points exceed the enumeration cap {cap}")
-    ints = f.numerators()
+    d = f.denominator
+    # One `evaluate` query per point, in lex order, each value read as its
+    # numerator over D; a loaded table hands back its values as read.
+    ints = [v.numerator * (d // v.denominator) for v in map(f.evaluate, all_labelings(n))]
     p = f.alpha.value.numerator
     q = f.alpha.value.denominator
     peak = max(map(abs, ints))
@@ -147,7 +153,6 @@ def check_alpha_bisubmodular(
     meet, join0, join1 = (
         ints[lex_index(u)] for u in (meet0(a, b), join(a, b, ZERO), join(a, b, POS))
     )
-    d = f.denominator
     lhs = Fraction(q * meet + p * join0 + (q - p) * join1, q * d)
     return ViolationWitness(a, b, lhs, Fraction(ints[i] + ints[j], d))
 

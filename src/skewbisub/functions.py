@@ -10,8 +10,8 @@ is in `checker`.
 Every oracle also reads its values as integers: `numerator(a)` is
 f(a) * `denominator`, for one fixed denominator D > 0 per oracle, so exact
 code that only compares or adds values (the minimizer, brute force, the
-closure LP) runs on plain ints and makes a Fraction only for what it
-reports.
+closure LP, the checker once it has read them) runs on plain ints and
+makes a Fraction only for what it reports.
 
 A sum is compiled once, when it is built: every term value is scaled to an
 integer numerator over one common denominator D, the lcm of all their
@@ -22,18 +22,21 @@ that covers its coordinate.  A read turns the labeling into base-3 digits
 once and adds one plain int per merged table; `evaluate` makes one
 Fraction of the total.  A table is integer from the moment it is built:
 its 3^n values are held as numerators over the lcm D of their
-denominators, in lex order, and a Fraction is made only when one is read
-(`evaluate`, `TableFunction.__getitem__`, `instance_to_json`).
+denominators, in lex order.  A table built from values (a loaded one)
+also keeps them as read, so `evaluate` and `__getitem__` on it make no
+Fraction; otherwise a Fraction is made only when one is read (`evaluate`,
+`TableFunction.__getitem__`, `instance_to_json`).
 
 `numerators()` is the one bulk read: all 3^n numerators in lex order, as a
-tuple, for code that reads every point (the checker, brute force, the
-closure LP's costs).  A table hands over its stored row.
+tuple, for code that reads every point (brute force, the closure LP's
+costs, `expand_to_table`).  A table hands over its stored row.  The
+checker queries every point through `evaluate` instead, once each.
 
 A document is read in one pass, through `_table_values`, the one copy of
 the key and value rules, for a table and for each term of a sum alike.
-Values go straight to (numerator, denominator) pairs, each distinct text
-parsed once per process, and a sum's `Term` tables are built only when
-`terms` is first read.
+Values go straight to (numerator, denominator) pairs, with the value as
+read beside them for a table, each distinct text parsed once per process,
+and a sum's `Term` tables are built only when `terms` is first read.
 
 Oracle-call accounting: `evaluate` and `numerator` each bump `call_count`
 by exactly one per call, and `numerators` by 3^n.  The counter is a plain
@@ -164,10 +167,29 @@ def _parsed_ratio(text: str) -> Tuple[int, int]:
     return _parsed_rational(text).as_integer_ratio()
 
 
-def _ratio(raw: object) -> Tuple[int, int]:
+def _rational(raw: object) -> Fraction:
     # A value that is not a str.  Fraction is an abstract base class's
     # subclass, so the isinstance test is a Python-level call.
-    return (raw if isinstance(raw, Fraction) else parse_rational(raw)).as_integer_ratio()
+    return raw if isinstance(raw, Fraction) else parse_rational(raw)
+
+
+def _ratio(raw: object) -> Tuple[int, int]:
+    # A value that is not a str, as (numerator, denominator).
+    return _rational(raw).as_integer_ratio()
+
+
+@lru_cache(maxsize=1 << 12)
+def _parsed_entry(text: str) -> Tuple[int, int, Fraction]:
+    # A value text as (numerator, denominator, value), for a table, which
+    # keeps its values as read beside its integer row.
+    value = _parsed_rational(text)
+    return (*value.as_integer_ratio(), value)
+
+
+def _entry(raw: object) -> Tuple[int, int, Fraction]:
+    # A value that is not a str, as `_parsed_entry` reads a text.
+    value = _rational(raw)
+    return (*value.as_integer_ratio(), value)
 
 
 def _is_mapping(obj: object) -> bool:
@@ -180,20 +202,23 @@ def _is_mapping(obj: object) -> bool:
 def _lex_labelings(arity: int) -> Tuple[Labeling, ...]:
     # `all_labelings(arity)` as a tuple, made once per arity.  The arity is
     # a validated int, and only tables ask for it, once their 3^arity values
-    # are in hand, so an entry here and in `_indices_by_key` is about as
-    # large as the table that made it.
+    # are in hand, so an entry here, in `_lex_positions` and in
+    # `_indices_by_key` is about as large as the table that made it.
     return tuple(all_labelings(arity))
+
+
+@lru_cache(maxsize=16)
+def _lex_positions(arity: int) -> Dict[Labeling, int]:
+    # The lex index of every labeling of length `arity`, by the labeling.
+    return {u: k for k, u in enumerate(_lex_labelings(arity))}
 
 
 @lru_cache(maxsize=16)
 def _indices_by_key(arity: int) -> Dict[object, int]:
     # The lex index of every labeling of length `arity`, by the labeling
     # and by its text.
-    labelings = _lex_labelings(arity)
-    return {
-        **{u: k for k, u in enumerate(labelings)},
-        **{format_labeling(u): k for k, u in enumerate(labelings)},
-    }
+    positions = _lex_positions(arity)
+    return {**positions, **{format_labeling(u): k for u, k in positions.items()}}
 
 
 def _key_labeling(key: object, arity: int, where: str) -> Labeling:
@@ -270,13 +295,13 @@ def _slot_text(slot: object, arity: int) -> str:
     return format_labeling(_lex_labelings(arity)[slot] if type(slot) is int else slot)
 
 
-def _over_lcm(ratios: Sequence[Tuple[int, int]]) -> Tuple[int, List[int]]:
-    """The lcm D of the (numerator, denominator) pairs' denominators, and
-    each pair's value times D, an exact int."""
-    scale = math.lcm(*{den for _, den in ratios})
+def _over_lcm(ratios: Sequence[Tuple[int, ...]]) -> Tuple[int, List[int]]:
+    """The lcm D of the denominators of (numerator, denominator, ...)
+    tuples, and each tuple's value times D, an exact int."""
+    scale = math.lcm(*{r[1] for r in ratios})
     if scale == 1:
-        return 1, [num for num, _ in ratios]
-    return scale, [num * (scale // den) for num, den in ratios]
+        return 1, [r[0] for r in ratios]
+    return scale, [r[0] * (scale // r[1]) for r in ratios]
 
 
 class TableFunction(ValueOracle):
@@ -285,17 +310,21 @@ class TableFunction(ValueOracle):
     Keys may be label tuples or '-','0','+' strings; values anything
     `parse_rational` accepts, or Fractions.  The table is held as a row of
     integer numerators over D, the lcm of the values' denominators, in lex
-    order, which `numerators` hands over.  The first read of one labeling
-    makes the table by labeling, so that every such read is one dict
-    lookup; code that reads only the row (the checker) never makes it.
+    order, which `numerators` hands over.  A table built from values also
+    keeps them as read, in lex order (a str is parsed once per process), so
+    `evaluate` hands them back and makes no Fraction; a table built from a
+    row makes one per Fraction read.  A read of one labeling is one lookup
+    of its lex index, in a map that all tables of the arity share.
     """
 
-    #: The row by labeling, made on the first read of one labeling.
-    _by_labeling: Optional[Dict[Labeling, int]] = None
+    #: The values as read, in lex order, if the table was built from them.
+    _values: Optional[Tuple[Fraction, ...]] = None
 
     def __init__(self, arity: int, alpha: Alpha, values: Mapping[object, object]):
         super().__init__(arity, alpha)
-        self._store(*_over_lcm(_table_values(arity, values, _parsed_ratio, _ratio)))
+        entries = _table_values(arity, values, _parsed_entry, _entry)
+        self._values = tuple([value for _, _, value in entries])
+        self._store(*_over_lcm(entries))
 
     @classmethod
     def _of_row(
@@ -311,6 +340,7 @@ class TableFunction(ValueOracle):
     def _store(self, denominator: int, row: Sequence[int]) -> None:
         self._denominator = denominator
         self._row = tuple(row)
+        self._positions = _lex_positions(self._arity)
 
     @property
     def denominator(self) -> int:
@@ -320,17 +350,15 @@ class TableFunction(ValueOracle):
         self._call_count += len(self._row)
         return self._row
 
-    def _lookup(self, labeling: Labeling) -> int:
-        by_labeling = self._by_labeling
-        if by_labeling is None:
-            by_labeling = self._by_labeling = dict(zip(_lex_labelings(self.arity), self._row))
-        return by_labeling[labeling]
-
-    _numerator = _lookup
+    def _numerator(self, labeling: Labeling) -> int:
+        return self._row[self._positions[labeling]]
 
     def __getitem__(self, labeling: Labeling) -> Fraction:
         """Direct table read; does not count as an oracle call."""
-        return Fraction(self._lookup(labeling), self._denominator)
+        k = self._positions[labeling]
+        if self._values is None:
+            return Fraction(self._row[k], self._denominator)
+        return self._values[k]
 
     _value = __getitem__
 

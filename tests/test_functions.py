@@ -250,9 +250,10 @@ def test_the_bulk_read_is_every_numerator_in_lex_order(case):
 def test_a_table_is_integer_from_the_moment_it_is_loaded(monkeypatch):
     # A loaded table holds integer numerators over the lcm of its values'
     # denominators, and the oracle makes no Fraction to get there (the
-    # parser's cached ones aside).  The checker reads them in one bulk read
-    # of 3^n counted calls and makes a Fraction only for a witness's two
-    # sides; `evaluate` makes one per counted call.
+    # parser's cached ones aside).  It keeps the values as read, so
+    # `evaluate` makes none; the checker queries every point once through
+    # it, at 3^n counted calls, and makes a Fraction only for a witness's
+    # two sides.  A table built from a row makes one per counted call.
     made = []
 
     class CountedFraction(Fraction):
@@ -270,7 +271,15 @@ def test_a_table_is_integer_from_the_moment_it_is_loaded(monkeypatch):
     assert f.call_count == 6 and made == []
     values = [f.evaluate(u) for u in all_labelings(1)]
     assert values == [Fraction(1, 2), Fraction(2, 3), Fraction(3)]
-    assert f.call_count == 9 and len(made) == 3
+    assert f.call_count == 9 and made == []
+
+    g = expand_to_table(f)
+    assert g.numerators() == f.numerators() and made == []
+    assert [g.evaluate(u) for u in all_labelings(1)] == values
+    assert g.call_count == 6 and len(made) == 3
+    made.clear()
+    assert check_alpha_bisubmodular(g) is None
+    assert g.call_count == 9 and len(made) == 3
 
     made.clear()
     spike = instance_from_json({**doc, "values": {"-": 0, "0": 1, "+": 0}})
