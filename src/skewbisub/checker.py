@@ -19,10 +19,9 @@ from .lattice import (
     LEX_ORDER,
     POS,
     ZERO,
-    CapExceededError,
     Labeling,
     all_labelings,
-    exceeds_cap,
+    check_enum_cap,
     format_labeling,
     join,
     labeling_at,
@@ -130,11 +129,10 @@ def check_alpha_bisubmodular(
     top bits and the lowest set bit give the least violating b >= a.
     """
     n = f.arity
-    if exceeds_cap(n, cap):
-        raise CapExceededError(f"3^{n} points exceed the enumeration cap {cap}")
+    check_enum_cap(n, cap)
     d = f.denominator
     # One `evaluate` query per point, in lex order, each value read as its
-    # numerator over D; a loaded table hands back its values as read.
+    # numerator over D; a table hands back the values it holds.
     ints = [v.numerator * (d // v.denominator) for v in map(f.evaluate, all_labelings(n))]
     p = f.alpha.value.numerator
     q = f.alpha.value.denominator

@@ -20,12 +20,16 @@ scopes allow.  Terms on the same set of coordinates, in any order, become
 one table over the sorted scope, and each unary term is added into a table
 that covers its coordinate.  A read turns the labeling into base-3 digits
 once and adds one plain int per merged table; `evaluate` makes one
-Fraction of the total.  A table is integer from the moment it is built:
-its 3^n values are held as numerators over the lcm D of their
-denominators, in lex order.  A table built from values (a loaded one)
-also keeps them as read, so `evaluate` and `__getitem__` on it make no
-Fraction; otherwise a Fraction is made only when one is read (`evaluate`,
-`TableFunction.__getitem__`, `instance_to_json`).
+Fraction of the total.
+
+A table has one form, however it is built: its 3^n values as Fractions in
+lex order, and beside them their numerators over the lcm D of their
+denominators.  `TableFunction._of_entries` builds every table from
+(numerator, denominator, value) entries: a loaded table, a loaded sum's
+term tables, `expand_to_table` (one Fraction per point, so D is the least
+denominator of the values) and `generate_instance`.  No read of a table
+makes a Fraction: `evaluate` and `__getitem__` hand back a held value,
+and `instance_to_json` formats them (`_values_json`).
 
 `numerators()` is the one bulk read: all 3^n numerators in lex order, as a
 tuple, for code that reads every point (brute force, the closure LP's
@@ -34,9 +38,9 @@ checker queries every point through `evaluate` instead, once each.
 
 A document is read in one pass, through `_table_values`, the one copy of
 the key and value rules, for a table and for each term of a sum alike.
-Values go straight to (numerator, denominator) pairs, with the value as
-read beside them for a table, each distinct text parsed once per process,
-and a sum's `Term` tables are built only when `terms` is first read.
+Each value goes straight to its entry through `_entry`, each distinct
+text parsed once per process, and a sum's `Term` tables are built from
+the entries only when `terms` is first read.
 
 Oracle-call accounting: `evaluate` and `numerator` each bump `call_count`
 by exactly one per call, and `numerators` by 3^n.  The counter is a plain
@@ -54,7 +58,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .checker import check_alpha_bisubmodular
 from .lattice import (
@@ -68,9 +72,11 @@ from .lattice import (
     Labeling,
     _LEX_DIGIT,
     all_labelings,
+    check_enum_cap,
     exceeds_cap,
     format_labeling,
     join,
+    labeling_at,
     lex_index,
     meet0,
     parse_labeling,
@@ -152,44 +158,22 @@ class ValueOracle(abc.ABC):
         return Fraction(self._numerator(labeling), self.denominator)
 
 
+def _entry(raw: object) -> Tuple[int, int, Fraction]:
+    """A value as (numerator, denominator, value): the one form in which a
+    table, or a term of a sum, holds what it reads."""
+    # Fraction is an abstract base class's subclass, so the isinstance test
+    # is a Python-level call; a str takes the cached path below.
+    value = raw if isinstance(raw, Fraction) else parse_rational(raw)
+    return (*value.as_integer_ratio(), value)
+
+
 #: Key and value texts parsed so far.  Documents repeat a few texts many
 #: times (every term of a sum has the same 9 keys), and labelings and
 #: Fractions are immutable, so each text is parsed once per process.  Only
 #: str goes in: True == 1 == 1.0, so other types would share entries.  A
 #: failing parse raises, and lru_cache keeps nothing for it.
 _parsed_labeling = lru_cache(maxsize=1 << 12)(parse_labeling)
-_parsed_rational = lru_cache(maxsize=1 << 12)(parse_rational)
-
-
-@lru_cache(maxsize=1 << 12)
-def _parsed_ratio(text: str) -> Tuple[int, int]:
-    # A value text as (numerator, denominator), for the integer tables.
-    return _parsed_rational(text).as_integer_ratio()
-
-
-def _rational(raw: object) -> Fraction:
-    # A value that is not a str.  Fraction is an abstract base class's
-    # subclass, so the isinstance test is a Python-level call.
-    return raw if isinstance(raw, Fraction) else parse_rational(raw)
-
-
-def _ratio(raw: object) -> Tuple[int, int]:
-    # A value that is not a str, as (numerator, denominator).
-    return _rational(raw).as_integer_ratio()
-
-
-@lru_cache(maxsize=1 << 12)
-def _parsed_entry(text: str) -> Tuple[int, int, Fraction]:
-    # A value text as (numerator, denominator, value), for a table, which
-    # keeps its values as read beside its integer row.
-    value = _parsed_rational(text)
-    return (*value.as_integer_ratio(), value)
-
-
-def _entry(raw: object) -> Tuple[int, int, Fraction]:
-    # A value that is not a str, as `_parsed_entry` reads a text.
-    value = _rational(raw)
-    return (*value.as_integer_ratio(), value)
+_parsed_entry = lru_cache(maxsize=1 << 12)(_entry)
 
 
 def _is_mapping(obj: object) -> bool:
@@ -199,18 +183,13 @@ def _is_mapping(obj: object) -> bool:
 
 
 @lru_cache(maxsize=16)
-def _lex_labelings(arity: int) -> Tuple[Labeling, ...]:
-    # `all_labelings(arity)` as a tuple, made once per arity.  The arity is
-    # a validated int, and only tables ask for it, once their 3^arity values
-    # are in hand, so an entry here, in `_lex_positions` and in
-    # `_indices_by_key` is about as large as the table that made it.
-    return tuple(all_labelings(arity))
-
-
-@lru_cache(maxsize=16)
 def _lex_positions(arity: int) -> Dict[Labeling, int]:
-    # The lex index of every labeling of length `arity`, by the labeling.
-    return {u: k for k, u in enumerate(_lex_labelings(arity))}
+    # The lex index of every labeling of length `arity`, by the labeling:
+    # the map a table reads through, so a text key is refused there.  The
+    # arity is a validated int, and only tables ask for it, once their
+    # 3^arity values are in hand, so an entry here and in `_indices_by_key`
+    # is about as large as the table that made it.
+    return {u: k for k, u in enumerate(all_labelings(arity))}
 
 
 @lru_cache(maxsize=16)
@@ -238,17 +217,13 @@ def _key_labeling(key: object, arity: int, where: str) -> Labeling:
 
 
 def _table_values(
-    arity: int,
-    values: Mapping[object, object],
-    read_text: Callable[[str], object],
-    read_other: Callable[[object], object],
-    where: str = "values",
-) -> List[object]:
-    """A complete table's values in lex order.
+    arity: int, values: Mapping[object, object], where: str = "values"
+) -> List[Tuple[int, int, Fraction]]:
+    """A complete table's values in lex order, as `_entry` reads them.
 
-    Keys are label tuples or '-','0','+' strings; a str value is read by
-    `read_text` and any other by `read_other`.  These are the one copy of
-    the key and value rules: a bad or misplaced key, a repeated labeling, a
+    Keys are label tuples or '-','0','+' strings; values anything
+    `parse_rational` accepts, or Fractions.  This is the one copy of the
+    key and value rules: a bad or misplaced key, a repeated labeling, a
     bad value and a missing labeling each raise InstanceFormatError, the
     first of them in the order of `values`, a missing one after all keys.
     """
@@ -256,14 +231,14 @@ def _table_values(
     # as many keys holds each value at its labeling's lex index, and every
     # key that is not one of the table's texts or labelings is bad.  A
     # table with fewer keys lacks one: it holds its values by labeling, so
-    # no lex index or list of labelings is made, whatever the arity.  An
-    # empty slot reads None either way; no reader returns None.
+    # no lex index is made, whatever the arity.  An empty slot reads None
+    # either way; `_entry` never returns None.
     if exceeds_cap(arity, len(values)):
         known: Dict[object, int] = {}
         table = defaultdict(lambda: None)
     else:
         known = _indices_by_key(arity)
-        table = [None] * len(_lex_labelings(arity))
+        table = [None] * 3**arity
     for key, raw in values.items():
         try:
             slot = known.get(key)
@@ -278,7 +253,7 @@ def _table_values(
             )
         try:
             # Strings first: a str is never a Fraction.
-            table[slot] = read_text(raw) if type(raw) is str else read_other(raw)
+            table[slot] = _parsed_entry(raw) if type(raw) is str else _entry(raw)
         except ValueError:
             # Parse again to name the key in the message.
             parse_rational(raw, where=f"{where}[{_slot_text(slot, arity)!r}]")
@@ -292,54 +267,42 @@ def _table_values(
 
 def _slot_text(slot: object, arity: int) -> str:
     # The text of a labeling that `_table_values` holds a value at.
-    return format_labeling(_lex_labelings(arity)[slot] if type(slot) is int else slot)
-
-
-def _over_lcm(ratios: Sequence[Tuple[int, ...]]) -> Tuple[int, List[int]]:
-    """The lcm D of the denominators of (numerator, denominator, ...)
-    tuples, and each tuple's value times D, an exact int."""
-    scale = math.lcm(*{r[1] for r in ratios})
-    if scale == 1:
-        return 1, [r[0] for r in ratios]
-    return scale, [r[0] * (scale // r[1]) for r in ratios]
+    return format_labeling(labeling_at(slot, arity) if type(slot) is int else slot)
 
 
 class TableFunction(ValueOracle):
     """An explicit function given by its complete 3^n value table.
 
     Keys may be label tuples or '-','0','+' strings; values anything
-    `parse_rational` accepts, or Fractions.  The table is held as a row of
-    integer numerators over D, the lcm of the values' denominators, in lex
-    order, which `numerators` hands over.  A table built from values also
-    keeps them as read, in lex order (a str is parsed once per process), so
-    `evaluate` hands them back and makes no Fraction; a table built from a
-    row makes one per Fraction read.  A read of one labeling is one lookup
-    of its lex index, in a map that all tables of the arity share.
+    `parse_rational` accepts, or Fractions.  Every table, however it was
+    built, holds one form: its 3^n values as Fractions in lex order, which
+    `evaluate`, `__getitem__` and `instance_to_json` hand back without
+    making one, and beside them the row of integer numerators over D, the
+    lcm of the values' denominators, which `numerators` hands over.  A str
+    value is parsed once per process.  A read of one labeling is one
+    lookup of its lex index, in a map that all tables of the arity share.
     """
-
-    #: The values as read, in lex order, if the table was built from them.
-    _values: Optional[Tuple[Fraction, ...]] = None
 
     def __init__(self, arity: int, alpha: Alpha, values: Mapping[object, object]):
         super().__init__(arity, alpha)
-        entries = _table_values(arity, values, _parsed_entry, _entry)
-        self._values = tuple([value for _, _, value in entries])
-        self._store(*_over_lcm(entries))
+        self._store(_table_values(arity, values))
 
     @classmethod
-    def _of_row(
-        cls, arity: int, alpha: Alpha, denominator: int, row: Sequence[int]
+    def _of_entries(
+        cls, arity: int, alpha: Alpha, entries: Sequence[Tuple[int, int, Fraction]]
     ) -> "TableFunction":
-        """The table f(u) = row[lex_index(u)] / denominator, for a row of 3^arity
-        ints over a denominator that no smaller one serves."""
+        """The table whose value at the k-th labeling in lex order is
+        entries[k], a (numerator, denominator, value) triple as `_entry`
+        makes it."""
         f = cls.__new__(cls)
         ValueOracle.__init__(f, arity, alpha)
-        f._store(denominator, row)
+        f._store(entries)
         return f
 
-    def _store(self, denominator: int, row: Sequence[int]) -> None:
-        self._denominator = denominator
-        self._row = tuple(row)
+    def _store(self, entries: Sequence[Tuple[int, int, Fraction]]) -> None:
+        self._values = tuple([value for _, _, value in entries])
+        self._denominator = scale = math.lcm(*{den for _, den, _ in entries})
+        self._row = tuple([num * (scale // den) for num, den, _ in entries])
         self._positions = _lex_positions(self._arity)
 
     @property
@@ -355,10 +318,7 @@ class TableFunction(ValueOracle):
 
     def __getitem__(self, labeling: Labeling) -> Fraction:
         """Direct table read; does not count as an oracle call."""
-        k = self._positions[labeling]
-        if self._values is None:
-            return Fraction(self._row[k], self._denominator)
-        return self._values[k]
+        return self._values[self._positions[labeling]]
 
     _value = __getitem__
 
@@ -427,9 +387,9 @@ class SumFunction(ValueOracle):
     values.  `terms` still gives the terms as built, unmerged and in order.
     """
 
-    #: A loaded sum's scopes and lex rows of (numerator, denominator)
-    #: pairs, until `terms` first builds the tables from them.
-    _rows: Optional[Tuple[List[Tuple[int, ...]], List[List[Tuple[int, int]]]]] = None
+    #: A loaded sum's scopes and lex rows of `_entry` triples, until
+    #: `terms` first builds the tables from them.
+    _rows: Optional[Tuple[List[Tuple[int, ...]], List[List[Tuple[int, int, Fraction]]]]] = None
 
     def __init__(self, arity: int, alpha: Alpha, terms: Sequence[Term]):
         super().__init__(arity, alpha)
@@ -460,13 +420,13 @@ class SumFunction(ValueOracle):
         arity: int,
         alpha: Alpha,
         scopes: List[Tuple[int, ...]],
-        rows: List[List[Tuple[int, int]]],
+        rows: List[List[Tuple[int, int, Fraction]]],
     ) -> "SumFunction":
         """The sum of the terms that `instance_from_json` read and checked.
 
         Term t has scope scopes[t] and the values rows[t], (numerator,
-        denominator) pairs in lex order; its table is made when `terms` is
-        first read.
+        denominator, value) triples in lex order; its table is made from
+        them when `terms` is first read.
         """
         f = cls.__new__(cls)
         ValueOracle.__init__(f, arity, alpha)
@@ -476,12 +436,12 @@ class SumFunction(ValueOracle):
         return f
 
     def _compile(
-        self, scopes: Sequence[Tuple[int, ...]], rows: Sequence[List[Tuple[int, int]]]
+        self, scopes: Sequence[Tuple[int, ...]], rows: Sequence[List[Tuple[int, ...]]]
     ) -> None:
-        self._denominator = scale = math.lcm(*[den for row in rows for _, den in row])
-        merged = _merged_tables(
-            scopes, [[num * (scale // den) for num, den in row] for row in rows]
-        )
+        # Entry k of a row starts with the k-th value's numerator and
+        # denominator: a loaded term's triples, or a built one's pairs.
+        self._denominator = scale = math.lcm(*[e[1] for row in rows for e in row])
+        merged = _merged_tables(scopes, [[e[0] * (scale // e[1]) for e in row] for row in rows])
         # Pairs, most of a generated sum, are read without a loop over the scope.
         self._pairs = tuple([(*key, row) for key, row in merged.items() if len(key) == 2])
         self._others = tuple([(key, row) for key, row in merged.items() if len(key) != 2])
@@ -492,7 +452,7 @@ class SumFunction(ValueOracle):
             scopes, rows = self._rows
             alpha = self.alpha
             self._terms = tuple([
-                Term(scope, TableFunction._of_row(len(scope), alpha, *_over_lcm(row)))
+                Term(scope, TableFunction._of_entries(len(scope), alpha, row))
                 for scope, row in zip(scopes, rows)
             ])
             self._rows = None
@@ -517,13 +477,11 @@ class SumFunction(ValueOracle):
 
 def expand_to_table(f: ValueOracle, cap: int = DEFAULT_ENUM_CAP) -> TableFunction:
     """Materialize any oracle into an explicit complete table."""
-    if exceeds_cap(f.arity, cap):
-        raise CapExceededError(f"3^{f.arity} points exceed the enumeration cap {cap}")
-    row = f.numerators()
-    # The lcm of the values' denominators is D over the gcd of D and the row.
-    common = math.gcd(f.denominator, *row)
-    return TableFunction._of_row(
-        f.arity, f.alpha, f.denominator // common, [v // common for v in row]
+    check_enum_cap(f.arity, cap)
+    d = f.denominator
+    values = [Fraction(v, d) for v in f.numerators()]
+    return TableFunction._of_entries(
+        f.arity, f.alpha, [(v.numerator, v.denominator, v) for v in values]
     )
 
 
@@ -629,7 +587,9 @@ def generate_instance(
             int_values = _randints(rng, lo, hi, 3**k)
             if not _accepts(int_values, pairs, p, q):
                 continue
-            table = TableFunction._of_row(k, alpha, 1, int_values)
+            table = TableFunction._of_entries(
+                k, alpha, [(v, 1, Fraction(v)) for v in int_values]
+            )
             witness = check_alpha_bisubmodular(table)
             if witness is not None:  # pragma: no cover - guards the fast path
                 raise AssertionError(
@@ -705,7 +665,7 @@ def instance_from_json(obj: object) -> ValueOracle:
             if not _is_mapping(values):
                 raise InstanceFormatError(f"terms[{pos}].values must be an object")
             try:
-                row = _table_values(len(raw_scope), values, _parsed_ratio, _ratio)
+                row = _table_values(len(raw_scope), values)
             except ValueError as exc:
                 raise InstanceFormatError(f"terms[{pos}]: {exc}") from None
             scopes.append(tuple(raw_scope))
@@ -714,31 +674,25 @@ def instance_from_json(obj: object) -> ValueOracle:
     raise InstanceFormatError(f"unknown format {fmt!r} (expected 'table' or 'sum')")
 
 
+def _values_json(table: TableFunction) -> Dict[str, str]:
+    # A table's "values" object: its held values, keys in lex order.
+    return {
+        format_labeling(u): format_rational(v)
+        for u, v in zip(all_labelings(table.arity), table._values)
+    }
+
+
 def instance_to_json(f: ValueOracle) -> dict:
     """Serialize an oracle to the canonical JSON form (keys in lex order)."""
     if isinstance(f, TableFunction):
-        return {
-            "format": "table",
-            "n": f.arity,
-            "alpha": str(f.alpha),
-            "values": {
-                format_labeling(a): format_rational(Fraction(v, f.denominator))
-                for a, v in zip(all_labelings(f.arity), f._row)
-            },
-        }
+        return {"format": "table", "n": f.arity, "alpha": str(f.alpha), "values": _values_json(f)}
     if isinstance(f, SumFunction):
         return {
             "format": "sum",
             "n": f.arity,
             "alpha": str(f.alpha),
             "terms": [
-                {
-                    "scope": list(term.scope),
-                    "values": {
-                        format_labeling(u): format_rational(term.table[u])
-                        for u in all_labelings(term.table.arity)
-                    },
-                }
+                {"scope": list(term.scope), "values": _values_json(term.table)}
                 for term in f.terms
             ],
         }

@@ -126,6 +126,12 @@ class CapExceededError(ValueError):
     """An exhaustive operation was asked to enumerate more points than its cap."""
 
 
+def check_enum_cap(n: int, cap: int = DEFAULT_ENUM_CAP) -> None:
+    """Refuse an exhaustive operation at arity n, 3^n points, past `cap` points."""
+    if exceeds_cap(n, cap):
+        raise CapExceededError(f"3^{n} points exceed the enumeration cap {cap}")
+
+
 def lex_index(u: Sequence[Label]) -> int:
     """The position of u in `all_labelings(len(u))`: its lex digits in base 3."""
     k = 0

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .functions import CapExceededError, DEFAULT_ENUM_CAP, ValueOracle, exceeds_cap
-from .lattice import Alpha, Labeling, NEG, POS, all_labelings, labeling_at, lex_index
+from .lattice import Alpha, Labeling, NEG, POS, all_labelings, check_enum_cap, labeling_at, lex_index
 from .lovasz import (
     FractionalPoint,
     _check_oracle_point,
@@ -54,8 +54,7 @@ def brute_force_min(
     f: ValueOracle, cap: int = DEFAULT_ENUM_CAP
 ) -> Tuple[Labeling, Fraction]:
     """Scan all 3^n points; ties go to the lexicographically first labeling."""
-    if exceeds_cap(f.arity, cap):
-        raise CapExceededError(f"3^{f.arity} points exceed the enumeration cap {cap}")
+    check_enum_cap(f.arity, cap)
     values = f.numerators()
     # min keeps the first of equal keys, and the values are in lex order.
     best = min(range(len(values)), key=values.__getitem__)

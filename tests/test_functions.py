@@ -1,6 +1,7 @@
 """Oracle contracts, the skew-bisubmodularity checker, generation, and JSON."""
 
 import json
+import math
 import random
 from collections.abc import Mapping
 from fractions import Fraction
@@ -34,7 +35,7 @@ from skewbisub import (
     numeric,
     parse_labeling,
 )
-from skewbisub import checker, functions
+from skewbisub import functions
 from skewbisub.functions import exceeds_cap
 from skewbisub.rationals import format_rational, parse_rational
 
@@ -248,42 +249,77 @@ def test_the_bulk_read_is_every_numerator_in_lex_order(case):
 
 
 def test_a_table_is_integer_from_the_moment_it_is_loaded(monkeypatch):
-    # A loaded table holds integer numerators over the lcm of its values'
-    # denominators, and the oracle makes no Fraction to get there (the
-    # parser's cached ones aside).  It keeps the values as read, so
-    # `evaluate` makes none; the checker queries every point once through
-    # it, at 3^n counted calls, and makes a Fraction only for a witness's
-    # two sides.  A table built from a row makes one per counted call.
+    # Every table holds its values as Fractions in lex order, beside integer
+    # numerators over the lcm of their denominators, however it was built.
+    # So `expand_to_table` makes one Fraction per point, and reading a
+    # loaded, an expanded or a generated table makes none: `evaluate`,
+    # `__getitem__`, the checker's 3^n counted calls when it accepts, and
+    # `instance_to_json`.  A witness makes two, its two sides.  Fractions
+    # are counted where every module makes them, at `Fraction.__new__`.
     made = []
+    new = Fraction.__new__
 
-    class CountedFraction(Fraction):
-        def __new__(cls, *args):
-            made.append(args)
-            return Fraction(*args)
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(functions, "Fraction", CountedFraction)
-    monkeypatch.setattr(checker, "Fraction", CountedFraction)
+    def reads_make_none(table):
+        made.clear()
+        calls = table.call_count
+        assert check_alpha_bisubmodular(table) is None
+        assert table.call_count == calls + 3**table.arity
+        labelings = list(all_labelings(table.arity))
+        values = [table.evaluate(u) for u in labelings]
+        assert values == [table[u] for u in labelings]
+        assert instance_to_json(table)["values"] == {
+            format_labeling(u): format_rational(v) for u, v in zip(labelings, values)
+        }
+        assert made == []
+        return values
+
     doc = {"format": "table", "n": 1, "alpha": "1/2", "values": {"-": "1/2", "0": "2/3", "+": 3}}
+    expected = [Fraction(1, 2), Fraction(2, 3), Fraction(3)]
+    instance_from_json(doc)
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    Alpha.parse(doc["alpha"])
+    alpha_made = len(made)
+    made.clear()
     f = instance_from_json(doc)
     assert f.numerators() == (3, 4, 18) and f.denominator == 6
-    assert f.call_count == 3 and made == []
+    # Past the alpha's, a load makes one Fraction, for the int value: the
+    # first load parsed the texts.
+    assert f.call_count == 3 and made[alpha_made:] == [(3,)]
+    made.clear()
     assert check_alpha_bisubmodular(f) is None
     assert f.call_count == 6 and made == []
     values = [f.evaluate(u) for u in all_labelings(1)]
-    assert values == [Fraction(1, 2), Fraction(2, 3), Fraction(3)]
+    assert values == expected
     assert f.call_count == 9 and made == []
+    assert reads_make_none(f) == expected
 
-    g = expand_to_table(f)
-    assert g.numerators() == f.numerators() and made == []
-    assert [g.evaluate(u) for u in all_labelings(1)] == values
-    assert g.call_count == 6 and len(made) == 3
     made.clear()
+    g = expand_to_table(f)
+    assert len(made) == 3
+    assert g.numerators() == f.numerators()
+    made.clear()
+    assert [g.evaluate(u) for u in all_labelings(1)] == values
+    assert g.call_count == 6 and made == []
     assert check_alpha_bisubmodular(g) is None
-    assert g.call_count == 9 and len(made) == 3
+    assert g.call_count == 9 and made == []
+    assert reads_make_none(g) == expected
+
+    generated = generate_instance(3, Alpha(Fraction(1, 3)), num_terms=3, max_scope=2, seed=4)
+    for term in generated.terms:
+        reads_make_none(term.table)
+    made.clear()
+    instance_to_json(generated)
+    assert made == []
 
     made.clear()
     spike = instance_from_json({**doc, "values": {"-": 0, "0": 1, "+": 0}})
-    assert made == []
+    # Past the alpha's, one Fraction per int value.
+    assert len(made) == alpha_made + 3
+    made.clear()
     witness = check_alpha_bisubmodular(spike)
     assert witness is not None and spike.call_count == 3 and len(made) == 2
 
@@ -447,6 +483,40 @@ class TestExpand:
         f = TableFunction(2, alpha_half, {u: 0 for u in all_labelings(2)})
         with pytest.raises(CapExceededError):
             expand_to_table(f, cap=3)
+
+    def test_keeps_the_least_denominator(self):
+        # The sum's D is 6, the lcm of every term value's denominator, but
+        # the constant 1/2 and -1/2 terms cancel, so the values need only
+        # thirds: the table's denominator is the lcm of its values' reduced
+        # denominators, and its document holds the values as they read.
+        doc = {
+            "format": "sum",
+            "n": 2,
+            "alpha": "1",
+            "terms": [
+                {"scope": [0], "values": {"-": "1/2", "0": "1/2", "+": "1/2"}},
+                {"scope": [1], "values": {"-": "-1/3", "0": "0", "+": "1/3"}},
+                {"scope": [0], "values": {"-": "-1/2", "0": "-1/2", "+": "-1/2"}},
+                {"scope": [0], "values": {"-": "2/3", "0": "0", "+": "-2/3"}},
+            ],
+        }
+        f = instance_from_json(doc)
+        assert f.denominator == 6
+        table = expand_to_table(f)
+        labelings = list(all_labelings(2))
+        values = [f.evaluate(u) for u in labelings]
+        assert table.denominator == math.lcm(*(v.denominator for v in values)) == 3
+        assert [Fraction(v, 3) for v in table.numerators()] == values
+        assert instance_to_json(table)["values"] == {
+            format_labeling(u): format_rational(v) for u, v in zip(labelings, values)
+        }
+        # A table from each way of building one reads back as written.
+        alpha = Alpha(Fraction(1, 3))
+        generated = generate_instance(3, alpha, num_terms=3, max_scope=2, seed=2)
+        built = TableFunction(2, alpha, {u: Fraction(k, 4) for k, u in enumerate(labelings)})
+        for g in (table, built, f.terms[1].table, generated.terms[0].table, generated):
+            written = instance_to_json(g)
+            assert instance_to_json(instance_from_json(written)) == written
 
 
 class TestExceedsCap:
@@ -668,6 +738,6 @@ class TestLoadCaches:
         assert parse_labeling("+-0") == functions._parsed_labeling("+-0")
 
     def test_both_caches_are_bounded(self):
-        for cache in (functions._parsed_labeling, functions._parsed_rational):
+        for cache in (functions._parsed_labeling, functions._parsed_entry):
             maxsize = cache.cache_info().maxsize
             assert maxsize is not None and 0 < maxsize <= 1 << 16
