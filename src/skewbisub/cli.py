@@ -100,6 +100,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
+    _check_count("--iters", args.iters)
     f = _load_instance(args.instance)
     report = minimize(f, MinimizeConfig(max_iters=args.iters, seed=args.seed))
     _emit(report.to_json())
@@ -108,10 +109,11 @@ def _cmd_minimize(args) -> int:
     return 1 if report.stop_reason == NOT_CONVEX else 0
 
 
-def _check_trials(trials: int) -> None:
-    # Zero or negative trials would report an empty pass.
-    if trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {trials}")
+def _check_count(option: str, count: Optional[int]) -> None:
+    # A count below 1 would run nothing (an empty pass for --trials); None
+    # keeps the option's default.
+    if count is not None and count < 1:
+        raise ValueError(f"{option} must be >= 1, got {count}")
 
 
 def _closure_mismatch(
@@ -134,7 +136,7 @@ def _closure_mismatch(
 
 
 def _cmd_verify_closure(args) -> int:
-    _check_trials(args.trials)
+    _check_count("--trials", args.trials)
     f = _load_instance(args.instance)
     mismatch = _closure_mismatch(f, args.trials, random.Random(args.seed))
     if mismatch is not None:
@@ -251,7 +253,7 @@ def random_chain_distribution(
 
 
 def _cmd_verify_all(args) -> int:
-    _check_trials(args.trials)
+    _check_count("--trials", args.trials)
     f = _load_instance(args.instance)
     checks = _verify_all_checks(f, trials=args.trials, seed=args.seed)
     ok = all(entry["pass"] for entry in checks.values())

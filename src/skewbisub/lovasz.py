@@ -149,27 +149,36 @@ def chain_order(nums: Sequence[int], p: int, q: int) -> Tuple[List[int], List[in
     return order, keys
 
 
-def _walk(x: FractionalPoint) -> Tuple[List[int], List[int], int]:
-    """chain_order at x over the lcm D of its denominators, and D * p."""
+def _walk(x: FractionalPoint) -> Tuple[List[int], List[Labeling], List[int], int]:
+    """The walk at x: chain_order's order, the n + 1 labelings of the maximal
+    chain (see `maximal_chain`), chain_order's keys, and D * p, for the lcm
+    D of x's denominators."""
     alpha = x.alpha.value
     denominator, nums = common_denominator(x.coords)
     order, keys = chain_order(nums, alpha.numerator, alpha.denominator)
-    return order, keys, denominator * alpha.numerator
+    current: List[Label] = [ZERO] * len(order)
+    chain: List[Labeling] = [tuple(current)]
+    for j in order:
+        current[j] = NEG if nums[j] < 0 else POS
+        chain.append(tuple(current))
+    return order, chain, keys, denominator * alpha.numerator
 
 
 def decompose(x: FractionalPoint) -> ChainDecomposition:
-    """The chain decomposition at x, read off the sorted keys of its walk."""
-    order, keys, full = _walk(x)
-    prefixes: List[Tuple[Labeling, Fraction]] = []
-    current: List[Label] = [ZERO] * len(order)
-    for k, j in enumerate(order):
-        current[j] = NEG if x.coords[j] < 0 else POS
-        if keys[k] != keys[k + 1]:
-            prefixes.append((tuple(current), Fraction(keys[k] - keys[k + 1], full)))
-    prefixes.reverse()  # outermost first
+    """The chain decomposition at x, read off the sorted keys of its walk.
+
+    The atoms are the maximal chain's labelings where the key drops,
+    outermost first, and all-Zero for the mass left below magnitude 1.
+    """
+    order, chain, keys, full = _walk(x)
+    atoms = [
+        (chain[k + 1], Fraction(keys[k] - keys[k + 1], full))
+        for k in reversed(range(len(order)))
+        if keys[k] != keys[k + 1]
+    ]
     if keys[0] != full:
-        prefixes.append(((ZERO,) * len(order), Fraction(full - keys[0], full)))
-    return ChainDecomposition(tuple(prefixes))
+        atoms.append((chain[0], Fraction(full - keys[0], full)))
+    return ChainDecomposition(tuple(atoms))
 
 
 def maximal_chain(x: FractionalPoint) -> Tuple[List[int], List[Labeling]]:
@@ -181,13 +190,7 @@ def maximal_chain(x: FractionalPoint) -> Tuple[List[int], List[Labeling]]:
     the extension is linear there; the atoms of `decompose(x)` are the
     labelings of the chain that carry positive weight.
     """
-    order = _walk(x)[0]
-    current: List[Label] = [ZERO] * len(order)
-    chain: List[Labeling] = [tuple(current)]
-    for j in order:
-        current[j] = NEG if x.coords[j] < 0 else POS
-        chain.append(tuple(current))
-    return order, chain
+    return _walk(x)[:2]
 
 
 def _check_oracle_point(f: ValueOracle, x: FractionalPoint) -> None:

@@ -49,10 +49,23 @@ starts from the triangular basis {lambda_1} + {u_j : g_1j > 0} +
 pass: `simplex._unit_pair_start` writes that program down in closed form.
 A round whose cut is already stored does no LP work.
 
+`minimize` builds Kelley's loop from three parts, all at module level:
+
+- the walk, `_Walk`: it holds the memo, f(0), the best value so far with its
+  trajectory, and its seconds, and its `cut` walks the chain at y and
+  returns the cut's column;
+- the master, the `simplex._Program` above: round 1's cut starts it through
+  `_unit_pair_start` before the loop, and every round appends its cut and
+  re-optimizes when the cut is new (round 1's never is), so all rounds take
+  one path; the loop reads y* and the bound off it in one place;
+- the stop test, `_stop`, which compares the best value with the bound and
+  returns the stop reason, with the witness that `_witness` builds on a
+  not_convex stop, or None to go on.
+
 Bland's rule on this dual form takes 508 pivots at n = 32, 3,223 at n = 48
 and 5,987 at n = 64 on `generate --alpha 1/2 --terms 2n --seed 5`; CI pins
-all three and the tests the first.  By Bland's argument (Math. Oper. Res.
-1977) it does not cycle.
+all three, with each run's rounds and cuts, and the tests the first.  By
+Bland's argument (Math. Oper. Res. 1977) it does not cycle.
 
 The run stops with
 
@@ -85,7 +98,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .functions import CapExceededError, ValueOracle
-from .lattice import NEG, POS, ZERO, Alpha, Label, Labeling, format_labeling, labeling_at, numeric
+from .lattice import NEG, POS, ZERO, Alpha, Labeling, format_labeling, labeling_at, numeric
 from .lovasz import FractionalPoint, _check_oracle_point, _cut_column, chain_order
 
 # Not used here; bench/tracing.py wraps these names on this module.
@@ -93,9 +106,6 @@ from .lovasz import extension_value, subgradient  # noqa: F401
 from .oracles import random_box_point
 from .rationals import common_denominator, format_rational
 from .simplex import _unit_pair_start
-
-#: Default denominator bound of `project_box`'s snapping grid.
-DEFAULT_DENOMINATOR_LIMIT = 1 << 20
 
 #: `minimize` refuses an oracle of larger arity before it does any work.
 #: Each round after the first adds a column of n + 1 entries to the master
@@ -111,38 +121,28 @@ NOT_CONVEX = "not_convex"
 CUT_CAP = "cut_cap"
 
 
-def _snap(vec: Sequence[float], grid: int, unit: int, lo: int) -> List[int]:
-    """Numerators over D = grid * unit of vec clamped to [-1, 1], rounded to
-    the 1/grid grid and floored at lo / D.
-
-    Infinities clamp to the box bound like any other overshoot; NaN has no
-    position and raises.
-    """
-    try:
-        # max/min keep a NaN first argument, so round() sees it and raises.
-        return [max(round(min(max(v, -1.0), 1.0) * grid) * unit, lo) for v in vec]
-    except ValueError:
-        j = next(j for j, v in enumerate(vec) if v != v)
-        raise RuntimeError(
-            f"non-finite coordinate {j} = {vec[j]!r}: minimizer bug"
-        ) from None
-
-
 def project_box(
-    vec: Sequence[float],
-    alpha: Alpha,
-    max_denominator: int = DEFAULT_DENOMINATOR_LIMIT,
+    vec: Sequence[float], alpha: Alpha, max_denominator: int = 1 << 20
 ) -> FractionalPoint:
     """Clamp componentwise to [-alpha, 1] and snap to bounded-denominator rationals.
 
     The snap rounds to the fixed max_denominator grid; a final exact clamp
     re-imposes the box, since -alpha need not be a grid point.  Infinite
-    coordinates clamp like any overshoot; NaN raises RuntimeError.
+    coordinates clamp like any overshoot; NaN has no position and raises
+    RuntimeError.
     """
     p, q = alpha.value.numerator, alpha.value.denominator
-    denominator = q * max_denominator
-    nums = _snap(vec, max_denominator, q, -p * max_denominator)
-    return FractionalPoint(tuple(Fraction(num, denominator) for num in nums), alpha)
+    try:
+        # Numerators over q * max_denominator; max/min keep a NaN first
+        # argument, so round() sees it and raises.
+        nums = [
+            max(round(min(max(v, -1.0), 1.0) * max_denominator) * q, -p * max_denominator)
+            for v in vec
+        ]
+    except ValueError:
+        j = next(j for j, v in enumerate(vec) if v != v)
+        raise RuntimeError(f"non-finite coordinate {j} = {vec[j]!r}: minimizer bug") from None
+    return FractionalPoint(tuple(Fraction(num, q * max_denominator) for num in nums), alpha)
 
 
 @dataclass(frozen=True)
@@ -258,6 +258,103 @@ def _start(f: ValueOracle, cfg: MinimizeConfig) -> Tuple[Fraction, ...]:
     return (Fraction(0),) * f.arity
 
 
+class _Walk:
+    """The chain walk of Kelley's loop and what it has seen.
+
+    It holds the memo of oracle numerators keyed by lex index with its
+    cache hits, f(0), the best value and its lex index, the trajectory of
+    strict improvements as (round, value), and the seconds spent walking.
+    Values are ints over the oracle's denominator `scale`.
+    """
+
+    def __init__(self, f: ValueOracle) -> None:
+        n = f.arity
+        self.f = f
+        self.scale = f.denominator
+        self.p, self.q = f.alpha.value.numerator, f.alpha.value.denominator
+        # Coordinate j going from Zero to Pos (Neg) adds (subtracts) 3^(n-1-j).
+        self.steps = [3 ** (n - 1 - j) for j in range(n)]
+        self.zero_code = (3**n - 1) // 2
+        self.zero = f.numerator((ZERO,) * n)
+        self.cache: Dict[int, int] = {self.zero_code: self.zero}
+        self.hits = 0
+        self.best_value: Optional[int] = None
+        self.best_code = self.zero_code
+        self.trajectory: List[Tuple[int, int]] = []
+        self.seconds = 0.0
+
+    def cut(self, t: int, nums: Sequence[int], denominator: int) -> Tuple[int, ...]:
+        """Walk the maximal chain at y = nums / denominator in round t.
+
+        Feeds the best-so-far (the support atoms, the prefixes where the key
+        drops, and all-Zero when mass is left below magnitude 1) and returns
+        the cut's integer column.
+        """
+        clock = time.perf_counter()
+        p, steps, cache, read = self.p, self.steps, self.cache, self.f.numerator
+        order, keys = chain_order(nums, p, self.q)
+        code = self.zero_code
+        labels = [ZERO] * len(nums)
+        chain = [self.zero]
+        for k, j in enumerate(order):
+            if nums[j] >= 0:
+                code += steps[j]
+                labels[j] = POS
+            else:
+                code -= steps[j]
+                labels[j] = NEG
+            current = cache.get(code)
+            if current is None:
+                # labels is the labeling at lex index `code`.
+                current = cache[code] = read(tuple(labels))
+            else:
+                self.hits += 1
+            chain.append(current)
+            if keys[k] != keys[k + 1]:
+                self._consider(t, code, current)
+        if keys[0] != denominator * p:
+            self._consider(t, self.zero_code, self.zero)
+        column = _cut_column(order, nums, chain, self.scale, p, self.q)
+        self.seconds += time.perf_counter() - clock
+        return column
+
+    def _consider(self, t: int, code: int, value: int) -> None:
+        if self.best_value is None or value < self.best_value:
+            self.best_value, self.best_code = value, code
+            self.trajectory.append((t, value))
+
+
+def _stop(
+    walk: _Walk, columns: Sequence[Tuple[int, ...]], bound: int, denominator: int
+) -> Optional[Tuple[str, Optional[ConvexityWitness]]]:
+    """The stop test: (certified, None), (not_convex, its witness), or None to go on.
+
+    `bound` is the master's bound times D * denominator, the scale at which
+    it is compared with the walk's best value over D.
+    """
+    best = walk.best_value * denominator
+    if best == bound:
+        return CERTIFIED, None
+    if best < bound:
+        return NOT_CONVEX, _witness(walk, columns)
+    return None
+
+
+def _witness(walk: _Walk, columns: Sequence[Tuple[int, ...]]) -> ConvexityWitness:
+    """The stored cut highest at the best labeling u, which lies below it."""
+    # t* <= max_k g_k.u at the box point u, so some cut lies above f(u).
+    n = walk.f.arity
+    u = labeling_at(walk.best_code, n)
+    point = numeric(u, walk.f.alpha)
+    gs = [tuple([Fraction(v, cut[n]) for v in cut[:n]]) for cut in columns]
+    heights = [sum(gj * uj for gj, uj in zip(g, point)) for g in gs]
+    k = max(range(len(gs)), key=heights.__getitem__)
+    scale = walk.scale
+    return ConvexityWitness(
+        u, k, gs[k], Fraction(walk.best_value, scale), Fraction(walk.zero, scale) + heights[k]
+    )
+
+
 def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> MinimizeReport:
     """Run Kelley's cutting planes and return the best discrete point.
 
@@ -268,117 +365,43 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
     n = f.arity
     if n > DEFAULT_ARITY_CAP:
         raise CapExceededError(f"arity {n} exceeds the minimize cap {DEFAULT_ARITY_CAP}")
-    alpha = f.alpha.value
-    p, q = alpha.numerator, alpha.denominator
-    # Coordinate j going from Zero to Pos (Neg) adds (subtracts) 3^(n-1-j).
-    steps = [3 ** (n - 1 - j) for j in range(n)]
-    zero_code = (3**n - 1) // 2
     max_iters = cfg.max_iters if cfg.max_iters is not None else 200 * n * n
-    y = _start(f, cfg)
-
+    denominator, nums = common_denominator(_start(f, cfg))
     calls_before = f.call_count
-    # Values are ints over the oracle's denominator D until the report.
-    scale = f.denominator
-    cache: Dict[int, int] = {}
-    cache_hits = 0
-
-    def value(code: int, labels: Sequence[Label]) -> int:
-        # labels is the labeling at lex index `code`.
-        nonlocal cache_hits
-        hit = cache.get(code)
-        if hit is None:
-            hit = cache[code] = f.numerator(tuple(labels))
-        else:
-            cache_hits += 1
-        return hit
-
-    zero = value(zero_code, (ZERO,) * n)
-    best_value: Optional[int] = None
-    best_code = zero_code
-    trajectory: List[Tuple[int, int]] = []
-
-    def consider(code: int, candidate: int, t: int) -> None:
-        nonlocal best_value, best_code
-        if best_value is None or candidate < best_value:
-            best_value, best_code = candidate, code
-            trajectory.append((t, candidate))
-
-    def walk(t: int, nums: Sequence[int], denominator: int) -> Tuple[int, ...]:
-        # One pass along the maximal chain at y = nums / denominator: feeds
-        # the best-so-far (the support atoms, the prefixes where the key
-        # drops, and all-Zero when mass is left below magnitude 1) and
-        # returns the cut's integer column.
-        order, keys = chain_order(nums, p, q)
-        code = zero_code
-        labels = [ZERO] * n
-        chain = [zero]
-        for k, j in enumerate(order):
-            if nums[j] >= 0:
-                code += steps[j]
-                labels[j] = POS
-            else:
-                code -= steps[j]
-                labels[j] = NEG
-            current = value(code, labels)
-            chain.append(current)
-            if keys[k] != keys[k + 1]:
-                consider(code, current, t)
-        if keys[0] != denominator * p:
-            consider(zero_code, zero, t)
-        return _cut_column(order, nums, chain, scale, p, q)
-
-    denominator, nums = common_denominator(y)
-    master = None
-    stop_reason = CUT_CAP
-    witness: Optional[ConvexityWitness] = None
-    walk_s = lp_s = 0.0
+    walk = _Walk(f)
+    column = walk.cut(1, nums, denominator)
+    clock = time.perf_counter()
+    master = _unit_pair_start(column, walk.p, walk.q)
+    lp_s = time.perf_counter() - clock
     for t in range(1, max_iters + 1):
         clock = time.perf_counter()
-        column = walk(t, nums, denominator)
-        walk_s += time.perf_counter() - clock
-        if master is None or column not in master.columns:
-            clock = time.perf_counter()
-            if master is None:
-                master = _unit_pair_start(column, p, q)
-            else:
-                master.append(0, column)
-                master.optimize()
-            pi = master.pi
-            nums = pi[:n]
-            denominator = q * master.d
-            # The bound f(0) - pi[n] / denominator, times D * denominator.
-            bound = zero * denominator - pi[n] * scale
-            lp_s += time.perf_counter() - clock
-        best = best_value * denominator
-        if best == bound:
-            stop_reason = CERTIFIED
+        if column not in master.columns:
+            master.append(0, column)
+            master.optimize()
+        # y* = pi[:n] / (q d), and the bound f(0) - pi[n] / (q d) times D q d.
+        denominator = walk.q * master.d
+        nums = master.pi[:n]
+        bound = walk.zero * denominator - master.pi[n] * walk.scale
+        lp_s += time.perf_counter() - clock
+        stop = _stop(walk, master.columns, bound, denominator)
+        if stop is not None or t == max_iters:
             break
-        if best < bound:
-            # t* <= max_k g_k.u at the box point u, so some cut lies above f(u).
-            stop_reason = NOT_CONVEX
-            u = labeling_at(best_code, n)
-            point = numeric(u, f.alpha)
-            gs = [tuple([Fraction(v, cut[n]) for v in cut[:n]]) for cut in master.columns]
-            heights = [sum(gj * uj for gj, uj in zip(g, point)) for g in gs]
-            k = max(range(len(gs)), key=heights.__getitem__)
-            witness = ConvexityWitness(
-                u, k, gs[k], Fraction(best_value, scale), Fraction(zero, scale) + heights[k]
-            )
-            break
+        column = walk.cut(t + 1, nums, denominator)
+    stop_reason, witness = stop or (CUT_CAP, None)
 
     return MinimizeReport(
-        minimizer=labeling_at(best_code, n),
-        value=Fraction(best_value, scale),
+        minimizer=labeling_at(walk.best_code, n),
+        value=Fraction(walk.best_value, walk.scale),
         iterations_used=t,
         oracle_calls=f.call_count - calls_before,
-        trajectory_best=[(r, Fraction(v, scale)) for r, v in trajectory],
+        trajectory_best=[(r, Fraction(v, walk.scale)) for r, v in walk.trajectory],
         stop_reason=stop_reason,
-        lower_bound=Fraction(bound, scale * denominator),
+        lower_bound=Fraction(bound, walk.scale * denominator),
         cuts=len(master.columns),
-        distinct_points=len(cache),
-        cache_hits=cache_hits,
+        distinct_points=len(walk.cache),
+        cache_hits=walk.hits,
         witness=witness,
         lp_pivots=master.pivots,
-        walk_s=walk_s,
+        walk_s=walk.seconds,
         lp_s=lp_s,
     )

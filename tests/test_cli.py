@@ -531,6 +531,14 @@ class TestMalformedInput:
         assert captured.out == ""
         assert captured.err == "error: argument --iters: invalid int value: 'abc'\n"
 
+    @pytest.mark.parametrize("iters", ["0", "-1"])
+    def test_iters_must_be_positive(self, good_path, capsys, iters):
+        # The message names the option, not MinimizeConfig's field.
+        assert run(["minimize", good_path, "--iters", iters]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --iters must be >= 1, got {iters}\n"
+
     def test_help_prints_usage_and_succeeds(self, capsys):
         assert run(["minimize", "--help"]) == 0
         captured = capsys.readouterr()

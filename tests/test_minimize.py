@@ -14,8 +14,10 @@ from skewbisub import (
     DEFAULT_ARITY_CAP,
     Alpha,
     CapExceededError,
+    ConvexityWitness,
     FractionalPoint,
     MinimizeConfig,
+    NEG,
     SumFunction,
     TableFunction,
     Term,
@@ -37,6 +39,7 @@ from skewbisub import (
     subgradient,
 )
 from skewbisub import lovasz, simplex
+from skewbisub.lattice import lex_index
 from skewbisub.rationals import common_denominator
 from conftest import (
     ALPHA_GRID,
@@ -690,6 +693,50 @@ def test_walk_columns_are_the_subgradient_columns(pool_desk, monkeypatch):
             del added[:]
             minimize(f, MinimizeConfig(start=x, max_iters=1))
             assert added == [cut_column(subgradient(f, x))]
+
+
+def test_a_fresh_walk_is_the_subgradient_cut_and_a_second_is_memoized(pool_desk):
+    # The walk asks f(0) and the n chain points once each (n + 1 oracle
+    # calls) and returns the subgradient's column; walking the same point
+    # again asks nothing and finds the n chain points in the memo.
+    rng = random.Random(23)
+    for f in pool_desk:
+        n, alpha = f.arity, f.alpha
+        half = Fraction(1, 2)
+        tied = [half if j % 3 == 0 else (-alpha.value * half if j % 3 == 1 else 0) for j in range(n)]
+        for x in (random_box_point(n, alpha, rng), FractionalPoint(tuple(tied), alpha)):
+            denominator, nums = common_denominator(x.coords)
+            calls = f.call_count
+            walk = minimize_module._Walk(f)
+            column = walk.cut(1, nums, denominator)
+            assert f.call_count - calls == n + 1
+            assert column == cut_column(subgradient(f, x))
+            calls = f.call_count
+            assert walk.cut(2, nums, denominator) == column
+            assert f.call_count == calls
+            assert walk.hits == n
+            assert len(walk.cache) == n + 1
+
+
+def test_the_stop_test_certifies_rejects_and_goes_on(pool_desk):
+    # Hand-built: a best value of 5 over D against bounds over D * 7, and
+    # two cuts g = (2, 0) and (0, -3), of which the second lies higher at
+    # u = (Neg, Neg), the point (-alpha, -alpha).
+    f = pool_desk[1]
+    assert f.arity == 2
+    walk = minimize_module._Walk(f)
+    u = (NEG, NEG)
+    walk.best_value, walk.best_code = 5, lex_index(u)
+    columns = [(2, 0, 1), (0, -3, 1)]
+    stop = minimize_module._stop
+    assert stop(walk, columns, 35, 7) == ("certified", None)
+    assert stop(walk, columns, 34, 7) is None
+    reason, witness = stop(walk, columns, 36, 7)
+    assert reason == "not_convex"
+    scale = f.denominator
+    assert witness == ConvexityWitness(
+        u, 1, (0, -3), Fraction(5, scale), Fraction(walk.zero, scale) + 3 * f.alpha.value
+    )
 
 
 class TestArityCap:
