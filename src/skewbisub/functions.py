@@ -81,7 +81,7 @@ from .lattice import (
     meet0,
     parse_labeling,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import as_rational, format_rational, parse_rational
 
 #: `generate_instance` draws its integer term values uniformly from here.
 _VALUE_RANGE = (-10, 10)
@@ -161,18 +161,16 @@ class ValueOracle(abc.ABC):
 def _entry(raw: object) -> Tuple[int, int, Fraction]:
     """A value as (numerator, denominator, value): the one form in which a
     table, or a term of a sum, holds what it reads."""
-    # Fraction is an abstract base class's subclass, so the isinstance test
-    # is a Python-level call; a str takes the cached path below.
-    value = raw if isinstance(raw, Fraction) else parse_rational(raw)
+    value = as_rational(raw)
     return (*value.as_integer_ratio(), value)
 
 
-#: Key and value texts parsed so far.  Documents repeat a few texts many
-#: times (every term of a sum has the same 9 keys), and labelings and
-#: Fractions are immutable, so each text is parsed once per process.  Only
-#: str goes in: True == 1 == 1.0, so other types would share entries.  A
-#: failing parse raises, and lru_cache keeps nothing for it.
-_parsed_labeling = lru_cache(maxsize=1 << 12)(parse_labeling)
+#: Value texts parsed so far.  Documents repeat a few texts many times, and
+#: entries are immutable, so each text is parsed once per process.  Only str
+#: goes in: True == 1 == 1.0, so other types would share entries.  A failing
+#: parse raises, and lru_cache keeps nothing for it.  Keys need no such
+#: cache: a table reads known keys by `_indices_by_key`, and only a key that
+#: fails, or a table too short to be complete, is parsed.
 _parsed_entry = lru_cache(maxsize=1 << 12)(_entry)
 
 
@@ -203,7 +201,7 @@ def _indices_by_key(arity: int) -> Dict[object, int]:
 def _key_labeling(key: object, arity: int, where: str) -> Labeling:
     """The labeling a key names, or InstanceFormatError saying what is wrong."""
     if isinstance(key, str):
-        labeling = _parsed_labeling(key)
+        labeling = parse_labeling(key)
     elif isinstance(key, tuple) and all(isinstance(l, Label) for l in key):
         labeling = key
     else:

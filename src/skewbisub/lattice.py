@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Tuple
 
-from .rationals import format_rational, parse_rational
+from .rationals import as_rational, format_rational, parse_rational
 
 
 class ArityMismatchError(ValueError):
@@ -62,13 +62,15 @@ class Alpha:
     """The skew parameter: an exact rational in (0, 1].
 
     alpha = 1 is the unskewed (bisubmodular) case.  alpha = 0 is rejected:
-    the weight split between the two joins degenerates there.
+    the weight split between the two joins degenerates there.  The value
+    goes through `rationals.as_rational`, so floats, decimal strings and
+    booleans are refused.
     """
 
     value: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", Fraction(self.value))
+        object.__setattr__(self, "value", as_rational(self.value, "alpha"))
         if not 0 < self.value <= 1:
             raise ValueError(f"alpha must lie in (0, 1], got {self.value}")
 

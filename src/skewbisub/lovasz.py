@@ -18,9 +18,13 @@ positive D * p keeps the order and the ties, so `chain_order` sorts plain
 ints; the prefix ending at order position k then has weight
 (key_k - key_{k+1}) / (D * p), with key_n = 0, and the all-Zero vector gets
 (D * p - max key) / (D * p).  Both are exact quotients of integers.
-`decompose`, `maximal_chain` (and through it `subgradient`) and the
-minimizer all walk that one order, and `subgradient` and the minimizer
-build their cuts from the chain values with one function, `_cut_column`.
+
+The same pass builds the maximal chain along that order, n + 1 labelings
+from all-Zero up, and their lex indices.  `chain_order` is the one walk:
+`decompose` reads its atoms off it, `subgradient` and the minimizer read
+f along its chain and build their cuts from those values with one
+function, `_cut_column`, the minimizer keys its memo by the lex indices,
+and `oracles.convex_closure` starts its LP at the chain's basis.
 
 The extension of an oracle f is the expectation of f under that chain
 distribution.  It agrees with f on the 3^n vertices, is piecewise linear,
@@ -38,31 +42,34 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 from .functions import ValueOracle
 from .lattice import (
     Alpha,
     ArityMismatchError,
-    Label,
     Labeling,
     NEG,
     POS,
     ZERO,
     format_labeling,
 )
-from .rationals import common_denominator, format_rational, parse_rational
+from .rationals import as_rational, common_denominator, format_rational, parse_rational
 
 
 @dataclass(frozen=True)
 class FractionalPoint:
-    """An exact rational point of the box [-alpha, 1]^n."""
+    """An exact rational point of the box [-alpha, 1]^n.
+
+    Each coordinate goes through `rationals.as_rational`, so floats,
+    decimal strings and booleans are refused.
+    """
 
     coords: Tuple[Fraction, ...]
     alpha: Alpha
 
     def __post_init__(self) -> None:
-        coords = tuple([c if type(c) is Fraction else Fraction(c) for c in self.coords])
+        coords = tuple([as_rational(c, f"coordinate {j}") for j, c in enumerate(self.coords)])
         object.__setattr__(self, "coords", coords)
         if not coords:
             raise ValueError("a point needs at least one coordinate")
@@ -127,41 +134,45 @@ class ChainDecomposition:
         }
 
 
-def chain_order(nums: Sequence[int], p: int, q: int) -> Tuple[List[int], List[int]]:
+def chain_order(
+    nums: Sequence[int], p: int, q: int
+) -> Tuple[List[int], List[int], List[Labeling], List[int]]:
     """The chain walk at the point nums / D of the box for alpha = p/q.
 
     Coordinate j's key is num_j * p when num_j >= 0 and -num_j * q
     otherwise: its normalized magnitude scaled by D * p, so D * p stands for
     magnitude 1.  `order` lists the coordinates innermost first (largest
     key first, the larger index first among ties); zero coordinates come
-    last, and callers put them on the Pos side.  `keys` are the keys in
-    that order followed by a closing 0, so the prefix of the first k + 1
-    coordinates of the order has weight (keys[k] - keys[k + 1]) / (D * p)
-    and is an atom when that is positive, and the all-Zero vector gets
-    (D * p - keys[0]) / (D * p).
+    last, on the Pos side.  `keys` are the keys in that order followed by a
+    closing 0, so the prefix of the first k + 1 coordinates of the order
+    has weight (keys[k] - keys[k + 1]) / (D * p) and is an atom when that
+    is positive, and the all-Zero vector gets (D * p - keys[0]) / (D * p).
+
+    `chain` holds the n + 1 labelings of the maximal chain from all-Zero
+    up: labeling k + 1 is labeling k with coordinate order[k] set to its
+    sign.  Its points are affinely independent, the point lies in their
+    convex hull, and the extension is linear there.  `codes` are their lex
+    indices (`lattice.lex_index`): setting coordinate j to Pos (Neg) adds
+    (subtracts) 3^(n-1-j).
     """
+    n = len(nums)
     by_coordinate = [num * p if num >= 0 else -num * q for num in nums]
-    order = sorted(
-        range(len(nums) - 1, -1, -1), key=by_coordinate.__getitem__, reverse=True
-    )
+    order = sorted(range(n - 1, -1, -1), key=by_coordinate.__getitem__, reverse=True)
     keys = [by_coordinate[j] for j in order]
     keys.append(0)
-    return order, keys
-
-
-def _walk(x: FractionalPoint) -> Tuple[List[int], List[Labeling], List[int], int]:
-    """The walk at x: chain_order's order, the n + 1 labelings of the maximal
-    chain (see `maximal_chain`), chain_order's keys, and D * p, for the lcm
-    D of x's denominators."""
-    alpha = x.alpha.value
-    denominator, nums = common_denominator(x.coords)
-    order, keys = chain_order(nums, alpha.numerator, alpha.denominator)
-    current: List[Label] = [ZERO] * len(order)
-    chain: List[Labeling] = [tuple(current)]
+    current = [ZERO] * n
+    chain = [tuple(current)]
+    code = (3**n - 1) // 2
+    codes = [code]
     for j in order:
-        current[j] = NEG if nums[j] < 0 else POS
+        step = 3 ** (n - 1 - j)
+        if nums[j] >= 0:
+            current[j], code = POS, code + step
+        else:
+            current[j], code = NEG, code - step
         chain.append(tuple(current))
-    return order, chain, keys, denominator * alpha.numerator
+        codes.append(code)
+    return order, keys, chain, codes
 
 
 def decompose(x: FractionalPoint) -> ChainDecomposition:
@@ -170,7 +181,10 @@ def decompose(x: FractionalPoint) -> ChainDecomposition:
     The atoms are the maximal chain's labelings where the key drops,
     outermost first, and all-Zero for the mass left below magnitude 1.
     """
-    order, chain, keys, full = _walk(x)
+    alpha = x.alpha.value
+    denominator, nums = common_denominator(x.coords)
+    order, keys, chain, _ = chain_order(nums, alpha.numerator, alpha.denominator)
+    full = denominator * alpha.numerator
     atoms = [
         (chain[k + 1], Fraction(keys[k] - keys[k + 1], full))
         for k in reversed(range(len(order)))
@@ -179,18 +193,6 @@ def decompose(x: FractionalPoint) -> ChainDecomposition:
     if keys[0] != full:
         atoms.append((chain[0], Fraction(full - keys[0], full)))
     return ChainDecomposition(tuple(atoms))
-
-
-def maximal_chain(x: FractionalPoint) -> Tuple[List[int], List[Labeling]]:
-    """The walk's order at x and the n + 1 labelings of its maximal chain.
-
-    The chain runs from all-Zero up: labeling k + 1 is labeling k with
-    coordinate order[k] set to its sign, zero coordinates on the Pos side.
-    Its points are affinely independent, x lies in their convex hull, and
-    the extension is linear there; the atoms of `decompose(x)` are the
-    labelings of the chain that carry positive weight.
-    """
-    return _walk(x)[:2]
 
 
 def _check_oracle_point(f: ValueOracle, x: FractionalPoint) -> None:
@@ -215,7 +217,7 @@ def extension_value(f: ValueOracle, x: FractionalPoint) -> Fraction:
 
 def _cut_column(
     order: Sequence[int],
-    nums: Sequence[Union[int, Fraction]],
+    nums: Sequence[int],
     chain: Sequence[int],
     denominator: int,
     p: int,
@@ -260,11 +262,10 @@ def subgradient(f: ValueOracle, x: FractionalPoint) -> Tuple[Fraction, ...]:
     no subgradient guarantee.
     """
     _check_oracle_point(f, x)
-    alpha = x.alpha.value
-    order, chain = maximal_chain(x)
+    p, q = x.alpha.value.numerator, x.alpha.value.denominator
+    _, nums = common_denominator(x.coords)
+    order, _, chain, _ = chain_order(nums, p, q)
     values = [f.numerator(u) for u in chain]
-    column = _cut_column(
-        order, x.coords, values, f.denominator, alpha.numerator, alpha.denominator
-    )
+    column = _cut_column(order, nums, values, f.denominator, p, q)
     s = column[-1]
     return tuple([Fraction(v, s) for v in column[:-1]])

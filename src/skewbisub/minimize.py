@@ -9,9 +9,9 @@ Delta on the Pos side and -Delta q/p on the Neg side for alpha = p/q.  For
 convex f_L every such g gives a global cut f_L(y') >= f(0) + g.y'.
 
 So each round walks the chain at the current point (`lovasz.chain_order`,
-the one integer walk that decompose and subgradient use too), keeps the best
-of that walk's support atoms as the answer so far, stores the cut, and moves
-to a minimizer of the master LP
+the one walk, which also gives decompose its atoms and subgradient and the
+closure LP their chain), keeps the best of that walk's support atoms as the
+answer so far, stores the cut, and moves to a minimizer of the master LP
 
     min t  s.t.  t >= g_k.y for every stored cut k,  y in [-alpha, 1]^n,
 
@@ -83,10 +83,9 @@ are made only for the report and the witness.  The memo, the best value so
 far and the chain values are numerators over the oracle's denominator D,
 and the master's duals are over E = q d, so the checks compare the best
 value F_best / D with the bound F_0 / D - pi[n] / E as F_best E against
-F_0 E - pi[n] D.  The memo is keyed by `lattice.lex_index`, so each chain
-step updates the key with one addition of +-3^(n-1-j), and the walk
-carries the labeling itself, flipping one coordinate per step, for the
-oracle on a memo miss.  Runs are deterministic given the configuration.
+F_0 E - pi[n] D.  The memo is keyed by the lex indices (`lattice.lex_index`)
+that `chain_order` returns with the chain, and a memo miss hands the chain's
+labeling to the oracle.  Runs are deterministic given the configuration.
 """
 
 from __future__ import annotations
@@ -98,7 +97,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .functions import CapExceededError, ValueOracle
-from .lattice import NEG, POS, ZERO, Alpha, Labeling, format_labeling, labeling_at, numeric
+from .lattice import ZERO, Alpha, Labeling, format_labeling, labeling_at, numeric
 from .lovasz import FractionalPoint, _check_oracle_point, _cut_column, chain_order
 
 # Not used here; bench/tracing.py wraps these names on this module.
@@ -264,7 +263,9 @@ class _Walk:
     It holds the memo of oracle numerators keyed by lex index with its
     cache hits, f(0), the best value and its lex index, the trajectory of
     strict improvements as (round, value), and the seconds spent walking.
-    Values are ints over the oracle's denominator `scale`.
+    Values are ints over the oracle's denominator `scale`.  The chain and
+    its lex indices come from `chain_order`; the walk reads f at a chain
+    labeling only when its lex index is not in the memo.
     """
 
     def __init__(self, f: ValueOracle) -> None:
@@ -272,8 +273,6 @@ class _Walk:
         self.f = f
         self.scale = f.denominator
         self.p, self.q = f.alpha.value.numerator, f.alpha.value.denominator
-        # Coordinate j going from Zero to Pos (Neg) adds (subtracts) 3^(n-1-j).
-        self.steps = [3 ** (n - 1 - j) for j in range(n)]
         self.zero_code = (3**n - 1) // 2
         self.zero = f.numerator((ZERO,) * n)
         self.cache: Dict[int, int] = {self.zero_code: self.zero}
@@ -286,35 +285,29 @@ class _Walk:
     def cut(self, t: int, nums: Sequence[int], denominator: int) -> Tuple[int, ...]:
         """Walk the maximal chain at y = nums / denominator in round t.
 
-        Feeds the best-so-far (the support atoms, the prefixes where the key
-        drops, and all-Zero when mass is left below magnitude 1) and returns
-        the cut's integer column.
+        Feeds the best-so-far (the support atoms innermost first, the
+        prefixes where the key drops, then all-Zero when mass is left below
+        magnitude 1) and returns the cut's integer column.
         """
         clock = time.perf_counter()
-        p, steps, cache, read = self.p, self.steps, self.cache, self.f.numerator
-        order, keys = chain_order(nums, p, self.q)
-        code = self.zero_code
-        labels = [ZERO] * len(nums)
-        chain = [self.zero]
-        for k, j in enumerate(order):
-            if nums[j] >= 0:
-                code += steps[j]
-                labels[j] = POS
+        p, cache, read = self.p, self.cache, self.f.numerator
+        order, keys, chain, codes = chain_order(nums, p, self.q)
+        values = [self.zero]
+        hits = 0
+        # Step k + 1 of the chain, and whether its key drops there.
+        for code, labeling, key, below in zip(codes[1:], chain[1:], keys, keys[1:]):
+            value = cache.get(code)
+            if value is None:
+                value = cache[code] = read(labeling)
             else:
-                code -= steps[j]
-                labels[j] = NEG
-            current = cache.get(code)
-            if current is None:
-                # labels is the labeling at lex index `code`.
-                current = cache[code] = read(tuple(labels))
-            else:
-                self.hits += 1
-            chain.append(current)
-            if keys[k] != keys[k + 1]:
-                self._consider(t, code, current)
+                hits += 1
+            values.append(value)
+            if key != below:
+                self._consider(t, code, value)
+        self.hits += hits
         if keys[0] != denominator * p:
             self._consider(t, self.zero_code, self.zero)
-        column = _cut_column(order, nums, chain, self.scale, p, self.q)
+        column = _cut_column(order, nums, values, self.scale, p, self.q)
         self.seconds += time.perf_counter() - clock
         return column
 

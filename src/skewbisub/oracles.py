@@ -19,12 +19,12 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .functions import CapExceededError, DEFAULT_ENUM_CAP, ValueOracle, exceeds_cap
-from .lattice import Alpha, Labeling, NEG, POS, all_labelings, check_enum_cap, labeling_at, lex_index
+from .lattice import Alpha, Labeling, NEG, POS, all_labelings, check_enum_cap, labeling_at
 from .lovasz import (
     FractionalPoint,
     _check_oracle_point,
+    chain_order,
     extension_value,
-    maximal_chain,
     midpoint,
 )
 from .rationals import common_denominator
@@ -94,18 +94,18 @@ def convex_closure(
     one normalization row, n marginal rows, exact simplex underneath.
     Infeasibility cannot happen for x inside the box and signals a bug.
 
-    The simplex starts at the basis of the maximal chain through x
-    (`lovasz.maximal_chain`): all-Zero and the n prefixes of the walk's
-    order.  Those n + 1 points are affinely independent and the chain
-    weights are a nonnegative solution on them, so they are a feasible
-    basis whatever f is.  For a skew bisubmodular f that basis is already
-    optimal: the extension is convex and affine on the chain's simplex, so
-    the basis's duals (f at all-Zero and the chain's telescoping
-    differences) give an affine minorant of f on every vertex, no column
-    prices out negative, and the distribution returned is the chain
-    decomposition of x.  For
-    any other f some column may price out negative, and Bland's pivots run
-    from there to the optimum, which can then lie below the extension.
+    The simplex starts at the basis of the maximal chain through x, given
+    by the lex indices that `lovasz.chain_order` returns with it: all-Zero
+    and the n prefixes of the walk's order.  Those n + 1 points are
+    affinely independent and the chain weights are a nonnegative solution
+    on them, so they are a feasible basis whatever f is.  For a skew
+    bisubmodular f that basis is already optimal: the extension is convex
+    and affine on the chain's simplex, so the basis's duals (f at all-Zero
+    and the chain's telescoping differences) give an affine minorant of f
+    on every vertex, no column prices out negative, and the distribution
+    returned is the chain decomposition of x.  For any other f some column
+    may price out negative, and Bland's pivots run from there to the
+    optimum, which can then lie below the extension.
     The value never rests on the chain being computed right: the solver
     checks that the start is a feasible basis, and Bland's rule certifies
     the optimum by pricing all 3^n columns.
@@ -113,7 +113,7 @@ def convex_closure(
     n = f.arity
     check_lp_cap(n, cap)
     _check_oracle_point(f, x)
-    q = f.alpha.value.denominator
+    p, q = f.alpha.value.numerator, f.alpha.value.denominator
     labelings = list(all_labelings(n))
     # The costs are f's integer numerators over D, so the value comes back
     # times D.
@@ -124,8 +124,8 @@ def convex_closure(
     # divided by X.
     scale, nums = common_denominator(x.coords)
     rhs = [scale, *[q * v for v in nums]]
-    start = [lex_index(u) for u in maximal_chain(x)[1]]
-    rows = _closure_rows(n, f.alpha.value.numerator, q)
+    start = chain_order(nums, p, q)[3]
+    rows = _closure_rows(n, p, q)
     value, weights = linear_min(costs, rows, rhs, start=start)
     distribution = {a: w / scale for a, w in zip(labelings, weights) if w}
     return ClosureResult(value / (scale * f.denominator), distribution)

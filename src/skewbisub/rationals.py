@@ -44,6 +44,17 @@ def parse_rational(value: object, where: str = "value") -> Fraction:
     raise ValueError(f"{where}: expected a rational, got {type(value).__name__}")
 
 
+def as_rational(value: object, where: str = "value") -> Fraction:
+    """A Fraction as is, anything else through `parse_rational`.
+
+    The one rule for a value handed to the library's types rather than
+    read from text: table values, alpha and point coordinates.
+    """
+    # Fraction is an abstract base class's subclass, so for anything but a
+    # Fraction itself the isinstance test is a Python-level call.
+    return value if isinstance(value, Fraction) else parse_rational(value, where)
+
+
 def format_rational(q: Fraction) -> str:
     """Canonical string form: "p" for integers, "p/q" otherwise."""
     if q.denominator == 1:

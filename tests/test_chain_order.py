@@ -33,6 +33,9 @@ from skewbisub import (
     format_labeling,
     subgradient,
 )
+from skewbisub.lattice import lex_index
+from skewbisub.lovasz import chain_order
+from skewbisub.rationals import common_denominator
 
 
 def reference_decompose(x: FractionalPoint) -> ChainDecomposition:
@@ -134,6 +137,19 @@ class RecordingTable(TableFunction):
 
 def assert_walks_agree(x: FractionalPoint, seed: int = 0) -> None:
     assert decompose(x).atoms == reference_decompose(x).atoms
+
+    # The walk's maximal chain runs from all-Zero up, one coordinate of the
+    # order joining per step on its side, and its codes are the chain's
+    # lex indices.
+    _, nums = common_denominator(x.coords)
+    order, _, chain, codes = chain_order(nums, x.alpha.value.numerator, x.alpha.value.denominator)
+    assert len(chain) == len(codes) == len(order) + 1
+    assert chain[0] == (ZERO,) * len(nums)
+    assert codes == [lex_index(u) for u in chain]
+    for k, j in enumerate(order):
+        step = list(chain[k])
+        step[j] = POS if nums[j] >= 0 else NEG
+        assert chain[k + 1] == tuple(step)
 
     n, alpha = len(x.coords), x.alpha
     f, g = RecordingOracle(n, alpha, seed), RecordingOracle(n, alpha, seed)

@@ -678,8 +678,8 @@ class TestJson:
 
 
 class TestLoadCaches:
-    """Key and value texts are parsed once per process, with no change to
-    what a load accepts or to the messages it gives."""
+    """Value texts are parsed once per process, with no change to what a
+    load accepts or to the messages it gives."""
 
     @staticmethod
     def _table(values):
@@ -735,9 +735,7 @@ class TestLoadCaches:
                 assert type(f[(NEG,)]) is Fraction
         f = instance_from_json(self._table({"-": "2/4", "0": "1/2", "+": "+1/2"}))
         assert f[(NEG,)] == f[(ZERO,)] == f[(POS,)] == Fraction(1, 2)
-        assert parse_labeling("+-0") == functions._parsed_labeling("+-0")
 
     def test_both_caches_are_bounded(self):
-        for cache in (functions._parsed_labeling, functions._parsed_entry):
-            maxsize = cache.cache_info().maxsize
-            assert maxsize is not None and 0 < maxsize <= 1 << 16
+        maxsize = functions._parsed_entry.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 1 << 16

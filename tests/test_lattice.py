@@ -31,7 +31,9 @@ class TestAlpha:
         assert Alpha(Fraction(1)).value == 1
         assert Alpha(Fraction(1, 1000)).value == Fraction(1, 1000)
 
-    @pytest.mark.parametrize("bad", [0, Fraction(0), Fraction(-1, 2), Fraction(3, 2), 2])
+    @pytest.mark.parametrize(
+        "bad", [0, Fraction(0), Fraction(-1, 2), Fraction(3, 2), 2, 0.1, 0.5, "0.5", "1e-1", True]
+    )
     def test_rejects_outside(self, bad):
         with pytest.raises(ValueError):
             Alpha(bad)

@@ -76,6 +76,10 @@ class TestDecompose:
             FractionalPoint((Fraction(0), Fraction(-3, 4)), alpha_half)
         with pytest.raises(ValueError, match="coordinate 0"):
             FractionalPoint((Fraction(5, 4),), alpha_half)
+        # Floats, decimal strings and booleans are not exact rationals.
+        for bad in (0.1, 0.5, "0.5", "1e-1", True):
+            with pytest.raises(ValueError, match="coordinate 1"):
+                FractionalPoint((Fraction(0), bad), alpha_half)
 
     def test_random_invariants(self):
         rng = random.Random(42)
