@@ -507,37 +507,137 @@ def _pair_tests(arity: int, p: int, q: int) -> Tuple[Tuple[int, int, int, int, i
     return tuple(pairs)
 
 
-def _accepts(
-    values: List[int], pairs: Tuple[Tuple[int, int, int, int, int], ...], p: int, q: int
-) -> bool:
-    # The inequality scaled by q (alpha = p/q) at each pair of `_pair_tests`,
-    # on plain ints: the generator's hot rejection path.  Accepted tables
-    # are re-confirmed by check_alpha_bisubmodular before use.
-    qp = q - p
+#: A table value is lo + r, r in [0, hi - lo], drawn as CPython's
+#: `randint(lo, hi)` draws it: r is the top 5 bits of one Mersenne Twister
+#: word, drawn again from the next word while r >= 21.  So r is the word's
+#: top byte shifted right by 3, and a top byte of 168 or more is a redraw.
+#: `_VALUE_OF_TOP` maps a top byte to its r, `_REDRAWN_TOPS` lists the
+#: redraws, and `_TOP_KEPT` marks a top byte 1 if it gives a value, else 0.
+_VALUE_BITS = (_VALUE_RANGE[1] - _VALUE_RANGE[0]).bit_length()
+_VALUE_OF_TOP = bytes(top >> (8 - _VALUE_BITS) for top in range(256))
+_REDRAWN_TOPS = bytes(
+    top for top in range(256) if _VALUE_OF_TOP[top] > _VALUE_RANGE[1] - _VALUE_RANGE[0]
+)
+_TOP_KEPT = bytes(int(top not in _REDRAWN_TOPS) for top in range(256))
+
+#: Words per read of the look-ahead: a term's first read takes
+#: `_FIRST_WORDS`, each further read twice as many as the one before, up to
+#: `_MAX_WORDS`.  A unary term takes about 9 words (two tables) and a pair
+#: term about 7,000 (some 500 tables), so most unary terms take one read
+#: and a pair term a few.  No read holds more than `_MAX_WORDS` words, and
+#: no rewind replays more, so every buffer stays a few KiB.  (A rewind over
+#: all of a pair term's words makes ints of 30 KiB and more; freeing such
+#: a buffer once it is mmapped raises glibc's mmap threshold, later ones
+#: then stay on the heap, and peak RSS rose by about 0.4 MiB.)
+_FIRST_WORDS = 512
+_MAX_WORDS = 2048
+
+
+def _read_values(rng: random.Random, words: int) -> Tuple[bytes, bytes]:
+    """The top bytes of rng's next `words` words, and the values r they
+    give in order, redraws left out: r for `randint(lo, hi) = lo + r`.
+
+    `getrandbits(32 * w)` puts word i at bits [32i, 32i + 32), so the top
+    byte of word i is byte 4i + 3 of its little-endian bytes.
+    """
+    tops = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+    return tops, tops.translate(_VALUE_OF_TOP, _REDRAWN_TOPS)
+
+
+def _words_used(tops: bytes, count: int) -> int:
+    """How many leading words of `tops` give its first `count` values."""
+    # The least fixed point of words = count + (redraws among the first
+    # `words` words), reached from below in a few counts.
+    kept = tops.translate(_TOP_KEPT)
+    words = count
+    while True:
+        more = count + kept.count(0, 0, words)
+        if more == words:
+            return words
+        words = more
+
+
+def _packed(values: bytes, count: int, size: int, width: int) -> List[int]:
+    """Columns of `count` tables of `size` consecutive values r each:
+    column j holds position j of table t in the `width`-byte field t,
+    little-endian, so its value is the sum of r << (8 * width * t)."""
+    field = bytearray(count * width)
+    columns = []
+    for j in range(size):
+        field[::width] = values[j : count * size : size]
+        columns.append(int.from_bytes(field, "little"))
+    return columns
+
+
+def _first_accepted(
+    columns: List[int],
+    count: int,
+    width: int,
+    pairs: Tuple[Tuple[int, int, int, int, int], ...],
+    p: int,
+    q: int,
+) -> Optional[int]:
+    """The first of `count` packed tables that meets every pair of
+    `_pair_tests`, or None.
+
+    Each pair is evaluated on all fields at once, as the inequality scaled
+    by q for alpha = p/q: q f(a) + q f(b) - q f(meet) - p f(join0) - (q - p) f(join1)
+    >= 0.  Its coefficients sum to 0, so it reads the same on r as on
+    lo + r, and where every packed r lies in [0, top] (top = hi - lo for
+    the generator) it lies within +-2q * top.  The caller sizes the fields
+    so that 2^(8 * width - 1), the bias, exceeds 2q * top: then each
+    field's value plus the bias lies in [0, 2^(8 * width)), so no field
+    borrows from or carries into the next, and the field's top bit, the
+    bias bit, is set exactly when the value is >= 0.  A table passes while
+    its bias bit survives every pair.
+    """
+    biases = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * count, "little")
+    accepted = biases
     for a, b, meet, join0, join1 in pairs:
-        if q * values[meet] + p * values[join0] + qp * values[join1] > q * (values[a] + values[b]):
-            return False
-    return True
+        accepted &= (
+            q * (columns[a] + columns[b] - columns[meet] - columns[join1])
+            + p * (columns[join1] - columns[join0])
+            + biases
+        )
+        if not accepted:
+            return None
+    return ((accepted & -accepted).bit_length() - 1) // (8 * width) if accepted else None
 
 
-def _randints(rng: random.Random, lo: int, hi: int, count: int) -> List[int]:
-    # `count` values of rng.randint(lo, hi), drawn as CPython draws them:
-    # randint(lo, hi) is randrange(lo, hi + 1), which returns lo + r for
-    # r = _randbelow(w), w = hi - lo + 1, and _randbelow takes r from
-    # getrandbits(w.bit_length()), drawing again while r >= w.  Spelled out,
-    # the draws consume the same Mersenne Twister words and give the same
-    # values without three Python calls per value, and the stream no longer
-    # depends on how a later Python implements randint.
-    width = hi - lo + 1
-    bits = width.bit_length()
-    getrandbits = rng.getrandbits
-    values = []
-    for _ in range(count):
-        r = getrandbits(bits)
-        while r >= width:
-            r = getrandbits(bits)
-        values.append(lo + r)
-    return values
+def _draw_table(
+    rng: random.Random, k: int, p: int, q: int, max_rejections: int
+) -> Optional[List[int]]:
+    """The first table of 3^k `randint` values, among the next
+    `max_rejections`, that meets every pair of `_pair_tests`, with rng just
+    past it; None if there is none.
+
+    Each read is a batch: the values left over from the last read and
+    those of this one, as many whole tables as they make.  rng's state is
+    kept before each read, so the rewind after an accepted table replays
+    at most one read's words.
+    """
+    lo, hi = _VALUE_RANGE
+    size = 3**k
+    pairs = _pair_tests(k, p, q)
+    width = (2 * q * (hi - lo)).bit_length() // 8 + 1
+    values = b""
+    words = tried = 0
+    while tried < max_rejections:
+        words = min(2 * words, _MAX_WORDS) or _FIRST_WORDS
+        state = rng.getstate()
+        tops, more = _read_values(rng, words)
+        carried = len(values)
+        values += more
+        count = min(len(values) // size, max_rejections - tried)
+        first = _first_accepted(_packed(values, count, size, width), count, width, pairs, p, q)
+        if first is not None:
+            end = (first + 1) * size
+            rng.setstate(state)
+            rng.getrandbits(32 * _words_used(tops, end - carried))
+            return [lo + r for r in values[end - size : end]]
+        tried += count
+        values = values[count * size :]
+    return None
 
 
 def generate_instance(
@@ -550,21 +650,36 @@ def generate_instance(
 ) -> SumFunction:
     """Draw a random skew-bisubmodular sum-of-terms instance, deterministically.
 
-    Each term's scope is drawn uniformly without replacement, its size
-    uniform in {1, ..., max_scope}; integer value tables are drawn uniformly
-    over `_VALUE_RANGE` and rejection-sampled until the checker accepts.
+    Each term's scope is drawn uniformly without replacement (`randint`
+    and `sample`), its size uniform in {1, ..., max_scope}; its integer
+    value table is drawn uniformly over `_VALUE_RANGE`, table after table,
+    until one meets every pair of `_pair_tests`: the pairs a <lex b, less
+    those that hold with equality on every table, which reject exactly the
+    tables that a scan of all ordered pairs rejects.  At most
+    `max_rejections` tables are drawn per term.  Every accepted table is
+    checked again by `check_alpha_bisubmodular`.
 
-    A table's 3^k values are drawn by `_randints`, which spells out
-    CPython's `randint` -> `_randbelow` path on `getrandbits`: it takes the
-    same words of the seeded stream and gives the same values as `randint`,
-    and no longer depends on how a later Python implements `randint` (the
-    scope draws still call `randint` and `sample`).  A draw is rejected at
-    the first pair of `_pair_tests` that violates the inequality: the pairs
-    a <lex b, less those that hold with equality on every table.  That
-    rejects exactly the tables that a scan of all ordered pairs rejects.
-    So every accepted table, and the stream after it, is the one that
-    `randint` draws and the full scan give, and the instances are those
-    the generator made when it drew that way.
+    The instance is byte for byte the one that drawing each value with
+    `randint` and scanning one table at a time gives.  `_draw_table` reads
+    tables ahead in batches and tests a batch at once, and that rests on
+    two facts about CPython's Mersenne Twister.  `getrandbits(32 * w)`
+    puts word i of its w words at bits [32i, 32i + 32), and
+    `getrandbits(5)`, which `randint(-10, 10)` calls for each value until
+    it is below 21, is the top 5 bits of one word.  So the values of w
+    words are the top bytes of the read's little-endian bytes, shifted
+    right by 3, with the redraws (>= 21) left out (`_read_values`).  A
+    batch packs position j of all its tables into one int, a field per
+    table (`_packed`), and evaluates each pair's inequality, scaled by q
+    for alpha = p/q, on all fields at once (`_first_accepted`).  The
+    inequality's coefficients sum to 0, so the offset lo cancels and the
+    fields hold r = value - lo in [0, hi - lo].  Its value then lies within
+    +-2q(hi - lo), so each field takes the least number of bytes whose
+    bits below the top one hold 2q(hi - lo); the top bit is a bias bit
+    that reads the sign, and no field carries into the next.  After the
+    first accepted table, the stream is rewound to the start of the read
+    that holds its last value and advanced by exactly the words up to that
+    value (`_words_used`), so the next scope is drawn from the stream that
+    `randint` would have left.
     """
     if n < 1:
         raise ValueError(f"arity must be >= 1, got {n}")
@@ -572,7 +687,6 @@ def generate_instance(
         raise ValueError(f"num_terms must be >= 1, got {num_terms}")
     if max_scope not in (1, 2):
         raise ValueError(f"max_scope must be 1 or 2, got {max_scope}")
-    lo, hi = _VALUE_RANGE
     rng = random.Random(seed)
     p = alpha.value.numerator
     q = alpha.value.denominator
@@ -580,25 +694,18 @@ def generate_instance(
     for pos in range(num_terms):
         k = rng.randint(1, min(max_scope, n))
         scope = tuple(sorted(rng.sample(range(n), k)))
-        pairs = _pair_tests(k, p, q)
-        for _ in range(max_rejections):
-            int_values = _randints(rng, lo, hi, 3**k)
-            if not _accepts(int_values, pairs, p, q):
-                continue
-            table = TableFunction._of_entries(
-                k, alpha, [(v, 1, Fraction(v)) for v in int_values]
-            )
-            witness = check_alpha_bisubmodular(table)
-            if witness is not None:  # pragma: no cover - guards the fast path
-                raise AssertionError(
-                    f"integer pre-check accepted a violating table: {witness.to_json()}"
-                )
-            terms.append(Term(scope, table))
-            break
-        else:
+        int_values = _draw_table(rng, k, p, q, max_rejections)
+        if int_values is None:
             raise GenerationBudgetError(
                 f"term {pos}: no accepted table within {max_rejections} draws"
             )
+        table = TableFunction._of_entries(k, alpha, [(v, 1, Fraction(v)) for v in int_values])
+        witness = check_alpha_bisubmodular(table)
+        if witness is not None:  # pragma: no cover - guards the fast path
+            raise AssertionError(
+                f"integer pre-check accepted a violating table: {witness.to_json()}"
+            )
+        terms.append(Term(scope, table))
     return SumFunction(n, alpha, terms)
 
 

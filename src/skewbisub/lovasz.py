@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from .functions import ValueOracle
@@ -134,6 +135,13 @@ class ChainDecomposition:
         }
 
 
+@lru_cache(maxsize=64)
+def _place_values(n: int) -> Tuple[int, ...]:
+    # 3^(n-1-j) for each coordinate j of a labeling of length n: its place
+    # in the base-3 lex index.
+    return tuple(3 ** (n - 1 - j) for j in range(n))
+
+
 def chain_order(
     nums: Sequence[int], p: int, q: int
 ) -> Tuple[List[int], List[int], List[Labeling], List[int]]:
@@ -153,7 +161,7 @@ def chain_order(
     sign.  Its points are affinely independent, the point lies in their
     convex hull, and the extension is linear there.  `codes` are their lex
     indices (`lattice.lex_index`): setting coordinate j to Pos (Neg) adds
-    (subtracts) 3^(n-1-j).
+    (subtracts) its place value 3^(n-1-j), read from `_place_values`.
     """
     n = len(nums)
     by_coordinate = [num * p if num >= 0 else -num * q for num in nums]
@@ -162,14 +170,14 @@ def chain_order(
     keys.append(0)
     current = [ZERO] * n
     chain = [tuple(current)]
+    places = _place_values(n)
     code = (3**n - 1) // 2
     codes = [code]
     for j in order:
-        step = 3 ** (n - 1 - j)
         if nums[j] >= 0:
-            current[j], code = POS, code + step
+            current[j], code = POS, code + places[j]
         else:
-            current[j], code = NEG, code - step
+            current[j], code = NEG, code - places[j]
         chain.append(tuple(current))
         codes.append(code)
     return order, keys, chain, codes

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, JSON outputs, reproducibility."""
 
 import gc
+import hashlib
 import json
 import os
 import random
@@ -465,6 +466,27 @@ def test_generate_prints_the_recorded_bytes(case, capsys):
     # 2/7 and 5/9.  Any change to the generator or the JSON writer shows here.
     assert run(["generate", *shlex.split(case["args"])]) == 0
     assert capsys.readouterr().out == case["stdout"]
+
+
+#: SHA-256 of `generate`'s stdout at larger sizes, recorded on the generator
+#: that drew one value per `randint` call and tested one table at a time.
+_GENERATE_DIGESTS = {
+    "--n 500 --alpha 1/2 --terms 1000 --seed 5": (
+        "ab9f19bef9b0e66a1e184f1198cc1c095074dad17446691f51fd97874b1419c3"
+    ),
+    "--n 40 --alpha 1/1000000007 --terms 80 --seed 3": (
+        "e3323f25cb93573db6934de35d48586018cc2291f41db8d96a81bb74ab926065"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", list(_GENERATE_DIGESTS))
+def test_generate_at_scale_prints_the_pinned_bytes(args, capsys):
+    # The generator reads many Mersenne Twister words per getrandbits call
+    # and relies on CPython's word layout; 1,000 terms draw some 3.9
+    # million words, and alpha = 1/1000000007 needs five-byte fields.
+    assert run(["generate", *shlex.split(args)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _GENERATE_DIGESTS[args]
 
 
 class TestMalformedInput:

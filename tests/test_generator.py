@@ -1,12 +1,15 @@
 """The generator against the algorithm it replaced.
 
-`generate_instance` draws a table's values with `functions._randints`,
-which spells out CPython's `randint` on `getrandbits`, and rejects a draw
-at the first failing pair of `functions._pair_tests`, the pairs a <lex b
-that can fail.  The reference below draws with `rng.randint` and scans all
-9^k ordered pairs, as the generator once did.  Both must give the same
-instances, byte for byte, and the pair tuple must accept exactly what the
-full scan and the checker accept.
+`generate_instance` reads a term's tables ahead in batches: many Mersenne
+Twister words per read (`functions._read_values`), the batch's tables
+packed into one int per position (`functions._packed`), and each pair of
+`functions._pair_tests` tested on all of them at once
+(`functions._first_accepted`); then it rewinds the stream to just past the
+first accepted table (`functions._words_used`).  The reference below draws
+with `rng.randint` and scans all 9^k ordered pairs one table at a time, as
+the generator once did.  Both must give the same instances, byte for byte,
+and leave the stream in the same state; the packed test must accept exactly
+what the full scan and the checker accept.
 """
 
 import json
@@ -18,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewbisub import (
     Alpha,
+    GenerationBudgetError,
     POS,
     SumFunction,
     TableFunction,
@@ -32,7 +36,16 @@ from skewbisub import (
     meet0,
     numeric,
 )
-from skewbisub.functions import _VALUE_RANGE, _accepts, _pair_tests, _randints
+from skewbisub import functions
+from skewbisub.functions import (
+    _VALUE_RANGE,
+    _draw_table,
+    _first_accepted,
+    _packed,
+    _pair_tests,
+    _read_values,
+    _words_used,
+)
 from conftest import boundary_shift
 
 _ALPHAS = [Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(2, 7), Fraction(5, 9)]
@@ -56,23 +69,50 @@ def _full_scan_accepts(values, pairs, p, q):
     return True
 
 
-def reference_generate(n, alpha, num_terms, max_scope, seed):
-    """The generator as it was: `randint` draws and the all-ordered-pairs scan."""
+def reference_table(rng, k, p, q):
+    """The first table of 3^k `randint` values the full scan accepts, and
+    how many tables were drawn to reach it, that one included."""
     lo, hi = _VALUE_RANGE
+    pairs = _all_ordered_pairs(k)
+    drawn = 0
+    while True:
+        values = [rng.randint(lo, hi) for _ in range(3**k)]
+        drawn += 1
+        if _full_scan_accepts(values, pairs, p, q):
+            return values, drawn
+
+
+def reference_draws(n, alpha, num_terms, max_scope, seed):
+    """Per term of the reference, its scope, its table's values and the
+    tables drawn for it."""
     rng = random.Random(seed)
     p, q = alpha.value.numerator, alpha.value.denominator
-    terms = []
+    draws = []
     for _ in range(num_terms):
         k = rng.randint(1, min(max_scope, n))
         scope = tuple(sorted(rng.sample(range(n), k)))
-        pairs = _all_ordered_pairs(k)
-        while True:
-            values = [rng.randint(lo, hi) for _ in range(3**k)]
-            if _full_scan_accepts(values, pairs, p, q):
-                break
-        table = TableFunction(k, alpha, {u: Fraction(v) for u, v in zip(all_labelings(k), values)})
-        terms.append(Term(scope, table))
+        draws.append((scope, *reference_table(rng, k, p, q)))
+    return draws
+
+
+def reference_generate(n, alpha, num_terms, max_scope, seed):
+    """The generator as it was: `randint` draws and the all-ordered-pairs scan."""
+    terms = [
+        Term(
+            scope,
+            TableFunction(
+                len(scope), alpha, {u: Fraction(v) for u, v in zip(all_labelings(len(scope)), values)}
+            ),
+        )
+        for scope, values, _ in reference_draws(n, alpha, num_terms, max_scope, seed)
+    ]
     return SumFunction(n, alpha, terms)
+
+
+def _same_documents(args):
+    return json.dumps(instance_to_json(generate_instance(*args))) == json.dumps(
+        instance_to_json(reference_generate(*args))
+    )
 
 
 @pytest.mark.parametrize("max_scope", [1, 2])
@@ -89,27 +129,135 @@ def test_generator_matches_the_randint_full_scan_reference(alpha, max_scope):
             ), args
 
 
-def test_randints_is_randint():
+@pytest.mark.parametrize(
+    "alpha", [Fraction(1, 1000000007), Fraction(1, 10**30 + 7)], ids=["1e9+7", "1e30+7"]
+)
+def test_wide_fields_match_the_reference(alpha):
+    # 2q(hi - lo) needs 37 and 106 bits here: a field narrower than that
+    # would let a violating table's negative value pass as >= 0.
+    alpha = Alpha(alpha)
+    for seed in range(12):
+        for n in (2, 5):
+            args = (n, alpha, 3, 2, seed)
+            assert _same_documents(args), args
+
+
+@pytest.mark.parametrize("first, most", [(1, 1), (1, 2), (2, 5), (3, 3), (7, 40)])
+def test_small_reads_carry_tables_over(first, most, monkeypatch):
+    # With reads of a few words, tables straddle reads, a read can give no
+    # value or no whole table, and a term takes many reads.
+    monkeypatch.setattr(functions, "_FIRST_WORDS", first)
+    monkeypatch.setattr(functions, "_MAX_WORDS", most)
+    for alpha in (Fraction(1, 2), Fraction(2, 7), Fraction(1)):
+        for seed in range(6):
+            args = (5, Alpha(alpha), 3, 2, seed)
+            assert _same_documents(args), args
+
+
+@pytest.mark.parametrize("first, most", [(512, 2048), (1, 3)])
+@pytest.mark.parametrize("alpha", _ALPHAS, ids=str)
+def test_a_draw_leaves_the_stream_where_randint_leaves_it(alpha, first, most, monkeypatch):
+    monkeypatch.setattr(functions, "_FIRST_WORDS", first)
+    monkeypatch.setattr(functions, "_MAX_WORDS", most)
+    p, q = alpha.numerator, alpha.denominator
+    for seed in range(4):
+        drawn, reference = random.Random(seed), random.Random(seed)
+        for k in (2, 1, 2):
+            assert _draw_table(drawn, k, p, q, 10000) == reference_table(reference, k, p, q)[0]
+            assert drawn.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("first, most", [(512, 2048), (1, 4)])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_the_budget_counts_tables_drawn(seed, first, most, monkeypatch):
+    # A budget of exactly the tables the reference drew for its hardest
+    # term succeeds; one fewer fails at that term, with the same message.
+    monkeypatch.setattr(functions, "_FIRST_WORDS", first)
+    monkeypatch.setattr(functions, "_MAX_WORDS", most)
+    args = (4, Alpha(Fraction(1, 2)), 4, 2, seed)
+    drawn = [count for _, _, count in reference_draws(*args)]
+    budget = max(drawn)
+    assert json.dumps(instance_to_json(generate_instance(*args, max_rejections=budget))) == (
+        json.dumps(instance_to_json(reference_generate(*args)))
+    )
+    with pytest.raises(GenerationBudgetError) as caught:
+        generate_instance(*args, max_rejections=budget - 1)
+    assert str(caught.value) == (
+        f"term {drawn.index(budget)}: no accepted table within {budget - 1} draws"
+    )
+
+
+def test_bulk_read_is_randint():
+    lo, hi = _VALUE_RANGE
     drawn, reference = random.Random(2013), random.Random(2013)
-    assert _randints(drawn, -10, 10, 10**5) == [reference.randint(-10, 10) for _ in range(10**5)]
-    # The same words were consumed, so the streams go on alike.
+    start = drawn.getstate()
+    tops, values = _read_values(drawn, 10**5)
+    assert [lo + r for r in values] == [reference.randint(lo, hi) for _ in range(len(values))]
+    # The values took the words up to the last one kept: rewound and
+    # advanced by those words, the stream is where randint left it.
+    drawn.setstate(start)
+    drawn.getrandbits(32 * _words_used(tops, len(values)))
     assert drawn.getstate() == reference.getstate()
 
 
-@pytest.mark.parametrize("lo, hi", [(0, 0), (-1, 0), (1, 2), (-10, 10), (-16, 15), (5, 2**40)])
-def test_randints_is_randint_on_other_ranges(lo, hi):
+@pytest.mark.parametrize("words", [1, 2, 3, 623, 624, 625])
+def test_bulk_read_is_randint_at_any_length(words):
+    # Reads of one word up to just past the 624-word Twister state, back to
+    # back; each read's first `count` values take `_words_used` words, as
+    # many as randint takes for them.
+    lo, hi = _VALUE_RANGE
     drawn, reference = random.Random(7), random.Random(7)
-    for count in (1, 3, 9):
-        assert _randints(drawn, lo, hi, count) == [reference.randint(lo, hi) for _ in range(count)]
+    for _ in range(3):
+        start = drawn.getstate()
+        tops, values = _read_values(drawn, words)
+        for count in {0, 1, len(values) // 2, len(values)}:
+            probe, replay = random.Random(), random.Random()
+            probe.setstate(start)
+            replay.setstate(start)
+            probe.getrandbits(32 * _words_used(tops, count))
+            for _ in range(count):
+                replay.randint(lo, hi)
+            assert probe.getstate() == replay.getstate()
+        assert [lo + r for r in values] == [reference.randint(lo, hi) for _ in range(len(values))]
+        # The read ends on words that may all be redraws.
+        reference.getrandbits(32 * (words - _words_used(tops, len(values))))
         assert drawn.getstate() == reference.getstate()
 
 
+def _columns(tables, width):
+    """The packed columns, spelled out: position j of table t in field t."""
+    return [
+        sum(table[j] << (8 * width * t) for t, table in enumerate(tables))
+        for j in range(len(tables[0]))
+    ]
+
+
+def _packed_verdict(values, k, p, q):
+    """The packed test on a one-table batch, asserting that it picks the
+    table out of batches that hold it at every position."""
+    pairs = _pair_tests(k, p, q)
+    low = min(values)
+    table = [v - low for v in values]
+    # All-Zero alone at 1 fails the pair of -0...0 and +0...0.
+    filler = [int(u == (ZERO,) * k) for u in all_labelings(k)]
+    width = (2 * q * max(max(table), 1)).bit_length() // 8 + 1
+    verdict = _first_accepted(_columns([table], width), 1, width, pairs, p, q) == 0
+    for i in range(5):
+        batch = [filler] * i + [table] + [table, filler] * 2
+        columns = _columns(batch, width)
+        if max(table) < 256:
+            flat = bytes(r for tab in batch for r in tab)
+            assert _packed(flat, len(batch), 3**k, width) == columns
+        assert _first_accepted(columns, len(batch), width, pairs, p, q) == (i if verdict else None)
+    return verdict
+
+
 def _verdicts(values, k, alpha):
-    """(pair tuple, full scan, checker) acceptance of an integer table."""
+    """(packed test, full scan, checker) acceptance of an integer table."""
     p, q = alpha.numerator, alpha.denominator
     table = TableFunction(k, Alpha(alpha), dict(zip(all_labelings(k), values)))
     return (
-        _accepts(values, _pair_tests(k, p, q), p, q),
+        _packed_verdict(values, k, p, q),
         _full_scan_accepts(values, _all_ordered_pairs(k), p, q),
         check_alpha_bisubmodular(table) is None,
     )
