@@ -29,11 +29,11 @@ from .functions import (
     instance_from_json,
     instance_to_json,
 )
-from .lattice import Alpha, Labeling, NEG, POS, ZERO, all_labelings, join, meet0, numeric
+from .lattice import Alpha, Labeling, NEG, POS, ZERO, all_labelings, join, meet0
 from .lovasz import FractionalPoint, decompose, extension_value
 from .minimize import NOT_CONVEX, MinimizeConfig, minimize
 from .oracles import brute_force_min, check_lp_cap, convex_closure, random_box_point
-from .rationals import format_rational
+from .rationals import common_denominator, format_rational
 
 
 #: Exit code of `main` when stdout is closed before the output is written.
@@ -164,17 +164,22 @@ def _verify_all_checks(f: ValueOracle, trials: int, seed: int) -> dict:
     )
 
     # Round-trip: random chain-supported distributions must decompose back
-    # to themselves, exactly.
+    # to themselves, exactly.  With alpha = p/q, the weights as integers over
+    # T and each label scaled by q to -p, 0 or q, the mean is an integer
+    # vector over q T.
+    p, q = f.alpha.value.numerator, f.alpha.value.denominator
+    scaled = {NEG: -p, ZERO: 0, POS: q}
     rng = random.Random(seed)
     roundtrip_ok = True
     detail = None
     for _ in range(trials):
         chain, weights = random_chain_distribution(f.arity, rng)
-        coords = [Fraction(0)] * f.arity
-        for u, w in zip(chain, weights):
-            for j, value in enumerate(numeric(u, f.alpha)):
-                coords[j] += w * value
-        point = FractionalPoint(tuple(coords), f.alpha)
+        total, ints = common_denominator(weights)
+        nums = [0] * f.arity
+        for u, w in zip(chain, ints):
+            for j, label in enumerate(u):
+                nums[j] += w * scaled[label]
+        point = FractionalPoint(tuple([Fraction(v, q * total) for v in nums]), f.alpha)
         recovered = decompose(point).atoms
         if list(recovered) != list(zip(chain, weights)):
             roundtrip_ok = False
@@ -186,11 +191,9 @@ def _verify_all_checks(f: ValueOracle, trials: int, seed: int) -> dict:
 
     # Meet/join recombination identity.  It is componentwise and does not
     # depend on f, so the 9 single-label pairs prove it at every arity.
-    # With alpha = p/q and each label scaled by q to -p, 0 or q, it reads
+    # With the labels scaled as above, it reads
     # q meet0 + p join_0 + (q - p) join_+ = q (a + b) in integers.
     pairs = [(a, b) for a in all_labelings(1) for b in all_labelings(1)]
-    p, q = f.alpha.value.numerator, f.alpha.value.denominator
-    scaled = {NEG: -p, ZERO: 0, POS: q}
     identity_ok = all(
         q * scaled[meet0(a, b)[0]] + p * scaled[join(a, b, ZERO)[0]]
         + (q - p) * scaled[join(a, b, POS)[0]]

@@ -21,16 +21,18 @@ ints; the prefix ending at order position k then has weight
 
 The same pass builds the maximal chain along that order, n + 1 labelings
 from all-Zero up, and their lex indices.  `chain_order` is the one walk:
-`decompose` reads its atoms off it, `subgradient` and the minimizer read
-f along its chain and build their cuts from those values with one
-function, `_cut_column`, the minimizer keys its memo by the lex indices,
-and `oracles.convex_closure` starts its LP at the chain's basis.
+`_atoms` reads the atoms off it, weights as integers over D * p, for
+`decompose` and `extension_value`; `subgradient` and the minimizer read f
+along its chain and build their cuts from those values with one function,
+`_cut_column`; the minimizer keys its memo by the lex indices; and
+`oracles.convex_closure` starts its LP at the chain's basis.
 
 The extension of an oracle f is the expectation of f under that chain
-distribution.  It agrees with f on the 3^n vertices, is piecewise linear,
-and is convex exactly when f is skew bisubmodular; on the convex case its
-minimum over the box equals the discrete minimum, which is what the
-minimizer exploits.
+distribution: the atoms' integer weights times f's integer numerators,
+made one Fraction over D * p times f's denominator.  It agrees with f on
+the 3^n vertices, is piecewise linear, and is convex exactly when f is
+skew bisubmodular; on the convex case its minimum over the box equals the
+discrete minimum, which is what the minimizer exploits.
 
 All arithmetic here is exact: the decomposition's defining properties
 (marginals, weights summing to one, uniqueness) are equalities, and
@@ -183,24 +185,30 @@ def chain_order(
     return order, keys, chain, codes
 
 
-def decompose(x: FractionalPoint) -> ChainDecomposition:
-    """The chain decomposition at x, read off the sorted keys of its walk.
+def _atoms(x: FractionalPoint) -> Tuple[int, List[Tuple[Labeling, int]]]:
+    """(D p, atoms): the chain decomposition at x, each weight times D p.
 
     The atoms are the maximal chain's labelings where the key drops,
-    outermost first, and all-Zero for the mass left below magnitude 1.
+    outermost first, and all-Zero last for the mass left below magnitude 1.
     """
     alpha = x.alpha.value
     denominator, nums = common_denominator(x.coords)
     order, keys, chain, _ = chain_order(nums, alpha.numerator, alpha.denominator)
     full = denominator * alpha.numerator
     atoms = [
-        (chain[k + 1], Fraction(keys[k] - keys[k + 1], full))
+        (chain[k + 1], keys[k] - keys[k + 1])
         for k in reversed(range(len(order)))
         if keys[k] != keys[k + 1]
     ]
     if keys[0] != full:
-        atoms.append((chain[0], Fraction(full - keys[0], full)))
-    return ChainDecomposition(tuple(atoms))
+        atoms.append((chain[0], full - keys[0]))
+    return full, atoms
+
+
+def decompose(x: FractionalPoint) -> ChainDecomposition:
+    """The chain decomposition at x, read off the sorted keys of its walk."""
+    full, atoms = _atoms(x)
+    return ChainDecomposition(tuple([(u, Fraction(w, full)) for u, w in atoms]))
 
 
 def _check_oracle_point(f: ValueOracle, x: FractionalPoint) -> None:
@@ -216,11 +224,16 @@ def _check_oracle_point(f: ValueOracle, x: FractionalPoint) -> None:
 
 
 def extension_value(f: ValueOracle, x: FractionalPoint) -> Fraction:
-    """Expectation of f under the chain distribution at x (at most n+1 oracle calls)."""
+    """Expectation of f under the chain distribution at x (at most n+1 oracle calls).
+
+    It reads f's integer numerators at the atoms, in `decompose`'s order,
+    and makes one Fraction of their weighted sum.
+    """
     _check_oracle_point(f, x)
-    return sum(
-        (w * f.evaluate(u) for u, w in decompose(x).atoms), start=Fraction(0)
-    )
+    full, atoms = _atoms(x)
+    # The weights are integers over D p and the values over f's denominator.
+    total = sum([w * f.numerator(u) for u, w in atoms])
+    return Fraction(total, full * f.denominator)
 
 
 def _cut_column(

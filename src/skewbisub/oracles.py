@@ -16,10 +16,11 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 from typing import Dict, Optional, Tuple
 
 from .functions import CapExceededError, DEFAULT_ENUM_CAP, ValueOracle, exceeds_cap
-from .lattice import Alpha, Labeling, NEG, POS, all_labelings, check_enum_cap, labeling_at
+from .lattice import Alpha, Labeling, check_enum_cap, labeling_at
 from .lovasz import (
     FractionalPoint,
     _check_oracle_point,
@@ -28,14 +29,13 @@ from .lovasz import (
     midpoint,
 )
 from .rationals import common_denominator
-from .simplex import IntegerRows, linear_min
+from .simplex import LatticeRows, linear_min
 
 #: The closure LP has one variable per domain point.  Started at the chain
-#: basis, one exact solve at 3^6 = 729 columns takes 1.6-2.4 ms on a
-#: generated skew bisubmodular table, where the start is optimal, and
-#: 18-102 ms on a random table, where Bland's pivots run on from it (four
-#: LPs each, Python 3.11 on a 2-vCPU VM).  At 3^7 the random table took
-#: 0.25-0.49 s per LP.
+#: basis, one exact solve at 3^6 = 729 columns takes 0.3 ms on a generated
+#: skew bisubmodular table, where the start is optimal, and 6-12 ms on a
+#: random table, where Bland's pivots run on from it (four LPs each, Python
+#: 3.11 on a 2-vCPU VM).  At 3^7 the random table took 23-62 ms per LP.
 DEFAULT_LP_CAP = 3**6
 
 #: `random_box_point` draws on the grid of multiples of 1/BOX_GRID.
@@ -68,21 +68,17 @@ def check_lp_cap(n: int, cap: int = DEFAULT_LP_CAP) -> None:
 
 
 @functools.lru_cache(maxsize=8)
-def _closure_rows(n: int, p: int, q: int) -> IntegerRows:
+def _closure_rows(n: int, p: int, q: int) -> LatticeRows:
     """The closure LP's rows over all 3^n labelings in lex order, in integers.
 
     Row 0 is the normalization row of ones; row 1 + j holds q u_j, the j-th
     coordinate of each point u of {-p/q, 0, 1}^n scaled by q: -p, 0 or q.
-    They come with their columns (`simplex.IntegerRows`), so every closure
-    LP of a run shares one column form.  A run meets only a few (n, alpha);
-    at n = 6 one entry is 7 x 729 ints, held once by rows and once by
-    columns.
+    As a `simplex.LatticeRows` they come with their columns, and
+    `linear_min` prices those in closed form.  A run meets only a few
+    (n, alpha), so every closure LP of a run shares one entry; at n = 6 it
+    is 7 x 729 ints, held once by rows and once by columns.
     """
-    entry = {NEG: -p, POS: q}
-    labelings = list(all_labelings(n))
-    rows = [(1,) * len(labelings)]
-    rows.extend(tuple([entry.get(u[j], 0) for u in labelings]) for j in range(n))
-    return IntegerRows(rows, len(labelings))
+    return LatticeRows(n, p, q)
 
 
 def convex_closure(
@@ -114,7 +110,6 @@ def convex_closure(
     check_lp_cap(n, cap)
     _check_oracle_point(f, x)
     p, q = f.alpha.value.numerator, f.alpha.value.denominator
-    labelings = list(all_labelings(n))
     # The costs are f's integer numerators over D, so the value comes back
     # times D.
     costs = f.numerators()
@@ -127,7 +122,10 @@ def convex_closure(
     start = chain_order(nums, p, q)[3]
     rows = _closure_rows(n, p, q)
     value, weights = linear_min(costs, rows, rhs, start=start)
-    distribution = {a: w / scale for a, w in zip(labelings, weights) if w}
+    # The nonzero weights, at most n + 1 of them, in lex order.
+    distribution = {
+        labeling_at(j, n): weights[j] / scale for j in compress(count(), weights)
+    }
     return ClosureResult(value / (scale * f.denominator), distribution)
 
 

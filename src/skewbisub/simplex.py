@@ -94,13 +94,31 @@ stored: `columns` holds M's columns after them, and column k of it is
 column 2 units + k of the program.  `_unit_pair_start` writes the first
 program of Kelley's master LP, with n such pairs, down at its optimal
 basis; `linear_min` has none.
+
+The closure LP's columns price in closed form too.  Its matrix is the
+lattice block `LatticeRows(n, p, q)`: column k is (1, e_1, ..., e_n) for
+the k-th point of {-p, 0, q}^n in lex order, so pi M_k = pi_0 +
+sum_t pi_t e_t is an affine form in the point.  One outer sum gives it for
+all 3^n columns at once, in lex order:
+
+    aff = [pi_0];  aff = [v + s for v in aff for s in (-p pi_t, 0, q pi_t)]
+
+for t = 1, ..., n: (3^(n+1) - 3) / 2 additions in all, where a dot
+product per column takes (n + 1) 3^n multiplications.
+`_LatticeProgram` then enters the first column j at or after `priced`
+with d C_j < aff_j, the column Bland's dense pass enters, with the same
+price, so the pivots are the same.  It overrides `_step`, so the master's
+step tests nothing for it.  `linear_min` takes this path for a
+`LatticeRows` whose right-hand side is already in integers, and reads its
+optimum in integers too: sum_B C_j (d B^-1 r)_j over d L_c.
 """
 
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, repeat
 from operator import mul
 from typing import List, Sequence, Tuple
 
@@ -151,6 +169,27 @@ class IntegerRows(tuple):
         self = super().__new__(cls, rows)
         #: The columns, n of them.
         self.columns = tuple(zip(*rows)) if rows else ((),) * n
+        return self
+
+
+class LatticeRows(IntegerRows):
+    """The closure LP's rows over the lattice {-p, 0, q}^n, as `IntegerRows`.
+
+    Row 0 is all ones and row 1 + t holds coordinate t of each point, in
+    the lex order of `lattice.all_labelings` ('-' < '0' < '+'): runs of -p,
+    0 and q, each 3^(n-1-t) long, the three of them repeated 3^t times.
+    `linear_min` prices its columns in closed form (see the module
+    docstring).
+    """
+
+    def __new__(cls, n: int, p: int, q: int) -> "LatticeRows":
+        rows = [(1,) * 3**n]
+        for t in range(n):
+            run = tuple(chain.from_iterable(repeat(e, 3 ** (n - 1 - t)) for e in (-p, 0, q)))
+            rows.append(run * 3**t)
+        self = super().__new__(cls, rows, 3**n)
+        #: The entries of a coordinate row, in lex order.
+        self.entries = (-p, 0, q)
         return self
 
 
@@ -326,6 +365,29 @@ class _Program:
         self.priced = 0
 
 
+class _LatticeProgram(_Program):
+    """A `_Program` whose columns are those of a `LatticeRows`, priced in closed form."""
+
+    def __init__(self, entries: Tuple[int, int, int], *state) -> None:
+        super().__init__(*state)
+        self.entries = entries
+
+    def _step(self) -> bool:
+        """`_Program._step` with every pi M_j from one outer sum."""
+        pi, d, costs = self.pi, self.d, self.costs
+        aff = [pi[0]]
+        for v in pi[1:]:
+            step = tuple([e * v for e in self.entries])
+            aff = [a + s for a in aff for s in step]
+        for col in range(self.priced, len(costs)):
+            price = d * costs[col] - aff[col]
+            if price < 0:
+                self._enter(col, _entering(self.inverse, self.columns[col]), price)
+                return True
+        self.priced = len(costs)
+        return False
+
+
 # Kept for speed, not for a different result: pivoting the same basis in
 # with `_start_basis` made `minimize` about 10 % slower on the
 # minimize-tilted inputs (n = 6; median of ten interleaved pairs, slower in 7
@@ -376,10 +438,18 @@ def linear_min(
     basis.
     """
     C, M, r = _integer_program(c, A, b, start)
-    program = _Program(C, M, *_start_basis(M, r, start)).optimize()
+    state = C, M, *_start_basis(M, r, start)
+    # Rows scaled to integers here are no longer the lattice's.
+    if isinstance(A, LatticeRows) and M is A.columns:
+        program = _LatticeProgram(A.entries, *state).optimize()
+    else:
+        program = _Program(*state).optimize()
     solution = [_ZERO] * len(c)
+    value = 0
     for j, row in zip(program.basis, program.inverse):
         if row[-1]:
             solution[j] = Fraction(row[-1], program.d)
-    value = sum((c[j] * solution[j] for j in program.basis), start=_ZERO)
-    return value, solution
+            value += C[j] * row[-1]
+    # `_integer_program` hands back c itself when it is all integers.
+    scale = 1 if C is c else math.lcm(*[v.denominator for v in c])
+    return Fraction(value, program.d * scale), solution

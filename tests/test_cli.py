@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from skewbisub import (
+    ChainDecomposition,
     TableFunction,
     all_labelings,
     decompose,
@@ -320,6 +321,20 @@ class TestVerifyAll:
         assert doc["checks"]["alpha_bisubmodular"]["pass"] is False
         assert doc["checks"]["decompose_roundtrip"]["pass"] is True
         assert doc["checks"]["lattice_identity"]["pass"] is True
+
+    def test_roundtrip_reports_a_dropped_atom(self, good_path, capsys, monkeypatch):
+        # A decomposition that loses its last atom no longer gives back the
+        # distribution the point was built from.
+        def dropping(x):
+            return ChainDecomposition(decompose(x).atoms[:-1])
+
+        monkeypatch.setattr(cli, "decompose", dropping)
+        assert run(["verify-all", good_path, "--trials", "3"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["pass"] is False
+        roundtrip = doc["checks"]["decompose_roundtrip"]
+        assert roundtrip["pass"] is False and roundtrip["trials"] == 3
+        assert "point" in roundtrip
 
     def test_lattice_identity_beyond_exhaustive_arity(self, tmp_path, capsys):
         # At n = 5, as at every arity, the identity is checked on the 9

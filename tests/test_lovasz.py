@@ -135,6 +135,28 @@ class TestExtension:
             assert f.call_count - before <= 4  # n + 1
 
     @pytest.mark.parametrize("alpha", ALPHA_GRID, ids=str)
+    def test_huge_values_match_the_fraction_expectation(self, alpha):
+        # Values of order 10^400 over mixed denominators, far past the float
+        # range: the integer sum over the chain, made one Fraction, is the
+        # expectation of f in Fractions over the decomposition's atoms.
+        rng = random.Random(5)
+        f = TableFunction(
+            3,
+            alpha,
+            {
+                u: Fraction(rng.randint(-(10**400), 10**400), rng.choice((1, 3, 7, 10**9 + 7)))
+                for u in all_labelings(3)
+            },
+        )
+        half = Fraction(1, 2)
+        points = [random_box_point(3, alpha, rng) for _ in range(10)]
+        points.append(FractionalPoint((half, -alpha.value * half, Fraction(0)), alpha))
+        points.append(FractionalPoint((Fraction(1), -alpha.value, Fraction(0)), alpha))
+        for x in points:
+            expected = sum((w * f[u] for u, w in decompose(x).atoms), start=Fraction(0))
+            assert extension_value(f, x) == expected
+
+    @pytest.mark.parametrize("alpha", ALPHA_GRID, ids=str)
     def test_midpoint_of_incomparable_pair(self, alpha):
         # at the midpoint of an incomparable pair the chain distribution puts
         # weight 1/2 on the meet and alpha/2, (1-alpha)/2 on the joins

@@ -344,6 +344,55 @@ def test_closure_pivots_match_the_reference_on_random_tables(n, alpha, monkeypat
         assert (convex_closure(f, x), pivots) == run
 
 
+@st.composite
+def _closure_cases(draw):
+    """(f, x): a random table that is not skew bisubmodular and a box point.
+
+    Each coordinate of x is a box vertex coordinate (-alpha or 1), zero, or
+    a random multiple of 1/12, so vertices, faces and ties are common.
+    """
+    n = draw(st.integers(1, 4))
+    alpha = Alpha(draw(st.sampled_from((Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), _ONE))))
+    value = st.builds(Fraction, st.integers(-10, 10), st.sampled_from((1, 2, 3)))
+    f = TableFunction(n, alpha, {u: draw(value) for u in all_labelings(n)})
+    assume(check_alpha_bisubmodular(f) is not None)
+    a = alpha.value
+    coordinate = st.one_of(
+        st.sampled_from((-a, _ZERO, _ONE)),
+        st.integers(-int(12 * a), 12).map(lambda k: Fraction(k, 12)),
+    )
+    return f, FractionalPoint(tuple(draw(coordinate) for _ in range(n)), alpha)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_closure_cases())
+def test_lattice_pricing_pivots_as_per_column_pricing(case):
+    # The closure LP's columns priced in closed form (`LatticeRows`) and the
+    # same matrix priced one dot product per column (plain `IntegerRows`)
+    # reach the same value and solution by the same (row, column) pivots.
+    f, x = case
+    programs = []
+
+    def capturing(c, A, b, start):
+        programs.append((c, A, b, start))
+        return linear_min(c, A, b, start)
+
+    with mock.patch.object(oracles, "linear_min", capturing):
+        convex_closure(f, x)
+    (c, A, b, start), = programs
+    assert isinstance(A, simplex.LatticeRows)
+    plain = simplex.IntegerRows(list(A), len(c))
+    step = simplex._LatticeProgram._step
+    with mock.patch.object(
+        simplex._LatticeProgram, "_step", autospec=True, side_effect=step
+    ) as lattice_steps:
+        lattice = _integer_run(c, A, b, start)
+        assert lattice_steps.call_count > 0
+        lattice_steps.reset_mock()
+        assert _integer_run(c, plain, b, start) == lattice
+        assert lattice_steps.call_count == 0
+
+
 @pytest.mark.parametrize(
     "document",
     [
