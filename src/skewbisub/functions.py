@@ -520,17 +520,15 @@ _REDRAWN_TOPS = bytes(
 )
 _TOP_KEPT = bytes(int(top not in _REDRAWN_TOPS) for top in range(256))
 
-#: Words per read of the look-ahead: a term's first read takes
-#: `_FIRST_WORDS`, each further read twice as many as the one before, up to
-#: `_MAX_WORDS`.  A unary term takes about 9 words (two tables) and a pair
-#: term about 7,000 (some 500 tables), so most unary terms take one read
-#: and a pair term a few.  No read holds more than `_MAX_WORDS` words, and
-#: no rewind replays more, so every buffer stays a few KiB.  (A rewind over
-#: all of a pair term's words makes ints of 30 KiB and more; freeing such
-#: a buffer once it is mmapped raises glibc's mmap threshold, later ones
-#: then stay on the heap, and peak RSS rose by about 0.4 MiB.)
-_FIRST_WORDS = 512
-_MAX_WORDS = 2048
+#: Words per read of the look-ahead.  A unary term takes about 9 words (two
+#: tables) and a pair term about 7,000 (some 500 tables), so a unary term
+#: takes one read and a pair term a few.  A read holds `_READ_WORDS` words
+#: and no rewind replays more, so every buffer stays a few KiB.  (A rewind
+#: over all of a pair term's words makes ints of 30 KiB and more; freeing
+#: such a buffer once it is mmapped raises glibc's mmap threshold, later
+#: ones then stay on the heap, and peak RSS rose by about 0.4 MiB.)  Reads
+#: of 512 words made building the benchmark's inputs about a quarter slower.
+_READ_WORDS = 2048
 
 
 def _read_values(rng: random.Random, words: int) -> Tuple[bytes, bytes]:
@@ -621,11 +619,10 @@ def _draw_table(
     pairs = _pair_tests(k, p, q)
     width = (2 * q * (hi - lo)).bit_length() // 8 + 1
     values = b""
-    words = tried = 0
+    tried = 0
     while tried < max_rejections:
-        words = min(2 * words, _MAX_WORDS) or _FIRST_WORDS
         state = rng.getstate()
-        tops, more = _read_values(rng, words)
+        tops, more = _read_values(rng, _READ_WORDS)
         carried = len(values)
         values += more
         count = min(len(values) // size, max_rejections - tried)

@@ -45,8 +45,9 @@ the unit pairs that the solver prices in closed form (`units` = n), and
 its stored columns are the cuts alone.  With pi = C_B R for the integer
 costs C, y* = pi[:n] / (q d) and t* = -pi[n] / (q d).  The first round
 starts from the triangular basis {lambda_1} + {u_j : g_1j > 0} +
-{v_j : g_1j <= 0}, which is optimal, so it makes no pivot and no pricing
-pass: `simplex._unit_pair_start` writes that program down in closed form.
+{v_j : g_1j <= 0}, which is optimal, so its one pricing pass makes no
+pivot: the `_Program` constructor enters the unit pairs by their signs and
+pivots lambda_1 in.
 A round whose cut is already stored does no LP work.
 
 `minimize` builds Kelley's loop from three parts, all at module level:
@@ -54,8 +55,8 @@ A round whose cut is already stored does no LP work.
 - the walk, `_Walk`: it holds the memo, f(0), the best value so far with its
   trajectory, and its seconds, and its `cut` walks the chain at y and
   returns the cut's column;
-- the master, the `simplex._Program` above: round 1's cut starts it through
-  `_unit_pair_start` before the loop, and every round appends its cut and
+- the master, the `simplex._Program` above: round 1's cut starts it at that
+  basis before the loop, and every round appends its cut and
   re-optimizes when the cut is new (round 1's never is), so all rounds take
   one path; the loop reads y* and the bound off it in one place;
 - the stop test, `_stop`, which compares the best value with the bound and
@@ -104,7 +105,7 @@ from .lovasz import FractionalPoint, _check_oracle_point, _cut_column, chain_ord
 from .lovasz import extension_value, subgradient  # noqa: F401
 from .oracles import random_box_point
 from .rationals import common_denominator, format_rational
-from .simplex import _unit_pair_start
+from .simplex import _Program
 
 #: `minimize` refuses an oracle of larger arity before it does any work.
 #: Each round after the first adds a column of n + 1 entries to the master
@@ -364,7 +365,10 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
     walk = _Walk(f)
     column = walk.cut(1, nums, denominator)
     clock = time.perf_counter()
-    master = _unit_pair_start(column, walk.p, walk.q)
+    # The first cut's optimal basis: u_j where g_j > 0, v_j elsewhere, and lambda_1.
+    basis = [j if v > 0 else n + j for j, v in enumerate(column[:n])] + [2 * n]
+    master = _Program([walk.p] * n + [walk.q] * n + [0], [column], [0] * n + [1], basis, n)
+    master.optimize()
     lp_s = time.perf_counter() - clock
     for t in range(1, max_iters + 1):
         clock = time.perf_counter()

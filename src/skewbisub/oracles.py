@@ -73,8 +73,9 @@ def _closure_rows(n: int, p: int, q: int) -> LatticeRows:
 
     Row 0 is the normalization row of ones; row 1 + j holds q u_j, the j-th
     coordinate of each point u of {-p/q, 0, 1}^n scaled by q: -p, 0 or q.
-    As a `simplex.LatticeRows` they come with their columns, and
-    `linear_min` prices those in closed form.  A run meets only a few
+    A `simplex.LatticeRows` builds them as the transpose of its columns
+    (1, q u) and keeps both, and `linear_min` takes those columns as they
+    are and prices them in closed form.  A run meets only a few
     (n, alpha), so every closure LP of a run shares one entry; at n = 6 it
     is 7 x 729 ints, held once by rows and once by columns.
     """

@@ -58,9 +58,9 @@ exact.  A pivot then costs m N multiplications at most for pricing and
 m (m + 2) for R and pi, with no m^2 pass to rebuild pi.
 
 The caller names the m columns of a feasible basis S of A x = b as
-`start`, and `_start_basis` pivots each column of S in, in the order given,
-on the first row that has no basic column yet and whose entry in w is
-nonzero.  These are m ordinary pivots from R = I and d = 1, so the
+`start`, and the `_Program` constructor pivots each column of S in, in the
+order given, on the first row that has no basic column yet and whose entry
+in w is nonzero.  These are m ordinary pivots from R = I and d = 1, so the
 exact-division argument above holds after them.  A start column with no
 such row is linearly dependent on the columns before it, and a negative
 right-hand side afterwards means the basic solution of S is not
@@ -91,15 +91,19 @@ w = R M_j is column j of R, negated for u_j.  The step takes them in
 Bland's order, stops at the first negative price, and prices the remaining
 columns with a dot product each.  The unit pairs have costs but are not
 stored: `columns` holds M's columns after them, and column k of it is
-column 2 units + k of the program.  `_unit_pair_start` writes the first
-program of Kelley's master LP, with n such pairs, down at its optimal
-basis; `linear_min` has none.
+column 2 units + k of the program.  The constructor enters the unit pairs
+that `start` names before its other columns, each on its own row j, by its
+sign: while R = I there, the pivot on (j, v_j) leaves row j as it is and the
+one on (j, u_j) negates it, so the constructor writes that down instead of
+pivoting; naming both u_j and v_j is the dependent start.  Kelley's master
+LP in `minimize` starts this way with n pairs; `linear_min` has none.
 
 The closure LP's columns price in closed form too.  Its matrix is the
-lattice block `LatticeRows(n, p, q)`: column k is (1, e_1, ..., e_n) for
-the k-th point of {-p, 0, q}^n in lex order, so pi M_k = pi_0 +
-sum_t pi_t e_t is an affine form in the point.  One outer sum gives it for
-all 3^n columns at once, in lex order:
+lattice block `LatticeRows(n, p, q)`, a tuple of rows that holds its
+columns too: column k is (1, e_1, ..., e_n) for the k-th point of
+{-p, 0, q}^n in lex order, so pi M_k = pi_0 + sum_t pi_t e_t is an affine
+form in the point.  One outer sum gives it for all 3^n columns at once, in
+lex order:
 
     aff = [pi_0];  aff = [v + s for v in aff for s in (-p pi_t, 0, q pi_t)]
 
@@ -118,7 +122,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import islice, product
 from operator import mul
 from typing import List, Sequence, Tuple
 
@@ -156,38 +160,22 @@ def _eliminate(
     return p
 
 
-class IntegerRows(tuple):
-    """An integer matrix as the tuple of its rows, holding its columns too.
+class LatticeRows(tuple):
+    """The closure LP's rows over the lattice {-p, 0, q}^n, holding its columns too.
 
-    The solver keeps a matrix by columns.  A caller that solves many
-    programs with one integer matrix builds it once in this form, and
-    `linear_min` takes its columns as they are instead of checking every
-    entry's type and transposing the rows again on every call.
-    """
-
-    def __new__(cls, rows: Sequence[Sequence[int]], n: int) -> "IntegerRows":
-        self = super().__new__(cls, rows)
-        #: The columns, n of them.
-        self.columns = tuple(zip(*rows)) if rows else ((),) * n
-        return self
-
-
-class LatticeRows(IntegerRows):
-    """The closure LP's rows over the lattice {-p, 0, q}^n, as `IntegerRows`.
-
-    Row 0 is all ones and row 1 + t holds coordinate t of each point, in
-    the lex order of `lattice.all_labelings` ('-' < '0' < '+'): runs of -p,
-    0 and q, each 3^(n-1-t) long, the three of them repeated 3^t times.
-    `linear_min` prices its columns in closed form (see the module
-    docstring).
+    Column k is (1, e) for the k-th point e of {-p, 0, q}^n in the lex
+    order of `lattice.all_labelings` ('-' < '0' < '+'), so row 0 is all
+    ones and row 1 + t holds coordinate t of each point.  The solver keeps
+    a matrix by columns, and `linear_min` takes these as they are, instead
+    of checking every entry's type and transposing the rows on every call,
+    and prices them in closed form (see the module docstring).
     """
 
     def __new__(cls, n: int, p: int, q: int) -> "LatticeRows":
-        rows = [(1,) * 3**n]
-        for t in range(n):
-            run = tuple(chain.from_iterable(repeat(e, 3 ** (n - 1 - t)) for e in (-p, 0, q)))
-            rows.append(run * 3**t)
-        self = super().__new__(cls, rows, 3**n)
+        columns = tuple([(1, *point) for point in product((-p, 0, q), repeat=n)])
+        self = super().__new__(cls, zip(*columns))
+        #: The columns, in lex order.
+        self.columns = columns
         #: The entries of a coordinate row, in lex order.
         self.entries = (-p, 0, q)
         return self
@@ -201,7 +189,7 @@ def _integer_program(
 ) -> Tuple[Sequence[int], Sequence[Sequence[int]], List[int]]:
     """(C, M, r): the objective and each row [A_i | b_i] scaled to integers.
 
-    M comes back as its list of columns, which an `IntegerRows` A holds
+    M comes back as its list of columns, which a `LatticeRows` A holds
     already; its rows are scaled only when b is not all integers.  Raises
     ValueError on inconsistent dimensions or a start of the wrong size or
     out of range.
@@ -212,7 +200,7 @@ def _integer_program(
         raise ValueError("inconsistent LP dimensions")
     if len(start) != m or not all(0 <= j < n for j in start):
         raise ValueError(f"a start basis needs {m} columns in range(0, {n}), got {list(start)}")
-    if isinstance(A, IntegerRows) and set(map(type, b)) <= {int}:
+    if isinstance(A, LatticeRows) and set(map(type, b)) <= {int}:
         columns, r = A.columns, list(b)
     else:
         rows: List[Sequence[int]] = []
@@ -229,12 +217,6 @@ def _integer_program(
     return c, columns, r
 
 
-def _entering(inverse: List[List[int]], column: Sequence[int]) -> List[int]:
-    """w = R a, the tableau column of the program's column a."""
-    # map stops at the end of a, before the right-hand side closing each row.
-    return [sum(map(mul, r, column)) for r in inverse]
-
-
 def _duals(inverse: List[List[int]], basis: List[int], cost: Sequence[int]) -> List[int]:
     """pi = C_B R."""
     pi = [0] * len(inverse)
@@ -246,59 +228,67 @@ def _duals(inverse: List[List[int]], basis: List[int], cost: Sequence[int]) -> L
     return pi
 
 
-def _start_basis(
-    M: Sequence[Sequence[int]], r: Sequence[int], start: Sequence[int]
-) -> Tuple[List[List[int]], List[int], int]:
-    """Pivot the columns of `start` in from R = I: ([R | d B^-1 r], basis, d).
-
-    Raises ValueError when `start` is not a feasible basis of M x = r.
-    """
-    m = len(r)
-    inverse = [[int(i == k) for k in range(m)] + [r[i]] for i in range(m)]
-    # -1 marks a row with no basic column yet.
-    basis = [-1] * m
-    d = 1
-    for col in start:
-        w = _entering(inverse, M[col])
-        target = next((i for i in range(m) if basis[i] < 0 and w[i]), None)
-        if target is None:
-            raise ValueError(f"start column {col} is dependent on the ones before it")
-        d = _eliminate(inverse, w, basis, d, target, col)
-    if any(row[-1] < 0 for row in inverse):
-        raise ValueError("the start basis is infeasible")
-    return inverse, basis, d
-
-
 class _Program:
     """min C.x s.t. M x = r, x >= 0 in integers, held at a feasible basis.
 
     M's first 2 `units` columns are the unit pairs u_j = -e_j, then
     v_j = e_j; `costs` is all of C and `columns` the columns of M after
-    the pairs (see the module docstring).
+    the pairs (see the module docstring).  The program starts at the basis
+    `start` names, and raises ValueError when that is not a feasible basis.
     """
 
     def __init__(
         self,
         costs: List[int],
         columns: List[Sequence[int]],
-        inverse: List[List[int]],
-        basis: List[int],
-        d: int,
+        r: Sequence[int],
+        start: Sequence[int],
         units: int = 0,
     ) -> None:
         self.costs = costs
         self.columns = columns
-        #: [R | d B^-1 r].
-        self.inverse = inverse
-        self.basis = basis
-        self.d = d
         self.units = units
+        m = len(r)
+        #: [R | d B^-1 r], from R = I.
+        self.inverse = inverse = [[0] * m + [v] for v in r]
+        for i, row in enumerate(inverse):
+            row[i] = 1
+        # -1 marks a row with no basic column yet.
+        self.basis = basis = [-1] * m
+        self.d = 1
+        # Unit pairs first, each on its own row by its sign, as a pivot from R = I.
+        for col in sorted(start, key=(2 * units).__le__):
+            if col < 2 * units:
+                target = col % units
+                if basis[target] >= 0:
+                    raise ValueError(f"start column {col} is dependent on the ones before it")
+                if col < units:
+                    inverse[target] = [-v for v in inverse[target]]
+                basis[target] = col
+                continue
+            w = self._tableau_column(col)
+            target = next((i for i in range(m) if basis[i] < 0 and w[i]), None)
+            if target is None:
+                raise ValueError(f"start column {col} is dependent on the ones before it")
+            self.d = _eliminate(inverse, w, basis, self.d, target, col)
+        if any(row[-1] < 0 for row in inverse):
+            raise ValueError("the start basis is infeasible")
         #: pi = C_B R.
         self.pi = _duals(inverse, basis, costs)
         #: Bland pivots made by `optimize`.
         self.pivots = 0
         #: The leading columns known to price nonnegative at this basis.
         self.priced = 0
+
+    def _tableau_column(self, col: int) -> List[int]:
+        """w = R M_col, the tableau column of the program's column `col`."""
+        units = self.units
+        if col < 2 * units:
+            sign = -1 if col < units else 1
+            return [sign * r[col % units] for r in self.inverse]
+        a = self.columns[col - 2 * units]
+        # map stops at the end of a, before the right-hand side closing each row.
+        return [sum(map(mul, r, a)) for r in self.inverse]
 
     def append(self, cost: int, column: Sequence[int]) -> None:
         """Add a column; the basis stays feasible, and `optimize` resumes from it."""
@@ -327,7 +317,7 @@ class _Program:
                 for j in range(units):
                     price = d * costs[base + j] - sign * pi[j]
                     if price < 0:
-                        self._enter(base + j, [sign * r[j] for r in self.inverse], price)
+                        self._enter(base + j, self._tableau_column(base + j), price)
                         return True
         for col, (cj, a) in enumerate(
             zip(islice(costs, first, None), islice(self.columns, first - 2 * units, None)),
@@ -335,7 +325,7 @@ class _Program:
         ):
             price = d * cj - sum(map(mul, pi, a))
             if price < 0:
-                self._enter(col, _entering(self.inverse, a), price)
+                self._enter(col, self._tableau_column(col), price)
                 return True
         self.priced = len(costs)
         return False
@@ -368,9 +358,9 @@ class _Program:
 class _LatticeProgram(_Program):
     """A `_Program` whose columns are those of a `LatticeRows`, priced in closed form."""
 
-    def __init__(self, entries: Tuple[int, int, int], *state) -> None:
-        super().__init__(*state)
+    def __init__(self, entries: Tuple[int, int, int], *program) -> None:
         self.entries = entries
+        super().__init__(*program)
 
     def _step(self) -> bool:
         """`_Program._step` with every pi M_j from one outer sum."""
@@ -382,43 +372,10 @@ class _LatticeProgram(_Program):
         for col in range(self.priced, len(costs)):
             price = d * costs[col] - aff[col]
             if price < 0:
-                self._enter(col, _entering(self.inverse, self.columns[col]), price)
+                self._enter(col, self._tableau_column(col), price)
                 return True
         self.priced = len(costs)
         return False
-
-
-# Kept for speed, not for a different result: pivoting the same basis in
-# with `_start_basis` made `minimize` about 10 % slower on the
-# minimize-tilted inputs (n = 6; median of ten interleaved pairs, slower in 7
-# of them; Python 3.11, 2-vCPU VM).
-def _unit_pair_start(column: Sequence[int], p: int, q: int) -> _Program:
-    """Kelley's first master LP, at its optimal basis {lambda_1, u_j (g_j > 0), v_j (g_j <= 0)}.
-
-    The program is min sum_j (p u_j + q v_j) s.t. c_j lambda_1 - u_j + v_j = 0
-    (j < n) and c_n lambda_1 = 1, for the cut column c = (s g, s), with n
-    unit pairs.  Pivoting u_j or v_j into row j and then lambda_1 into row n
-    leaves d = s, row j of R equal to -s e_j for u_j and s e_j for v_j with
-    |s g_j| in column n and in the right-hand side, and row n equal to
-    [e_n | 1]; this writes that down in O(n^2), where `_start_basis` would
-    take O(n^3).  The basis is feasible, since
-    lambda_1 = 1 / s leaves u_j = g_j or v_j = -g_j, and optimal, since the
-    other one of u_j and v_j prices at (p + q) d > 0.
-    """
-    n = len(column) - 1
-    inverse = []
-    for j, v in enumerate(column[:n]):
-        row = [0] * (n + 2)
-        row[j] = -column[n] if v > 0 else column[n]
-        row[n] = row[n + 1] = abs(v)
-        inverse.append(row)
-    inverse.append([0] * n + [1, 1])
-    basis = [j if v > 0 else n + j for j, v in enumerate(column[:n])]
-    basis.append(2 * n)
-    program = _Program([p] * n + [q] * n + [0], [column], inverse, basis, column[n], n)
-    # The basis is optimal: no column prices negative.
-    program.priced = len(program.costs)
-    return program
 
 
 def linear_min(
@@ -429,7 +386,7 @@ def linear_min(
 ) -> Tuple[Fraction, List[Fraction]]:
     """Solve min c.x s.t. A x = b, x >= 0 exactly from a feasible basis.
 
-    A is the sequence of its rows; an `IntegerRows` A hands the solver its
+    A is the sequence of its rows; a `LatticeRows` A hands the solver its
     columns as they are.  `start` lists the m columns of a feasible basis
     of A x = b.  Returns (optimal value, one optimal basic solution); the
     optimum does not depend on `start`, the basic solution returned may.
@@ -438,12 +395,11 @@ def linear_min(
     basis.
     """
     C, M, r = _integer_program(c, A, b, start)
-    state = C, M, *_start_basis(M, r, start)
     # Rows scaled to integers here are no longer the lattice's.
     if isinstance(A, LatticeRows) and M is A.columns:
-        program = _LatticeProgram(A.entries, *state).optimize()
+        program = _LatticeProgram(A.entries, C, M, r, start).optimize()
     else:
-        program = _Program(*state).optimize()
+        program = _Program(C, M, r, start).optimize()
     solution = [_ZERO] * len(c)
     value = 0
     for j, row in zip(program.basis, program.inverse):

@@ -188,13 +188,20 @@ def column_cut(column: Sequence[int]) -> Tuple[Fraction, ...]:
 def add_cut(master: Optional[simplex._Program], column: Sequence[int], alpha: Fraction):
     """Kelley's master LP in dual form after the cut column (s g, s), as `minimize` runs it.
 
-    The first cut starts the program at its optimal basis
-    (`simplex._unit_pair_start`), and every later one is appended to
+    The first cut starts the program at its optimal basis, lambda_1 with
+    u_j where g_j > 0 and v_j elsewhere, and every later one is appended to
     `master` and re-optimized.  Returns the program; y* = pi[:n] / (q d)
     and t* = -pi[n] / (q d) for alpha = p/q.
     """
     if master is None:
-        return simplex._unit_pair_start(column, alpha.numerator, alpha.denominator)
+        n = len(column) - 1
+        return simplex._Program(
+            [alpha.numerator] * n + [alpha.denominator] * n + [0],
+            [column],
+            [0] * n + [1],
+            [j if v > 0 else n + j for j, v in enumerate(column[:n])] + [2 * n],
+            n,
+        ).optimize()
     master.append(0, column)
     return master.optimize()
 

@@ -142,38 +142,38 @@ def test_wide_fields_match_the_reference(alpha):
             assert _same_documents(args), args
 
 
-@pytest.mark.parametrize("first, most", [(1, 1), (1, 2), (2, 5), (3, 3), (7, 40)])
-def test_small_reads_carry_tables_over(first, most, monkeypatch):
+@pytest.mark.parametrize("words, more_words", [(1, 1), (1, 2), (2, 5), (3, 3), (7, 40)])
+def test_small_reads_carry_tables_over(words, more_words, monkeypatch):
     # With reads of a few words, tables straddle reads, a read can give no
-    # value or no whole table, and a term takes many reads.
-    monkeypatch.setattr(functions, "_FIRST_WORDS", first)
-    monkeypatch.setattr(functions, "_MAX_WORDS", most)
+    # value or no whole table, and a term takes many reads.  The seeds
+    # alternate between the case's two read sizes.
     for alpha in (Fraction(1, 2), Fraction(2, 7), Fraction(1)):
         for seed in range(6):
+            monkeypatch.setattr(functions, "_READ_WORDS", (words, more_words)[seed % 2])
             args = (5, Alpha(alpha), 3, 2, seed)
             assert _same_documents(args), args
 
 
-@pytest.mark.parametrize("first, most", [(512, 2048), (1, 3)])
+@pytest.mark.parametrize("words, more_words", [(512, 2048), (1, 3)])
 @pytest.mark.parametrize("alpha", _ALPHAS, ids=str)
-def test_a_draw_leaves_the_stream_where_randint_leaves_it(alpha, first, most, monkeypatch):
-    monkeypatch.setattr(functions, "_FIRST_WORDS", first)
-    monkeypatch.setattr(functions, "_MAX_WORDS", most)
+def test_a_draw_leaves_the_stream_where_randint_leaves_it(alpha, words, more_words, monkeypatch):
+    # The seeds alternate between the case's two read sizes.
     p, q = alpha.numerator, alpha.denominator
     for seed in range(4):
+        monkeypatch.setattr(functions, "_READ_WORDS", (words, more_words)[seed % 2])
         drawn, reference = random.Random(seed), random.Random(seed)
         for k in (2, 1, 2):
             assert _draw_table(drawn, k, p, q, 10000) == reference_table(reference, k, p, q)[0]
             assert drawn.getstate() == reference.getstate()
 
 
-@pytest.mark.parametrize("first, most", [(512, 2048), (1, 4)])
+@pytest.mark.parametrize("words, more_words", [(512, 2048), (1, 4)])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_the_budget_counts_tables_drawn(seed, first, most, monkeypatch):
+def test_the_budget_counts_tables_drawn(seed, words, more_words, monkeypatch):
     # A budget of exactly the tables the reference drew for its hardest
     # term succeeds; one fewer fails at that term, with the same message.
-    monkeypatch.setattr(functions, "_FIRST_WORDS", first)
-    monkeypatch.setattr(functions, "_MAX_WORDS", most)
+    # The seeds alternate between the case's two read sizes.
+    monkeypatch.setattr(functions, "_READ_WORDS", (words, more_words)[seed % 2])
     args = (4, Alpha(Fraction(1, 2)), 4, 2, seed)
     drawn = [count for _, _, count in reference_draws(*args)]
     budget = max(drawn)

@@ -325,15 +325,16 @@ def _rounds(f, cfg, monkeypatch):
     """Run minimize and log each round: [cut added or None, t*, pivots].
 
     A round starts with its one chain walk (`chain_order`); the master LP
-    step that follows (`simplex._unit_pair_start` for the first cut,
-    `_Program.optimize` after each later one is appended) records the cut g
+    step that follows (`_Program.optimize` on the first master, started at
+    the first cut, and after each later cut is appended) records the cut g
     whose integer column it added last and the t* it leaves, and every
-    `simplex._eliminate` call until the next walk counts as a pivot of that
-    round.
+    Bland pivot (`_Program._enter`) until the next walk counts as a pivot of
+    that round.
     """
     log = []
-    order, start = minimize_module.chain_order, minimize_module._unit_pair_start
-    optimize = simplex._Program.optimize
+    pivots = []
+    order = minimize_module.chain_order
+    optimize, enter = simplex._Program.optimize, simplex._Program._enter
 
     def chain_order(*args):
         log.append([None, None, len(pivots)])
@@ -344,10 +345,14 @@ def _rounds(f, cfg, monkeypatch):
         log[-1][:2] = g, Fraction(-master.pi[len(g)], f.alpha.value.denominator * master.d)
         return master
 
-    with recorded_pivots() as pivots, monkeypatch.context() as patch:
+    def entering(master, col, w, price):
+        pivots.append(col)
+        enter(master, col, w, price)
+
+    with monkeypatch.context() as patch:
         patch.setattr(minimize_module, "chain_order", chain_order)
-        patch.setattr(minimize_module, "_unit_pair_start", lambda *args: record(start(*args)))
         patch.setattr(simplex._Program, "optimize", lambda master: record(optimize(master)))
+        patch.setattr(simplex._Program, "_enter", entering)
         report = minimize(f, cfg)
     marks = [entry[2] for entry in log] + [len(pivots)]
     for entry, before, after in zip(log, marks, marks[1:]):
@@ -424,21 +429,21 @@ _CUT_ENTRIES = st.one_of(
 @example([Fraction(2), Fraction(0), Fraction(-5, 6)], Fraction(1))
 @example([Fraction(1, 7), Fraction(-3, 4)], Fraction(8, 9))
 def test_first_master_is_the_cold_optimal_tableau(g, alpha):
-    # `_unit_pair_start` writes the state that pivoting its basis in from
-    # R = I reaches, Bland's rule finds it optimal, and its y* is the box
+    # The first master starts at its basis with lambda_1's pivot alone, the
+    # unit pairs placed by sign in the state that pivoting them in from
+    # R = I reaches; Bland's rule finds it optimal, and its y* is the box
     # corner that the Fraction reference reaches cold on the primal master.
     n = len(g)
     with recorded_pivots() as pivots:
         master = add_cut(None, cut_column(g), alpha)
-    assert pivots == []
+    assert pivots == [(n, 2 * n)] and master.pivots == 0
     pi, denominator = master.pi, alpha.denominator * master.d
-    s = common_denominator(g)[0]
+    assert master.d == common_denominator(g)[0]
     start = [j if v > 0 else n + j for j, v in enumerate(g)] + [2 * n]
-    # The same program with its unit pairs stored and priced densely.
+    # The same program with its unit pairs stored, pivoted in and priced densely.
     columns = unit_pair_columns(n) + master.columns
-    pivoted = simplex._start_basis(columns, [0] * n + [1], start)
-    assert (master.inverse, master.basis, master.d) == pivoted and pivoted[2] == s
-    resumed = simplex._Program(master.costs, columns, *pivoted).optimize()
+    resumed = simplex._Program(master.costs, columns, [0] * n + [1], start).optimize()
+    assert (resumed.inverse, resumed.basis) == (master.inverse, master.basis)
     assert (resumed.d, resumed.pi, resumed.pivots) == (master.d, pi, 0)
     c, A, b, _ = master_program(alpha, [g])
     t_star, cold = reference_linear_min(c, A, b)
@@ -649,14 +654,15 @@ def test_unit_block_prices_are_the_dense_prices(monkeypatch):
         closed = [d * c + v for c, v in zip(cost, pi[:units])]
         closed += [d * c - v for c, v in zip(cost[units:], pi[:units])]
         assert closed == dense
-        # A copy of the state with the unit pairs stored as dense columns.
-        copy = simplex._Program(
-            cost[:], M + program.columns, [row[:] for row in program.inverse], program.basis[:], d
-        )
+        # The program at the same basis with the unit pairs stored as dense
+        # columns; its rows may come in another order, so each basic
+        # column's row of [R | d B^-1 r] is compared.
+        copy = simplex._Program(cost[:], M + program.columns, [0] * units + [1], program.basis)
+        assert (copy.d, copy.pi) == (d, pi)
         expected = step(copy)
         made = step(program)
-        state = program.inverse, program.basis, program.d, program.pi
-        assert made == expected and state == (copy.inverse, copy.basis, copy.d, copy.pi)
+        state = dict(zip(program.basis, program.inverse)), program.d, program.pi
+        assert made == expected and state == (dict(zip(copy.basis, copy.inverse)), copy.d, copy.pi)
         steps.append(made)
         return made
 
@@ -672,17 +678,17 @@ def test_walk_columns_are_the_subgradient_columns(pool_desk, monkeypatch):
     # at that point, on random points and on points with zero and tied
     # coordinates.
     added = []
-    start, append = minimize_module._unit_pair_start, simplex._Program.append
+    init, append = simplex._Program.__init__, simplex._Program.append
 
-    def recording_start(column, p, q):
-        added.append(column)
-        return start(column, p, q)
+    def recording_init(master, costs, columns, *args):
+        added.extend(columns)
+        init(master, costs, columns, *args)
 
     def recording_append(master, cost, column):
         added.append(column)
         append(master, cost, column)
 
-    monkeypatch.setattr(minimize_module, "_unit_pair_start", recording_start)
+    monkeypatch.setattr(simplex._Program, "__init__", recording_init)
     monkeypatch.setattr(simplex._Program, "append", recording_append)
     rng = random.Random(19)
     for f in pool_desk:

@@ -214,7 +214,7 @@ def test_an_appended_column_resumes_to_the_cold_optimum(program, data):
         [c[j] for j in order], [[row[j] for j in order] for row in A], b, start
     )
     cold = _outcome(linear_min, C, [list(row) for row in zip(*M)], r, start)
-    solved = simplex._Program(C[:-1], M[:-1], *simplex._start_basis(M, r, start))
+    solved = simplex._Program(C[:-1], M[:-1], r, start)
     if _outcome(solved.optimize) is LPUnboundedError:
         # A column more can only lower the objective.
         assert cold is LPUnboundedError
@@ -368,8 +368,9 @@ def _closure_cases(draw):
 @given(_closure_cases())
 def test_lattice_pricing_pivots_as_per_column_pricing(case):
     # The closure LP's columns priced in closed form (`LatticeRows`) and the
-    # same matrix priced one dot product per column (plain `IntegerRows`)
-    # reach the same value and solution by the same (row, column) pivots.
+    # same matrix priced one dot product per column (a plain list of its
+    # rows) reach the same value and solution by the same (row, column)
+    # pivots.
     f, x = case
     programs = []
 
@@ -381,7 +382,7 @@ def test_lattice_pricing_pivots_as_per_column_pricing(case):
         convex_closure(f, x)
     (c, A, b, start), = programs
     assert isinstance(A, simplex.LatticeRows)
-    plain = simplex.IntegerRows(list(A), len(c))
+    plain = list(A)
     step = simplex._LatticeProgram._step
     with mock.patch.object(
         simplex._LatticeProgram, "_step", autospec=True, side_effect=step
@@ -391,6 +392,26 @@ def test_lattice_pricing_pivots_as_per_column_pricing(case):
         lattice_steps.reset_mock()
         assert _integer_run(c, plain, b, start) == lattice
         assert lattice_steps.call_count == 0
+
+
+def test_a_lattice_with_a_fractional_right_hand_side_is_solved_densely():
+    # Rows scaled to integers are no longer the lattice's, so `linear_min`
+    # prices them one column at a time; scaling b by 12 keeps the lattice and
+    # its closed-form pricing and scales the optimum by 12.  The start is
+    # the chain basis through x = (1/3, -1/4) at alpha = 1/2.
+    A = simplex.LatticeRows(2, 1, 2)
+    c = [-2, 1, 4, 3, -1, 3, 0, 0, -1]
+    start = [4, 3, 6]
+    step = simplex._LatticeProgram._step
+    with mock.patch.object(
+        simplex._LatticeProgram, "_step", autospec=True, side_effect=step
+    ) as lattice_steps:
+        value, solution = linear_min(c, A, [_ONE, Fraction(2, 3), Fraction(-1, 2)], start)
+        assert lattice_steps.call_count == 0
+        scaled_value, scaled_solution = linear_min(c, A, [12, 8, -6], start)
+        assert lattice_steps.call_count > 0
+    assert value == scaled_value / 12 == Fraction(-19, 18)
+    assert solution == [v / 12 for v in scaled_solution]
 
 
 @pytest.mark.parametrize(
@@ -473,8 +494,50 @@ def test_carried_duals_on_master_cuts(case):
     assert len(checked) >= master.pivots
 
 
+def _basic_solution(program):
+    """Each basic column's value in the program's basic solution."""
+    return {j: Fraction(row[-1], program.d) for j, row in zip(program.basis, program.inverse)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cut_sequences())
+def test_a_program_started_at_a_warm_basis_makes_no_pivot(case):
+    # The master's final basis, unit pairs and cuts in the order `basis`
+    # lists them, starts a fresh program on the same columns: the unit pairs
+    # go to their own rows and the cuts are pivoted in, so the rows may
+    # come in another order, but the vertex is the master's optimum.
+    n, alpha, cuts = case
+    master = None
+    for g in cuts:
+        master = add_cut(master, cut_column(g), alpha)
+    started = simplex._Program(
+        master.costs[:], master.columns[:], [0] * n + [1], master.basis, n
+    ).optimize()
+    assert started.pivots == 0
+    assert (started.d, started.pi) == (master.d, master.pi)
+    assert _basic_solution(started) == _basic_solution(master)
+
+
+class TestUnitPairStart:
+    """The start of a one-pair master, cut column (3, 1): u_0, v_0, lambda_1."""
+
+    costs = [1, 2, 0]
+    columns = [(3, 1)]
+
+    @pytest.mark.parametrize("start", [[0, 1], [1, 0]], ids=str)
+    def test_both_units_of_a_pair_are_dependent(self, start):
+        with pytest.raises(ValueError, match="dependent"):
+            simplex._Program(self.costs, self.columns[:], [0, 1], start, 1)
+
+    def test_the_wrong_unit_is_infeasible(self):
+        # lambda_1 = 1 needs u_0 = 3; with v_0 basic instead, v_0 = -3.
+        with pytest.raises(ValueError, match="infeasible"):
+            simplex._Program(self.costs, self.columns[:], [0, 1], [1, 2], 1)
+
+
 def _state(program):
-    return program.inverse, program.basis, program.d, program.pi
+    """Each basic column's row of [R | d B^-1 r], d and pi: the state up to row order."""
+    return dict(zip(program.basis, program.inverse)), program.d, program.pi
 
 
 @settings(max_examples=150, deadline=None)
@@ -492,12 +555,7 @@ def test_a_resumed_step_is_the_full_bland_step(case):
         assert master.priced == len(master.costs) - 1
         while True:
             full = simplex._Program(
-                master.costs[:],
-                master.columns[:],
-                [row[:] for row in master.inverse],
-                master.basis[:],
-                master.d,
-                master.units,
+                master.costs[:], master.columns[:], [0] * n + [1], master.basis, master.units
             )
             assert full.priced == 0 and full.pi == master.pi
             made = master._step()
