@@ -8,6 +8,7 @@ together.
 """
 
 from .lattice import (
+    DEFAULT_ENUM_CAP,
     Alpha,
     ArityMismatchError,
     Label,
@@ -27,7 +28,6 @@ from .lattice import (
 )
 from .functions import (
     CapExceededError,
-    DEFAULT_ENUM_CAP,
     GenerationBudgetError,
     InstanceFormatError,
     SumFunction,

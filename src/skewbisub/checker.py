@@ -15,7 +15,6 @@ from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .lattice import (
-    DEFAULT_ENUM_CAP,
     LEX_ORDER,
     POS,
     ZERO,
@@ -88,13 +87,12 @@ _PAIR_OP_GROUPS = tuple(
 )
 
 
-def check_alpha_bisubmodular(
-    f: ValueOracle, cap: int = DEFAULT_ENUM_CAP
-) -> Optional[ViolationWitness]:
+def check_alpha_bisubmodular(f: ValueOracle) -> Optional[ViolationWitness]:
     """Exhaustively test f(a meet b) + alpha f(a join0 b) + (1-alpha) f(a join1 b) <= f(a) + f(b).
 
     Returns None when the inequality holds at all ordered pairs, else the
     lexicographically first violating pair (under '-' < '0' < '+').
+    Refuses past `lattice.DEFAULT_ENUM_CAP` points before any oracle call.
 
     Each of the 3^n values is queried once, in lex order, through
     `evaluate`, and read as its integer numerator over f's denominator D.
@@ -129,7 +127,7 @@ def check_alpha_bisubmodular(
     top bits and the lowest set bit give the least violating b >= a.
     """
     n = f.arity
-    check_enum_cap(n, cap)
+    check_enum_cap(n)
     d = f.denominator
     # One `evaluate` query per point, in lex order, each value read as its
     # numerator over D; a table hands back the values it holds.

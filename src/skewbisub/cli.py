@@ -63,6 +63,10 @@ def _load_instance(path: str) -> ValueOracle:
         raise InstanceFormatError(
             f"{path!r} is not UTF-8 text: {exc.reason} at position {exc.start}"
         ) from None
+    except (RecursionError, ValueError) as exc:
+        # Nesting past the decoder's recursion limit, or an integer literal
+        # past the interpreter's digit limit: valid JSON that cannot be read.
+        raise InstanceFormatError(f"{path!r} exceeds a JSON reader limit: {exc}") from None
     return instance_from_json(document)
 
 
@@ -123,7 +127,7 @@ def _closure_mismatch(
 
     Returns (trial, point, extension value, closure value), or None when
     they agree at every point.  Raises CapExceededError before the first
-    trial when the closure LP would be past its cap.
+    trial when the closure LP would be past `oracles.DEFAULT_LP_CAP` columns.
     """
     check_lp_cap(f.arity)
     for trial in range(trials):

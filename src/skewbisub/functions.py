@@ -62,7 +62,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .checker import check_alpha_bisubmodular
 from .lattice import (
-    DEFAULT_ENUM_CAP,
     POS,
     ZERO,
     Alpha,
@@ -473,9 +472,12 @@ class SumFunction(ValueOracle):
         return total
 
 
-def expand_to_table(f: ValueOracle, cap: int = DEFAULT_ENUM_CAP) -> TableFunction:
-    """Materialize any oracle into an explicit complete table."""
-    check_enum_cap(f.arity, cap)
+def expand_to_table(f: ValueOracle) -> TableFunction:
+    """Materialize any oracle into an explicit complete table.
+
+    Refuses past `lattice.DEFAULT_ENUM_CAP` points before any oracle call.
+    """
+    check_enum_cap(f.arity)
     d = f.denominator
     values = [Fraction(v, d) for v in f.numerators()]
     return TableFunction._of_entries(
@@ -529,6 +531,9 @@ _TOP_KEPT = bytes(int(top not in _REDRAWN_TOPS) for top in range(256))
 #: ones then stay on the heap, and peak RSS rose by about 0.4 MiB.)  Reads
 #: of 512 words made building the benchmark's inputs about a quarter slower.
 _READ_WORDS = 2048
+
+#: Tables `_draw_table` draws per term before `generate_instance` gives up.
+_MAX_REJECTIONS = 10000
 
 
 def _read_values(rng: random.Random, words: int) -> Tuple[bytes, bytes]:
@@ -602,11 +607,9 @@ def _first_accepted(
     return ((accepted & -accepted).bit_length() - 1) // (8 * width) if accepted else None
 
 
-def _draw_table(
-    rng: random.Random, k: int, p: int, q: int, max_rejections: int
-) -> Optional[List[int]]:
+def _draw_table(rng: random.Random, k: int, p: int, q: int) -> Optional[List[int]]:
     """The first table of 3^k `randint` values, among the next
-    `max_rejections`, that meets every pair of `_pair_tests`, with rng just
+    `_MAX_REJECTIONS`, that meets every pair of `_pair_tests`, with rng just
     past it; None if there is none.
 
     Each read is a batch: the values left over from the last read and
@@ -620,12 +623,12 @@ def _draw_table(
     width = (2 * q * (hi - lo)).bit_length() // 8 + 1
     values = b""
     tried = 0
-    while tried < max_rejections:
+    while tried < _MAX_REJECTIONS:
         state = rng.getstate()
         tops, more = _read_values(rng, _READ_WORDS)
         carried = len(values)
         values += more
-        count = min(len(values) // size, max_rejections - tried)
+        count = min(len(values) // size, _MAX_REJECTIONS - tried)
         first = _first_accepted(_packed(values, count, size, width), count, width, pairs, p, q)
         if first is not None:
             end = (first + 1) * size
@@ -638,12 +641,7 @@ def _draw_table(
 
 
 def generate_instance(
-    n: int,
-    alpha: Alpha,
-    num_terms: int,
-    max_scope: int,
-    seed: int,
-    max_rejections: int = 10000,
+    n: int, alpha: Alpha, num_terms: int, max_scope: int, seed: int
 ) -> SumFunction:
     """Draw a random skew-bisubmodular sum-of-terms instance, deterministically.
 
@@ -653,7 +651,7 @@ def generate_instance(
     until one meets every pair of `_pair_tests`: the pairs a <lex b, less
     those that hold with equality on every table, which reject exactly the
     tables that a scan of all ordered pairs rejects.  At most
-    `max_rejections` tables are drawn per term.  Every accepted table is
+    `_MAX_REJECTIONS` tables are drawn per term.  Every accepted table is
     checked again by `check_alpha_bisubmodular`.
 
     The instance is byte for byte the one that drawing each value with
@@ -691,10 +689,10 @@ def generate_instance(
     for pos in range(num_terms):
         k = rng.randint(1, min(max_scope, n))
         scope = tuple(sorted(rng.sample(range(n), k)))
-        int_values = _draw_table(rng, k, p, q, max_rejections)
+        int_values = _draw_table(rng, k, p, q)
         if int_values is None:
             raise GenerationBudgetError(
-                f"term {pos}: no accepted table within {max_rejections} draws"
+                f"term {pos}: no accepted table within {_MAX_REJECTIONS} draws"
             )
         table = TableFunction._of_entries(k, alpha, [(v, 1, Fraction(v)) for v in int_values])
         witness = check_alpha_bisubmodular(table)

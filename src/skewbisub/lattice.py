@@ -109,8 +109,10 @@ def all_labelings(n: int) -> Iterator[Labeling]:
     return itertools.product(LEX_ORDER, repeat=n)
 
 
-#: Enumeration guard: operations that touch all 3^n points refuse to run
-#: past this many, so a fat-fingered arity fails loudly instead of hanging.
+#: Enumeration guard: operations that touch all 3^n points (the checker,
+#: brute force, `expand_to_table`) refuse to run past this many, so a
+#: fat-fingered arity fails loudly instead of hanging.  `check_enum_cap`
+#: reads it at each call.
 #: At 3^8 points `check_alpha_bisubmodular` accepts in about 0.5 s on a
 #: 2-vCPU VM.
 DEFAULT_ENUM_CAP = 3**8
@@ -128,10 +130,11 @@ class CapExceededError(ValueError):
     """An exhaustive operation was asked to enumerate more points than its cap."""
 
 
-def check_enum_cap(n: int, cap: int = DEFAULT_ENUM_CAP) -> None:
-    """Refuse an exhaustive operation at arity n, 3^n points, past `cap` points."""
-    if exceeds_cap(n, cap):
-        raise CapExceededError(f"3^{n} points exceed the enumeration cap {cap}")
+def check_enum_cap(n: int) -> None:
+    """Refuse an exhaustive operation at arity n, 3^n points, past
+    `DEFAULT_ENUM_CAP` points."""
+    if exceeds_cap(n, DEFAULT_ENUM_CAP):
+        raise CapExceededError(f"3^{n} points exceed the enumeration cap {DEFAULT_ENUM_CAP}")
 
 
 def lex_index(u: Sequence[Label]) -> int:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import compress, count
 from typing import Dict, Optional, Tuple
 
-from .functions import CapExceededError, DEFAULT_ENUM_CAP, ValueOracle, exceeds_cap
+from .functions import CapExceededError, ValueOracle, exceeds_cap
 from .lattice import Alpha, Labeling, check_enum_cap, labeling_at
 from .lovasz import (
     FractionalPoint,
@@ -50,21 +50,23 @@ class ClosureResult:
     distribution: Dict[Labeling, Fraction]
 
 
-def brute_force_min(
-    f: ValueOracle, cap: int = DEFAULT_ENUM_CAP
-) -> Tuple[Labeling, Fraction]:
-    """Scan all 3^n points; ties go to the lexicographically first labeling."""
-    check_enum_cap(f.arity, cap)
+def brute_force_min(f: ValueOracle) -> Tuple[Labeling, Fraction]:
+    """Scan all 3^n points; ties go to the lexicographically first labeling.
+
+    Refuses past `lattice.DEFAULT_ENUM_CAP` points before any oracle call.
+    """
+    check_enum_cap(f.arity)
     values = f.numerators()
     # min keeps the first of equal keys, and the values are in lex order.
     best = min(range(len(values)), key=values.__getitem__)
     return labeling_at(best, f.arity), Fraction(values[best], f.denominator)
 
 
-def check_lp_cap(n: int, cap: int = DEFAULT_LP_CAP) -> None:
-    """Refuse a closure LP at arity n, one column per point, past `cap` columns."""
-    if exceeds_cap(n, cap):
-        raise CapExceededError(f"3^{n} LP variables exceed the cap {cap}")
+def check_lp_cap(n: int) -> None:
+    """Refuse a closure LP at arity n, one column per point, past
+    `DEFAULT_LP_CAP` columns."""
+    if exceeds_cap(n, DEFAULT_LP_CAP):
+        raise CapExceededError(f"3^{n} LP variables exceed the cap {DEFAULT_LP_CAP}")
 
 
 @functools.lru_cache(maxsize=8)
@@ -82,14 +84,13 @@ def _closure_rows(n: int, p: int, q: int) -> LatticeRows:
     return LatticeRows(n, p, q)
 
 
-def convex_closure(
-    f: ValueOracle, x: FractionalPoint, cap: int = DEFAULT_LP_CAP
-) -> ClosureResult:
+def convex_closure(f: ValueOracle, x: FractionalPoint) -> ClosureResult:
     """Minimize the expectation of f over all distributions with mean x.
 
     Solved as an explicit LP: one nonnegative weight per domain point,
     one normalization row, n marginal rows, exact simplex underneath.
     Infeasibility cannot happen for x inside the box and signals a bug.
+    Refuses past `DEFAULT_LP_CAP` columns before any oracle call.
 
     The simplex starts at the basis of the maximal chain through x, given
     by the lex indices that `lovasz.chain_order` returns with it: all-Zero
@@ -108,7 +109,7 @@ def convex_closure(
     the optimum by pricing all 3^n columns.
     """
     n = f.arity
-    check_lp_cap(n, cap)
+    check_lp_cap(n)
     _check_oracle_point(f, x)
     p, q = f.alpha.value.numerator, f.alpha.value.denominator
     # The costs are f's integer numerators over D, so the value comes back

@@ -30,10 +30,14 @@ def parse_rational(value: object, where: str = "value") -> Fraction:
         # integer skips the gcd of Fraction(p, q).
         num, slash, den = text.partition("/")
         if (num[1:] if num[:1] in ("+", "-") else num).isdecimal():
-            if not slash:
-                return Fraction(int(num))
-            if "1" <= den[:1] <= "9" and den.isdecimal():
-                return Fraction(int(num), int(den))
+            try:
+                if not slash:
+                    return Fraction(int(num))
+                if "1" <= den[:1] <= "9" and den.isdecimal():
+                    return Fraction(int(num), int(den))
+            except ValueError as exc:
+                # int() refuses text past the interpreter's digit limit.
+                raise ValueError(f"{where}: {exc}") from None
         raise ValueError(
             f"{where}: bad rational literal {value!r} (expected 'p' or 'p/q')"
         )

@@ -554,7 +554,51 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1
-        assert "Exceeds the limit (4300 digits)" in captured.err
+        assert captured.err.startswith("error: values['+']: Exceeds the limit (4300 digits)")
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="no int/str conversion limit in this interpreter",
+    )
+    @pytest.mark.parametrize("place", ["alpha", "point", "literal"])
+    def test_integer_text_past_the_digit_limit_names_its_place(
+        self, tmp_path, alpha_half, capsys, place
+    ):
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        try:
+            int(digits)
+        except ValueError as exc:
+            limit_message = str(exc)
+        doc = instance_to_json(
+            TableFunction(1, alpha_half, {u: 1 for u in all_labelings(1)})
+        )
+        path = tmp_path / "long.json"
+        argv = ["check", str(path)]
+        if place == "alpha":
+            doc["alpha"] = "1/" + digits
+            where = "alpha"
+        elif place == "point":
+            argv = ["eval", str(path), "--point", "1/" + digits]
+            where = "coordinate 0"
+        text = json.dumps(doc)
+        if place == "literal":
+            # The first value, "1", as a bare JSON integer.
+            text = text.replace('"1"', digits, 1)
+            where = f"{str(path)!r} exceeds a JSON reader limit"
+        path.write_text(text)
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {where}: {limit_message}\n"
+
+    def test_nesting_past_the_decoder_limit_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert run(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {str(path)!r} exceeds a JSON reader limit: ")
+        assert captured.err.count("\n") == 1
 
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]) == 2

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from skewbisub import (
     Alpha,
     ArityMismatchError,
-    CapExceededError,
     DEFAULT_ENUM_CAP,
     GenerationBudgetError,
     InstanceFormatError,
@@ -419,11 +418,6 @@ class TestChecker:
             if w1 is not None:
                 assert (w1.a, w1.b) == (w2.a, w2.b)
 
-    def test_cap(self, alpha_half):
-        f = TableFunction(2, alpha_half, {u: 0 for u in all_labelings(2)})
-        with pytest.raises(CapExceededError):
-            check_alpha_bisubmodular(f, cap=3)
-
 
 class TestGenerator:
     def test_deterministic(self, alpha_half):
@@ -451,12 +445,11 @@ class TestGenerator:
         with pytest.raises(ValueError):
             generate_instance(3, alpha_half, num_terms=1, max_scope=3, seed=0)
 
-    def test_budget_exhaustion(self, alpha_half):
+    def test_budget_exhaustion(self, alpha_half, monkeypatch):
         # seed 0 draws a binary scope whose first table fails the checker
+        monkeypatch.setattr(functions, "_MAX_REJECTIONS", 1)
         with pytest.raises(GenerationBudgetError):
-            generate_instance(
-                2, alpha_half, num_terms=1, max_scope=2, seed=0, max_rejections=1
-            )
+            generate_instance(2, alpha_half, num_terms=1, max_scope=2, seed=0)
 
 
 class TestExpand:
@@ -478,11 +471,6 @@ class TestExpand:
         g = expand_to_table(f)
         for u in all_labelings(2):
             assert g[u] == inner[u]
-
-    def test_cap(self, alpha_half):
-        f = TableFunction(2, alpha_half, {u: 0 for u in all_labelings(2)})
-        with pytest.raises(CapExceededError):
-            expand_to_table(f, cap=3)
 
     def test_keeps_the_least_denominator(self):
         # The sum's D is 6, the lcm of every term value's denominator, but

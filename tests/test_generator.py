@@ -163,7 +163,7 @@ def test_a_draw_leaves_the_stream_where_randint_leaves_it(alpha, words, more_wor
         monkeypatch.setattr(functions, "_READ_WORDS", (words, more_words)[seed % 2])
         drawn, reference = random.Random(seed), random.Random(seed)
         for k in (2, 1, 2):
-            assert _draw_table(drawn, k, p, q, 10000) == reference_table(reference, k, p, q)[0]
+            assert _draw_table(drawn, k, p, q) == reference_table(reference, k, p, q)[0]
             assert drawn.getstate() == reference.getstate()
 
 
@@ -177,11 +177,13 @@ def test_the_budget_counts_tables_drawn(seed, words, more_words, monkeypatch):
     args = (4, Alpha(Fraction(1, 2)), 4, 2, seed)
     drawn = [count for _, _, count in reference_draws(*args)]
     budget = max(drawn)
-    assert json.dumps(instance_to_json(generate_instance(*args, max_rejections=budget))) == (
+    monkeypatch.setattr(functions, "_MAX_REJECTIONS", budget)
+    assert json.dumps(instance_to_json(generate_instance(*args))) == (
         json.dumps(instance_to_json(reference_generate(*args)))
     )
+    monkeypatch.setattr(functions, "_MAX_REJECTIONS", budget - 1)
     with pytest.raises(GenerationBudgetError) as caught:
-        generate_instance(*args, max_rejections=budget - 1)
+        generate_instance(*args)
     assert str(caught.value) == (
         f"term {drawn.index(budget)}: no accepted table within {budget - 1} draws"
     )

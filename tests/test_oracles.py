@@ -1,4 +1,5 @@
-"""Brute force, the closure LP, and the midpoint probe against each other."""
+"""Brute force, the closure LP, and the midpoint probe against each other,
+and every exhaustive operation's refusal at its limit."""
 
 import random
 from fractions import Fraction
@@ -21,9 +22,11 @@ from skewbisub import (
     instance_from_json,
     instance_to_json,
     midpoint_convexity_probe,
+    minimize,
     numeric,
     random_box_point,
 )
+from skewbisub.cli import _closure_mismatch
 from conftest import ALPHA_GRID, recorded_pivots
 
 
@@ -59,11 +62,6 @@ class TestBruteForce:
             extension_value(f, FractionalPoint(numeric(a, alpha_half), alpha_half))
             for a in all_labelings(3)
         )
-
-    def test_cap(self, alpha_half):
-        f = TableFunction(3, alpha_half, {u: 0 for u in all_labelings(3)})
-        with pytest.raises(CapExceededError):
-            brute_force_min(f, cap=9)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_ties_and_calls_on_every_kind_of_oracle(self, n):
@@ -162,11 +160,6 @@ class TestConvexClosure:
             assert result.value <= f[a]
             assert result.value == extension_value(f, x) == f[a]
 
-    def test_cap(self, alpha_half):
-        f = TableFunction(3, alpha_half, {u: 0 for u in all_labelings(3)})
-        with pytest.raises(CapExceededError):
-            convex_closure(f, FractionalPoint.zero(3, alpha_half), cap=9)
-
     @pytest.mark.parametrize("n", range(1, 5))
     def test_oracle_calls_per_solve(self, n):
         # The paper's cost model counts oracle calls.  One closure LP prices
@@ -222,3 +215,37 @@ class TestRandomBoxPoint:
         for _ in range(200):
             x = random_box_point(4, alpha, rng)
             assert all(-alpha.value <= c <= 1 for c in x.coords)
+
+
+@pytest.mark.parametrize(
+    "operation, arity, message",
+    [
+        (check_alpha_bisubmodular, 9, "3^9 points exceed the enumeration cap 6561"),
+        (brute_force_min, 9, "3^9 points exceed the enumeration cap 6561"),
+        (expand_to_table, 9, "3^9 points exceed the enumeration cap 6561"),
+        (
+            lambda f: convex_closure(f, FractionalPoint.zero(f.arity, f.alpha)),
+            7,
+            "3^7 LP variables exceed the cap 729",
+        ),
+        (
+            lambda f: _closure_mismatch(f, 20, random.Random(0)),
+            7,
+            "3^7 LP variables exceed the cap 729",
+        ),
+        (minimize, 501, "arity 501 exceeds the minimize cap 500"),
+    ],
+    ids=["check", "brute_force", "expand_to_table", "convex_closure", "verify_closure", "minimize"],
+)
+def test_one_past_the_limit_is_refused_before_any_oracle_call(operation, arity, message):
+    # Each limit is a module constant: 3^8 points (`DEFAULT_ENUM_CAP`), 3^6
+    # closure LP columns (`DEFAULT_LP_CAP`) and 500 coordinates
+    # (`DEFAULT_ARITY_CAP`); the arity is the least one past it.
+    f = instance_from_json({
+        "format": "sum", "n": arity, "alpha": "1/2",
+        "terms": [{"scope": [0], "values": {"-": "1", "0": "0", "+": "2"}}],
+    })
+    with pytest.raises(CapExceededError) as raised:
+        operation(f)
+    assert str(raised.value) == message
+    assert f.call_count == 0

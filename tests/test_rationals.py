@@ -13,7 +13,11 @@ _FRACTION_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?\Z")
 
 
 def reference_parse_rational(value, where="value"):
-    """parse_rational with every accepted string going through Fraction(text)."""
+    """parse_rational with every accepted string going through Fraction(text).
+
+    Text past the interpreter's int digit limit fails in Fraction with
+    CPython's message, which parse_rational prefixes with `where`.
+    """
     if isinstance(value, bool):
         raise ValueError(f"{where}: expected a rational, got boolean {value!r}")
     if isinstance(value, int):
@@ -24,7 +28,10 @@ def reference_parse_rational(value, where="value"):
             raise ValueError(
                 f"{where}: bad rational literal {value!r} (expected 'p' or 'p/q')"
             )
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     if isinstance(value, float):
         raise ValueError(
             f"{where}: floats are not accepted (got {value!r}); use an exact 'p/q' string"
