@@ -86,6 +86,12 @@ _PAIR_OP_GROUPS = tuple(
     tuple(_mask_groups(table[x]) for table in _PAIR_OP_DIGITS) for x in range(3)
 )
 
+#: The digit sets that `_PAIR_OP_GROUPS` names, each once: six sets of
+#: fewer than three digits, and all three, which need no mask.
+_DIGIT_SETS = tuple(
+    dict.fromkeys(digits for row in _PAIR_OP_GROUPS for groups in row for digits, _ in groups)
+)
+
 
 def check_alpha_bisubmodular(f: ValueOracle) -> Optional[ViolationWitness]:
     """Exhaustively test f(a meet b) + alpha f(a join0 b) + (1-alpha) f(a join1 b) <= f(a) + f(b).
@@ -167,7 +173,7 @@ def _pack(fields: List[int], width: int) -> int:
 #: `_digit_moves` keeps its results for the (n, B) whose masks, of 3^n B
 #: bits each, fit in this many bits.  A result holds, for each of the n
 #: digits of a, one mask per digit set of fewer than three digits in
-#: `_PAIR_OP_GROUPS` (6 sets), and 3^9 > 2^13, so a kept result has n <= 8
+#: `_DIGIT_SETS` (6 sets), and 3^9 > 2^13, so a kept result has n <= 8
 #: and at most 48 masks of 1 KiB: the 16 kept results hold at most
 #: 768 KiB of masks.
 _KEPT_MASK_BITS = 2**13
@@ -181,19 +187,18 @@ def _digit_moves(n: int, width: int):
 
 def _build_digit_moves(n: int, width: int):
     # For each lex digit t of a, most significant first, and each value x of
-    # it: the moves of meet0, join0 and join1 along digit t.  Field k of a
-    # gather is field k' of its source, where k' is k with its digit t, say
-    # d, replaced by e = row[d], the operation's digit on (x, d).  Fields
-    # of digit e move up by d - e blocks of 3^(n-1-t) fields, so a move is
-    # an AND with the mask of the digits e that move alike (none when they
-    # are all three digits), then one shift for each amount they move by.
-    # Each shift also goes x blocks further down: the source starts at the
-    # first b whose first t digits are a's, the result at the first b whose
-    # first t + 1 digits are a's, and the b that fall below a's prefix are
-    # shifted out.  Every drop is whole blocks, so the masks stay aligned.
-    # Above the last digit a move is (mask, shifts) per operation, with
-    # mask 0 for no AND and a shift below 0 a shift down; the last digit's
-    # moves are `_leaf_plan`s.
+    # it: the `_plan`s that gather meet0, join0 and join1 along digit t.
+    # Field k of a gather is field k' of its source, where k' is k with its
+    # digit t, say d, replaced by e = row[d], the operation's digit on
+    # (x, d).  Fields of digit e move up by d - e blocks of 3^(n-1-t)
+    # fields, so a piece is the source ANDed with the mask of the digits e
+    # that move alike (no AND when they are all three digits), shifted by
+    # that amount.  Each shift also goes x blocks further down: the source
+    # starts at the first b whose first t digits are a's, the result at the
+    # first b whose first t + 1 digits are a's, and the b that fall below
+    # a's prefix are shifted out.  Every drop is whole blocks, so the masks
+    # stay aligned.  Above the last digit each operation has its own plan;
+    # at the last digit one plan sums all three.
     total = 3**n * width
     levels = []
     for t in range(n):
@@ -202,108 +207,80 @@ def _build_digit_moves(n: int, width: int):
         repeat = ((1 << total) - 1) // ((1 << 3 * step) - 1)
         masks = {
             digits: sum([block << e * step for e in digits]) * repeat if len(digits) < 3 else 0
-            for row in _PAIR_OP_GROUPS for groups in row for digits, _ in groups
+            for digits in _DIGIT_SETS
         }
-        if t + 1 == n:
-            levels.append(tuple([_leaf_plan(x, step, masks) for x in range(3)]))
-            break
-        levels.append(tuple([
-            tuple([
-                tuple([
-                    (masks[digits], tuple([(up - x) * step for up in ups]))
-                    for digits, ups in groups
-                ])
-                for groups in _PAIR_OP_GROUPS[x]
-            ])
-            for x in range(3)
-        ]))
+        ops = ((0, 1, 2),) if t + 1 == n else ((0,), (1,), (2,))
+        levels.append(tuple([tuple([_plan(x, step, masks, o) for o in ops]) for x in range(3)]))
     return tuple(levels)
 
 
-def _leaf_plan(x: int, step: int, masks: Dict[Tuple[int, ...], int]):
-    # The last digit's moves for digit x of a, as one sum: the pieces of all
-    # three operations that shift by the same amount are added first and
-    # shifted once.  Fields do not carry, so adding and shifting commute.
-    # The amounts are all >= 0 at x = 0 and all <= 0 above, and the sums
-    # are taken from the farthest amount in: each is shifted by the step to
-    # the next one in, where the next sum is added.  The plan is the first
-    # piece (operation, mask), then (shift, pieces, whether a's own term
-    # joins here) for each amount from the farthest in, then the last
-    # amount's shift down.  a's own term is aligned to the prefix's first
-    # b, so it joins at the amount -x, which every plan has.
+def _plan(x: int, step: int, masks: Dict[Tuple[int, ...], int], ops: Tuple[int, ...]):
+    # The pieces of the operations `ops` for digit x of a, as one sum: the
+    # pieces that shift by the same amount are added first and shifted
+    # once.  Fields do not carry, so adding and shifting commute.  The
+    # amounts are all >= 0 at x = 0 and all <= 0 above, and the sums are
+    # taken from the farthest amount in: each is shifted by the step to the
+    # next one in, where the next sum is added, and the last by its own
+    # amount.  The plan is the first piece (operation, mask), then a
+    # (shift, pieces, whether a's own term joins here) step per amount, a
+    # shift below 0 being a shift down; steps that do nothing are left
+    # out.  a's own term joins the plan over all three operations, the last
+    # digit's.  It is aligned to the prefix's first b, so it joins at the
+    # amount -x, which every plan has: each operation maps (x, x) to x.
     by_shift: Dict[int, List[Tuple[int, int]]] = {}
-    for o, groups in enumerate(_PAIR_OP_GROUPS[x]):
-        for digits, ups in groups:
+    for o in ops:
+        for digits, ups in _PAIR_OP_GROUPS[x][o]:
             for up in ups:
                 by_shift.setdefault(up - x, []).append((o, masks[digits]))
     order = sorted(by_shift, reverse=(x == 0))
     first = by_shift[order[0]].pop(0)
-    plan = tuple([
-        ((far - near) * step, tuple(by_shift[near]), near == -x)
+    own = len(ops) == 3
+    steps = [
+        ((far - near) * step, tuple(by_shift[near]), own and near == -x)
         for far, near in zip([order[0], *order], order)
-    ])
-    return (*first, plan, -order[-1] * step)
+    ]
+    steps.append((order[-1] * step, (), False))
+    return (*first, tuple([s for s in steps if s != (0, (), False)]))
 
 
 _kept_digit_moves = lru_cache(maxsize=16)(_build_digit_moves)
-
-
-def _gather(v: int, moves: Tuple[Tuple[int, Tuple[int, ...]], ...]) -> int:
-    # The pieces of v that `moves` cut and shift, ORed together.  They do
-    # not overlap, so the first piece is the start.
-    out = -1
-    for mask, shifts in moves:
-        part = v & mask if mask else v
-        for shift in shifts:
-            if shift > 0:
-                piece = part << shift
-            elif shift:
-                piece = part >> -shift
-            else:
-                piece = part
-            out = piece if out < 0 else out | piece
-    return out
 
 
 def _scan(vectors, levels, t: int, i: int, leaf) -> Optional[Tuple[int, int]]:
     # The first violating pair (a, b), as lex indices, among the a whose
     # first t digits are those of index i, given the packed vectors gathered
     # along those t digits; None if there is none.  A prefix's gathers serve
-    # every a that extends it.  At the last digit, one loop over a's last
-    # digit adds the three gathers and a's own term, the base less q f(a)
-    # in every field, and tests the total.
-    v0, v1, v2 = vectors
-    if t + 1 < len(levels):
-        stride = 3 ** (len(levels) - 1 - t)
-        for x, (m0, m1, m2) in enumerate(levels[t]):
-            hit = _scan(
-                (_gather(v0, m0), _gather(v1, m1), _gather(v2, m2)),
-                levels,
-                t + 1,
-                i + x * stride,
-                leaf,
-            )
+    # every a that extends it.  Each value of digit t runs its plans on the
+    # vectors: above the last digit the three sums are the next digit's
+    # vectors, and at the last digit the one plan's sum, with a's own term,
+    # the base less q f(a) in every field, is the total to test.
+    ints, base, qones, signs, width = leaf
+    last = t + 1 == len(levels)
+    if last:
+        # base and q in every field, from the prefix's first b on.
+        base >>= i * width
+        qones >>= i * width
+    stride = 3 ** (len(levels) - 1 - t)
+    for k, plans in zip(range(i, i + 3 * stride, stride), levels[t]):
+        gathered = []
+        for first, mask, steps in plans:
+            acc = vectors[first] & mask if mask else vectors[first]
+            for shift, pieces, own in steps:
+                if shift > 0:
+                    acc <<= shift
+                elif shift:
+                    acc >>= -shift
+                for o, mask in pieces:
+                    acc += vectors[o] & mask if mask else vectors[o]
+                if own:
+                    acc += base - ints[k] * qones
+            gathered.append(acc)
+        if last:
+            hits = acc & signs
+            if hits:
+                return k, k + ((hits & -hits).bit_length() - 1) // width
+        else:
+            hit = _scan(gathered, levels, t + 1, k, leaf)
             if hit is not None:
                 return hit
-        return None
-    ints, base, qones, signs, width = leaf
-    # base and q in every field, from the prefix's first b on.
-    base = base >> i * width
-    qones = qones >> i * width
-    for k, (first, mask, plan, final) in enumerate(levels[t], i):
-        acc = vectors[first] & mask if mask else vectors[first]
-        for shift, pieces, own in plan:
-            if shift > 0:
-                acc <<= shift
-            elif shift:
-                acc >>= -shift
-            for o, mask in pieces:
-                acc += vectors[o] & mask if mask else vectors[o]
-            if own:
-                acc += base - ints[k] * qones
-        if final:
-            acc >>= final
-        hits = acc & signs
-        if hits:
-            return k, k + ((hits & -hits).bit_length() - 1) // width
     return None

@@ -349,6 +349,19 @@ def _witness(walk: _Walk, columns: Sequence[Tuple[int, ...]]) -> ConvexityWitnes
     )
 
 
+def _first_master(column: Sequence[int], p: int, q: int) -> _Program:
+    """Kelley's master LP in dual form after its first cut column (s g, s), optimized.
+
+    Its costs are p on the n u_j, q on the n v_j and 0 on the cut, for
+    alpha = p/q, with right-hand side (0, ..., 0, 1).  It starts at the
+    first cut's optimal basis: u_j where g_j > 0, v_j elsewhere, and
+    lambda_1.
+    """
+    n = len(column) - 1
+    basis = [j if v > 0 else n + j for j, v in enumerate(column[:n])] + [2 * n]
+    return _Program([p] * n + [q] * n + [0], [column], [0] * n + [1], basis, n).optimize()
+
+
 def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> MinimizeReport:
     """Run Kelley's cutting planes and return the best discrete point.
 
@@ -365,10 +378,7 @@ def minimize(f: ValueOracle, cfg: MinimizeConfig = MinimizeConfig()) -> Minimize
     walk = _Walk(f)
     column = walk.cut(1, nums, denominator)
     clock = time.perf_counter()
-    # The first cut's optimal basis: u_j where g_j > 0, v_j elsewhere, and lambda_1.
-    basis = [j if v > 0 else n + j for j, v in enumerate(column[:n])] + [2 * n]
-    master = _Program([walk.p] * n + [walk.q] * n + [0], [column], [0] * n + [1], basis, n)
-    master.optimize()
+    master = _first_master(column, walk.p, walk.q)
     lp_s = time.perf_counter() - clock
     for t in range(1, max_iters + 1):
         clock = time.perf_counter()

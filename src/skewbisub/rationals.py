@@ -60,10 +60,21 @@ def as_rational(value: object, where: str = "value") -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    """Canonical string form: "p" for integers, "p/q" otherwise."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """Canonical string form: "p" for integers, "p/q" otherwise.
+
+    A numerator or denominator past CPython's int-to-str digit limit is
+    spelled through `decimal.Decimal`, which converts an int exactly and
+    has no such limit.
+    """
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        from decimal import Decimal
+
+        num, den = str(Decimal(q.numerator)), str(Decimal(q.denominator))
+        return num if den == "1" else f"{num}/{den}"
 
 
 def common_denominator(values: Sequence[Union[int, Fraction]]) -> Tuple[int, List[int]]:

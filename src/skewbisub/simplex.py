@@ -185,21 +185,17 @@ def _integer_program(
     c: Sequence[Fraction],
     A: Sequence[Sequence[Fraction]],
     b: Sequence[Fraction],
-    start: Sequence[int],
 ) -> Tuple[Sequence[int], Sequence[Sequence[int]], List[int]]:
     """(C, M, r): the objective and each row [A_i | b_i] scaled to integers.
 
     M comes back as its list of columns, which a `LatticeRows` A holds
     already; its rows are scaled only when b is not all integers.  Raises
-    ValueError on inconsistent dimensions or a start of the wrong size or
-    out of range.
+    ValueError on inconsistent dimensions.
     """
     m = len(A)
     n = len(c)
     if len(b) != m or any(len(row) != n for row in A):
         raise ValueError("inconsistent LP dimensions")
-    if len(start) != m or not all(0 <= j < n for j in start):
-        raise ValueError(f"a start basis needs {m} columns in range(0, {n}), got {list(start)}")
     if isinstance(A, LatticeRows) and set(map(type, b)) <= {int}:
         columns, r = A.columns, list(b)
     else:
@@ -234,7 +230,8 @@ class _Program:
     M's first 2 `units` columns are the unit pairs u_j = -e_j, then
     v_j = e_j; `costs` is all of C and `columns` the columns of M after
     the pairs (see the module docstring).  The program starts at the basis
-    `start` names, and raises ValueError when that is not a feasible basis.
+    `start` names, and raises ValueError when that is not a feasible basis:
+    not one column per row in range, dependent, or infeasible.
     """
 
     def __init__(
@@ -249,6 +246,9 @@ class _Program:
         self.columns = columns
         self.units = units
         m = len(r)
+        n = 2 * units + len(columns)
+        if len(start) != m or not all(0 <= j < n for j in start):
+            raise ValueError(f"a start basis needs {m} columns in range(0, {n}), got {list(start)}")
         #: [R | d B^-1 r], from R = I.
         self.inverse = inverse = [[0] * m + [v] for v in r]
         for i, row in enumerate(inverse):
@@ -394,7 +394,7 @@ def linear_min(
     ValueError on inconsistent dimensions or when `start` is not a feasible
     basis.
     """
-    C, M, r = _integer_program(c, A, b, start)
+    C, M, r = _integer_program(c, A, b)
     # Rows scaled to integers here are no longer the lattice's.
     if isinstance(A, LatticeRows) and M is A.columns:
         program = _LatticeProgram(A.entries, C, M, r, start).optimize()

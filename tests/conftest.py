@@ -4,6 +4,7 @@ the Fraction reference simplex."""
 from __future__ import annotations
 
 import contextlib
+import importlib
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 from unittest import mock
@@ -28,6 +29,8 @@ from skewbisub import (
     meet0,
     numeric,
 )
+
+_minimize_module = importlib.import_module("skewbisub.minimize")
 
 #: The alpha grid the acceptance suite sweeps.
 ALPHA_GRID = (
@@ -188,20 +191,12 @@ def column_cut(column: Sequence[int]) -> Tuple[Fraction, ...]:
 def add_cut(master: Optional[simplex._Program], column: Sequence[int], alpha: Fraction):
     """Kelley's master LP in dual form after the cut column (s g, s), as `minimize` runs it.
 
-    The first cut starts the program at its optimal basis, lambda_1 with
-    u_j where g_j > 0 and v_j elsewhere, and every later one is appended to
-    `master` and re-optimized.  Returns the program; y* = pi[:n] / (q d)
+    The first cut makes `minimize._first_master`, and every later one is
+    appended to `master` and re-optimized.  Returns the program; y* = pi[:n] / (q d)
     and t* = -pi[n] / (q d) for alpha = p/q.
     """
     if master is None:
-        n = len(column) - 1
-        return simplex._Program(
-            [alpha.numerator] * n + [alpha.denominator] * n + [0],
-            [column],
-            [0] * n + [1],
-            [j if v > 0 else n + j for j, v in enumerate(column[:n])] + [2 * n],
-            n,
-        ).optimize()
+        return _minimize_module._first_master(column, alpha.numerator, alpha.denominator)
     master.append(0, column)
     return master.optimize()
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, JSON outputs, reproducibility."""
 
+import decimal
 import gc
 import hashlib
 import json
@@ -18,6 +19,7 @@ from skewbisub import (
     TableFunction,
     all_labelings,
     decompose,
+    format_labeling,
     generate_instance,
     instance_to_json,
     random_box_point,
@@ -590,6 +592,25 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {where}: {limit_message}\n"
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="no int/str conversion limit in this interpreter",
+    )
+    def test_result_past_the_digit_limit_is_printed(self, tmp_path, capsys):
+        # Every literal is within the limit, but f_L(1, 1/2) is the mean of
+        # f(++) = 1/(N + 1) and f(+0) = 1/(N + 3), (N + 2)/((N + 1)(N + 3)),
+        # whose denominator has 6,001 digits.
+        big = 10**3000
+        values = {format_labeling(u): "0" for u in all_labelings(2)}
+        values["++"] = f"1/{big + 1}"
+        values["+0"] = f"1/{big + 3}"
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"format": "table", "n": 2, "alpha": "1", "values": values}))
+        assert run(["eval", str(path), "--point=1,1/2"]) == 0
+        denominator = str(decimal.Decimal((big + 1) * (big + 3)))
+        assert len(denominator) == 6001
+        assert f"/{denominator}" in capsys.readouterr().out
 
     def test_nesting_past_the_decoder_limit_is_one_line(self, tmp_path, capsys):
         path = tmp_path / "deep.json"

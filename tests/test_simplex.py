@@ -211,7 +211,7 @@ def test_an_appended_column_resumes_to_the_cold_optimum(program, data):
     start = [order.index(j) for j in start]
     # Scaled to integers whole, so the appended column is scaled as its rows are.
     C, M, r = simplex._integer_program(
-        [c[j] for j in order], [[row[j] for j in order] for row in A], b, start
+        [c[j] for j in order], [[row[j] for j in order] for row in A], b
     )
     cold = _outcome(linear_min, C, [list(row) for row in zip(*M)], r, start)
     solved = simplex._Program(C[:-1], M[:-1], r, start)
@@ -529,10 +529,23 @@ class TestUnitPairStart:
         with pytest.raises(ValueError, match="dependent"):
             simplex._Program(self.costs, self.columns[:], [0, 1], start, 1)
 
+    @pytest.mark.parametrize("start", [[0], [0, 3], [-1, 2]], ids=str)
+    def test_a_start_of_the_wrong_size_or_out_of_range(self, start):
+        with pytest.raises(ValueError, match=r"a start basis needs 2 columns in range\(0, 3\)"):
+            simplex._Program(self.costs, self.columns[:], [0, 1], start, 1)
+
     def test_the_wrong_unit_is_infeasible(self):
         # lambda_1 = 1 needs u_0 = 3; with v_0 basic instead, v_0 = -3.
         with pytest.raises(ValueError, match="infeasible"):
             simplex._Program(self.costs, self.columns[:], [0, 1], [1, 2], 1)
+
+
+def test_a_short_start_is_refused():
+    # A short start would leave row 1 with no basic column, and the
+    # program would stop at once, short of the optimum -99 at x = (1, 0, 1).
+    with pytest.raises(ValueError, match=r"needs 2 columns in range\(0, 3\), got \[0\]"):
+        simplex._Program([1, 2, -100], [(1, 0), (1, 1), (0, 1)], [1, 1], [0])
+    assert linear_min([1, 2, -100], [[1, 1, 0], [0, 1, 1]], [1, 1], [0, 2])[0] == -99
 
 
 def _state(program):
