@@ -60,10 +60,8 @@ from functools import lru_cache
 from operator import add
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .checker import check_alpha_bisubmodular
+from .checker import check_alpha_bisubmodular, local_pairs
 from .lattice import (
-    POS,
-    ZERO,
     Alpha,
     ArityMismatchError,
     CapExceededError,
@@ -74,10 +72,7 @@ from .lattice import (
     check_enum_cap,
     exceeds_cap,
     format_labeling,
-    join,
     labeling_at,
-    lex_index,
-    meet0,
     parse_labeling,
 )
 from .rationals import as_rational, format_rational, parse_rational
@@ -486,27 +481,12 @@ def expand_to_table(f: ValueOracle) -> TableFunction:
 
 
 @lru_cache(maxsize=64)
-def _pair_tests(arity: int, p: int, q: int) -> Tuple[Tuple[int, int, int, int, int], ...]:
-    # The lex indices (a, b, meet0, join0, join1) of every pair a <lex b
-    # whose inequality, scaled by q for alpha = p/q, can fail.  The pairs
-    # with b <lex a and a = b are left out by the checker's symmetry
-    # argument.  A pair is left out too when each f(u) has the same weight
-    # on both sides of q f(meet) + p f(join0) + (q - p) f(join1) <= q (f(a) + f(b)),
-    # as when every coordinate of one of a, b is 0 or the other's (meet0 is
-    # then that one and both joins the other): both sides are then one
-    # linear form, so the pair holds with equality on every table and
-    # cannot reject one.  arity <= 2, so an entry is at most 36 tuples.
-    labelings = list(all_labelings(arity))
-    pairs = []
-    for a, x in enumerate(labelings):
-        for b, y in enumerate(labelings[a + 1 :], a + 1):
-            ops = (lex_index(meet0(x, y)), lex_index(join(x, y, ZERO)), lex_index(join(x, y, POS)))
-            weights = dict.fromkeys((a, b, *ops), 0)
-            for u, w in zip((a, b, *ops), (-q, -q, q, p, q - p)):
-                weights[u] += w
-            if any(weights.values()):
-                pairs.append((a, b, *ops))
-    return tuple(pairs)
+def _pair_tests(arity: int) -> Tuple[Tuple[int, int, int, int, int], ...]:
+    # The lex indices (a, b, meet0, join0, join1), a <lex b, of the local
+    # pairs (`checker.local_pairs`) at every labeling: a table meets the
+    # inequality at them exactly when it meets it at every pair, by the
+    # theorem in `checker`.  arity <= 2, so an entry is at most 10 tuples.
+    return tuple([t for x in all_labelings(arity) for t in local_pairs(x)])
 
 
 #: A table value is lo + r, r in [0, hi - lo], drawn as CPython's
@@ -619,7 +599,7 @@ def _draw_table(rng: random.Random, k: int, p: int, q: int) -> Optional[List[int
     """
     lo, hi = _VALUE_RANGE
     size = 3**k
-    pairs = _pair_tests(k, p, q)
+    pairs = _pair_tests(k)
     width = (2 * q * (hi - lo)).bit_length() // 8 + 1
     values = b""
     tried = 0
@@ -648,9 +628,9 @@ def generate_instance(
     Each term's scope is drawn uniformly without replacement (`randint`
     and `sample`), its size uniform in {1, ..., max_scope}; its integer
     value table is drawn uniformly over `_VALUE_RANGE`, table after table,
-    until one meets every pair of `_pair_tests`: the pairs a <lex b, less
-    those that hold with equality on every table, which reject exactly the
-    tables that a scan of all ordered pairs rejects.  At most
+    until one meets every pair of `_pair_tests`: the local pairs of
+    `checker.local_pairs`, which reject exactly the tables that a scan of
+    all ordered pairs rejects.  At most
     `_MAX_REJECTIONS` tables are drawn per term.  Every accepted table is
     checked again by `check_alpha_bisubmodular`.
 

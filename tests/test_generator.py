@@ -237,7 +237,7 @@ def _columns(tables, width):
 def _packed_verdict(values, k, p, q):
     """The packed test on a one-table batch, asserting that it picks the
     table out of batches that hold it at every position."""
-    pairs = _pair_tests(k, p, q)
+    pairs = _pair_tests(k)
     low = min(values)
     table = [v - low for v in values]
     # All-Zero alone at 1 fails the pair of -0...0 and +0...0.
